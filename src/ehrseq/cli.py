@@ -219,8 +219,10 @@ def quantize(latent_path, codebook_path, beta, out_path):
     }
     if beta is not None:
         doc["commitment_term"] = beta * result.commitment_distance
-    Path(out_path).write_text(json.dumps(doc, indent=2) + "\n")
-    write_manifest(Path(out_path).parent, "quantize", {"beta": beta},
+    out = Path(out_path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    write_manifest(out.parent, "quantize", {"beta": beta},
                    inputs=[latent_path, codebook_path], outputs=[out_path])
     click.echo(f"quantized {z.shape[0]}x{z.shape[1]} latent -> {out_path}")
 

@@ -92,6 +92,11 @@ class SerializerConfig:
             raise SerializeError("more timegap buckets than reserved tokens")
 
 
+# Stream channels in record order, and the fill value of each.
+_CHANNELS = ("tokens", "type_labels", "dpe_labels")
+_FILLS = (PAD_ID, int(TokenType.PAD), DPE_NON_DIGIT)
+
+
 @dataclass
 class TokenStream:
     """Token ids with parallel label channels; hierarchical grid or flat sequence."""
@@ -217,36 +222,77 @@ def build_hierarchical(patient: PatientRecord, vocab: Vocabulary,
     return TokenStream("hierarchical", tokens, types, dpes, patient_id=patient.patient_id)
 
 
+# --- dense <-> de-padded views -----------------------------------------------
+#
+# A 2-D channel is a stack of rows; a 1-D channel is one row.  A row's
+# payload is a prefix of it, given by a length per row.
+
+def _channels(stream: TokenStream) -> tuple:
+    return stream.tokens, stream.type_labels, stream.dpe_labels
+
+
+def _rows_shape(shape) -> tuple[int, int]:
+    return (1, shape[0]) if len(shape) == 1 else tuple(shape)
+
+
+def _token_counts(tokens: np.ndarray) -> np.ndarray:
+    """Non-pad tokens per row: flatten and detokenize keep that prefix of a row."""
+    return np.count_nonzero(tokens != PAD_ID, axis=-1)
+
+
+def _stored_lengths(stream: TokenStream) -> np.ndarray:
+    """Per row, one past the last cell where any channel differs from its fill."""
+    shape = _rows_shape(stream.tokens.shape)
+    differs = np.zeros(shape, dtype=bool)
+    for channel, fill in zip(_channels(stream), _FILLS):
+        if channel is not None:
+            differs |= channel.reshape(shape) != fill
+    return np.max(np.where(differs, np.arange(1, shape[1] + 1), 0), axis=1, initial=0)
+
+
+def _prefix_mask(shape, lengths) -> np.ndarray:
+    """Rows of `shape` as a 2-D mask of the first lengths[i] cells of row i;
+    rows past len(lengths) are empty."""
+    n_rows, width = _rows_shape(shape)
+    per_row = np.zeros(n_rows, dtype=np.int64)
+    per_row[: len(lengths)] = lengths
+    return np.arange(width) < per_row[:, None]
+
+
+def _payload(channel: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Dense channel -> its cells inside the prefix mask, row after row."""
+    return channel.reshape(mask.shape)[mask]
+
+
+def _dense(payload: np.ndarray, mask: np.ndarray, shape, fill: int) -> np.ndarray:
+    """Payload -> the dense channel of `shape`, fill outside the prefix mask."""
+    out = np.full(mask.shape, fill, dtype=np.int32)
+    out[mask] = payload
+    return out.reshape(shape)
+
+
 def flatten(hier: TokenStream, n_t: int = 8192) -> TokenStream:
-    """Concatenate de-padded rows chronologically, recording event boundaries."""
+    """Concatenate de-padded rows chronologically, recording event boundaries.
+
+    Row i contributes its first c_i cells, c_i being its count of non-pad
+    tokens; the concatenation is cut at n_t.
+    """
     if hier.layout != "hierarchical":
         raise SerializeError("flatten expects a hierarchical stream")
-    pieces_t, pieces_ty, pieces_d, boundaries = [], [], [], []
-    offset = 0
-    for row in range(hier.tokens.shape[0]):
-        mask = hier.tokens[row] != PAD_ID
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        pieces_t.append(hier.tokens[row, :count])
-        if hier.type_labels is not None:
-            pieces_ty.append(hier.type_labels[row, :count])
-        if hier.dpe_labels is not None:
-            pieces_d.append(hier.dpe_labels[row, :count])
-        boundaries.append((offset, offset + count))
-        offset += count
+    counts = _token_counts(hier.tokens)
+    kept = counts[counts > 0]
+    starts = np.cumsum(kept) - kept
+    boundaries = [(s, min(s + n, n_t)) for s, n in zip(starts.tolist(), kept.tolist())
+                  if s < n_t]
+    row_mask = _prefix_mask(hier.tokens.shape, counts)
+    flat_mask = _prefix_mask((n_t,), [min(int(kept.sum()), n_t)])
 
-    def assemble(pieces, fill):
-        out = np.full(n_t, fill, dtype=np.int32)
-        if pieces:
-            flat = np.concatenate(pieces)[:n_t]
-            out[: len(flat)] = flat
-        return out
+    def assemble(channel, fill):
+        if channel is None:
+            return None
+        return _dense(_payload(channel, row_mask)[:n_t], flat_mask, (n_t,), fill)
 
-    tokens = assemble(pieces_t, PAD_ID)
-    types = assemble(pieces_ty, int(TokenType.PAD)) if hier.type_labels is not None else None
-    dpes = assemble(pieces_d, DPE_NON_DIGIT) if hier.dpe_labels is not None else None
-    boundaries = [(s, min(e, n_t)) for s, e in boundaries if s < n_t]
+    tokens, types, dpes = (assemble(c, fill) for c, fill in zip(_channels(hier), _FILLS))
     return TokenStream("flattened", tokens, types, dpes, boundaries, hier.patient_id)
 
 
@@ -276,14 +322,13 @@ class ReconstructedEvent:
 
 def _event_segments(stream: TokenStream):
     if stream.layout == "hierarchical":
-        for row in range(stream.tokens.shape[0]):
-            mask = stream.tokens[row] != PAD_ID
-            count = int(mask.sum())
-            if count:
-                yield (
-                    stream.tokens[row, :count],
-                    None if stream.type_labels is None else stream.type_labels[row, :count],
-                )
+        counts = _token_counts(stream.tokens)
+        for row in np.flatnonzero(counts):
+            count = counts[row]
+            yield (
+                stream.tokens[row, :count],
+                None if stream.type_labels is None else stream.type_labels[row, :count],
+            )
     else:
         if stream.event_boundaries is not None:
             for s, e in stream.event_boundaries:
@@ -359,38 +404,95 @@ def detokenize_events(stream: TokenStream, vocab: Vocabulary) -> list[Reconstruc
 
 
 # --- persistence: one patient per JSON line --------------------------------
+#
+# A record stores the dense "shape" and, per row, its "lengths": one past the
+# last cell where any channel differs from its fill value.  Each channel holds
+# its cells inside those lengths as one flat list; trailing empty rows are
+# omitted from "lengths".  A flat stream counts as one row.  Records without
+# "shape" are dense: every channel is the full nested list.
 
 def save_streams(streams: list[TokenStream], path: Path | str) -> None:
     with open(path, "w") as fh:
         for s in streams:
+            lengths = np.trim_zeros(_stored_lengths(s), "b")
+            mask = _prefix_mask(s.tokens.shape, lengths)
             record = {
                 "patient_id": s.patient_id,
                 "layout": s.layout,
-                "tokens": s.tokens.tolist(),
-                "type_labels": None if s.type_labels is None else s.type_labels.tolist(),
-                "dpe_labels": None if s.dpe_labels is None else s.dpe_labels.tolist(),
-                "event_boundaries": s.event_boundaries,
+                "shape": list(s.tokens.shape),
+                "lengths": lengths.tolist(),
             }
+            for name, channel in zip(_CHANNELS, _channels(s)):
+                record[name] = None if channel is None else _payload(channel, mask).tolist()
+            record["event_boundaries"] = s.event_boundaries
             fh.write(json.dumps(record) + "\n")
 
 
 def load_streams(path: Path | str) -> list[TokenStream]:
+    """Read stream records, de-padded or dense; bad input names file and line."""
     streams = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        r = json.loads(line)
-        streams.append(
-            TokenStream(
-                layout=r["layout"],
-                tokens=np.asarray(r["tokens"], dtype=np.int32),
-                type_labels=None if r.get("type_labels") is None
-                else np.asarray(r["type_labels"], dtype=np.int32),
-                dpe_labels=None if r.get("dpe_labels") is None
-                else np.asarray(r["dpe_labels"], dtype=np.int32),
-                event_boundaries=None if r.get("event_boundaries") is None
-                else [tuple(b) for b in r["event_boundaries"]],
-                patient_id=r.get("patient_id", ""),
-            )
-        )
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                streams.append(_stream_from_record(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise SerializeError(f"{path}, line {lineno}: malformed JSON "
+                                     f"({exc.msg} at column {exc.pos + 1})") from exc
+            except KeyError as exc:
+                raise SerializeError(f"{path}, line {lineno}: missing field {exc}") from exc
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise SerializeError(f"{path}, line {lineno}: {exc}") from exc
     return streams
+
+
+def _stream_from_record(r) -> TokenStream:
+    if not isinstance(r, dict):
+        raise SerializeError("record is not a JSON object")
+    if r["tokens"] is None:
+        raise SerializeError("record has no tokens")
+    if "shape" in r:
+        shape = _checked_shape(r)
+        mask = _prefix_mask(shape, r["lengths"])
+
+        def channel(name, fill):
+            return _dense(np.asarray(r[name], dtype=np.int32), mask, shape, fill)
+    else:
+        def channel(name, fill):
+            return np.asarray(r[name], dtype=np.int32)
+
+    tokens, types, dpes = (None if r.get(name) is None else channel(name, fill)
+                           for name, fill in zip(_CHANNELS, _FILLS))
+    bounds = r.get("event_boundaries")
+    return TokenStream(
+        layout=r["layout"],
+        tokens=tokens,
+        type_labels=types,
+        dpe_labels=dpes,
+        event_boundaries=None if bounds is None else [tuple(b) for b in bounds],
+        patient_id=r.get("patient_id", ""),
+    )
+
+
+def _checked_shape(r: dict) -> tuple[int, ...]:
+    """Shape of a de-padded record, its row lengths checked against it and
+    against the payloads."""
+    shape = r["shape"]
+    if (not isinstance(shape, list) or len(shape) not in (1, 2)
+            or not all(type(n) is int and n >= 0 for n in shape)):
+        raise SerializeError(f"bad shape {shape!r}")
+    lengths = r["lengths"]
+    if not isinstance(lengths, list) or not all(type(n) is int for n in lengths):
+        raise SerializeError("lengths must be a list of integers")
+    n_rows, width = _rows_shape(shape)
+    if len(lengths) > n_rows:
+        raise SerializeError(f"{len(lengths)} row lengths for {n_rows} rows")
+    if lengths and not 0 <= min(lengths) <= max(lengths) <= width:
+        raise SerializeError(f"row length outside 0..{width}")
+    total = sum(lengths)
+    for name in _CHANNELS:
+        payload = r.get(name)
+        if payload is not None and (not isinstance(payload, list) or len(payload) != total):
+            raise SerializeError(f"{name} payload does not hold sum(lengths) = {total} cells")
+    return tuple(shape)

@@ -52,6 +52,7 @@ class Vocabulary:
             raise VocabError("duplicate vocabulary units")
         self._index = {u: i for i, u in enumerate(self.units)}
         self._max_len = max((len(u.removeprefix(CONTINUATION)) for u in self.units), default=1)
+        self._word_units: dict[str, list[str]] = {}  # tokenize's memo of tokenize_word
 
     def __len__(self) -> int:
         return len(self.units)
@@ -143,10 +144,17 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[str]:
 
 
 def tokenize(text: str, vocab: Vocabulary) -> list[str]:
-    """Tokenize casefolded text word by word; never fails."""
+    """Tokenize casefolded text word by word; never fails.
+
+    Each distinct word is tokenized once per vocabulary and remembered.
+    """
     units: list[str] = []
+    memo = vocab._word_units
     for word in text.casefold().split():
-        units.extend(tokenize_word(word, vocab))
+        pieces = memo.get(word)
+        if pieces is None:
+            pieces = memo[word] = tokenize_word(word, vocab)
+        units.extend(pieces)
     return units
 
 

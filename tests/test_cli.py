@@ -90,6 +90,25 @@ def test_audit_of_own_serialization_is_perfect(runner, tmp_path):
     assert report["rce"] == 1.0 and report["rue"] == 1.0 and report["rcs"] == 1.0
 
 
+@pytest.mark.parametrize("corrupt, reason", [
+    (lambda line: line[: len(line) // 2], "malformed JSON"),
+    (lambda line: json.dumps({"patient_id": "p", "layout": "hierarchical",
+                              "tokens": [[4, 5], [6]]}), "inhomogeneous"),
+])
+def test_audit_rejects_bad_stream_line(runner, tmp_path, corrupt, reason):
+    corpus_dir, out = serialize_corpus(runner, tmp_path)
+    streams = out / "streams_hier.jsonl"
+    lines = streams.read_text().splitlines()
+    lines[1] = corrupt(lines[1])
+    streams.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, [
+        "audit", "--real", str(corpus_dir), "--generated", str(streams),
+        "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "audit")])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{streams}, line 2:" in result.output and reason in result.output
+
+
 def test_plan_prints_golden_layers(runner, tmp_path):
     result = runner.invoke(main, ["plan", "--backbone", "cnn",
                                   "--input", "8192x256", "--output", "64x8",
@@ -140,6 +159,18 @@ def test_quantize_roundtrip(runner, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["indices"] == [[1, 1, 1, 1]]
     assert doc["commitment_term"] == pytest.approx(0.25 * doc["commitment_distance"])
+
+
+def test_quantize_creates_missing_out_dir(runner, tmp_path):
+    Codebook.new(np.zeros((2, 2))).save(tmp_path / "codebook.json")
+    (tmp_path / "latent.json").write_text(json.dumps([[0.0] * 8]))
+    out = tmp_path / "sub" / "q.json"
+    result = runner.invoke(main, ["quantize", "--latent", str(tmp_path / "latent.json"),
+                                  "--codebook", str(tmp_path / "codebook.json"),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text())["indices"] == [[0, 0, 0, 0]]
+    assert (out.parent / "manifest.json").exists()
 
 
 def test_quantize_rejects_bad_width(runner, tmp_path):

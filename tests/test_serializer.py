@@ -1,7 +1,10 @@
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ehrseq import corpus as C
 from ehrseq import serializer as S
@@ -227,3 +230,131 @@ def test_stream_save_load_roundtrip(tmp_path, small_corpus, small_vocab):
         assert np.array_equal(a.tokens, b.tokens)
         assert np.array_equal(a.type_labels, b.type_labels)
         assert a.event_boundaries == b.event_boundaries
+
+
+# Cells are mostly fill values (0) so rows get mid-row pads and labels under
+# pad tokens; the rest span int32.
+cells = st.one_of(st.integers(0, 2), st.integers(-2**31, 2**31 - 1))
+
+
+@st.composite
+def token_streams(draw):
+    layout = draw(st.sampled_from(["hierarchical", "flattened"]))
+    shape = (draw(st.integers(0, 5)), draw(st.integers(0, 6))) if layout == "hierarchical" \
+        else (draw(st.integers(0, 12)),)
+    channel = hnp.arrays(np.int32, shape, elements=cells)
+    label = st.none() | channel
+    bounds = st.none() | st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                                  max_size=3)
+    return S.TokenStream(layout, draw(channel), draw(label), draw(label),
+                         draw(bounds), draw(st.text(max_size=5)))
+
+
+@settings(deadline=None)
+@given(st.lists(token_streams(), max_size=4))
+def test_save_load_restores_streams(tmp_path_factory, streams):
+    path = tmp_path_factory.getbasetemp() / "roundtrip.jsonl"
+    S.save_streams(streams, path)
+    loaded = S.load_streams(path)
+    assert len(loaded) == len(streams)
+    for a, b in zip(streams, loaded):
+        assert (a.layout, a.patient_id, a.event_boundaries) == \
+            (b.layout, b.patient_id, b.event_boundaries)
+        for x, y in zip(S._channels(a), S._channels(b)):
+            assert (x is None and y is None) or (y.dtype == np.int32 and np.array_equal(x, y))
+
+
+def test_save_writes_cells_up_to_last_non_fill(tmp_path):
+    tokens = np.array([[5, PAD_ID, 6, PAD_ID], [PAD_ID] * 4, [PAD_ID] * 4], dtype=np.int32)
+    types = np.zeros_like(tokens)
+    types[1, 1] = int(S.TokenType.TABLE_NAME)  # a label under a pad token
+    stream = S.TokenStream("hierarchical", tokens, types, None, patient_id="p")
+    S.save_streams([stream], tmp_path / "s.jsonl")
+    record = json.loads((tmp_path / "s.jsonl").read_text())
+    assert record == {"patient_id": "p", "layout": "hierarchical", "shape": [3, 4],
+                      "lengths": [3, 2], "tokens": [5, 0, 6, 0, 0], "type_labels": [0, 0, 0, 0, 1],
+                      "dpe_labels": None, "event_boundaries": None}
+
+
+def test_load_accepts_dense_records(tmp_path):
+    path = tmp_path / "dense.jsonl"
+    path.write_text(json.dumps({
+        "patient_id": "p7", "layout": "hierarchical",
+        "tokens": [[14, 4, PAD_ID], [PAD_ID, PAD_ID, PAD_ID]],
+        "type_labels": [[1, 4, 0], [0, 0, 0]], "dpe_labels": None,
+        "event_boundaries": None,
+    }) + "\n" + json.dumps({
+        "patient_id": "p8", "layout": "flattened", "tokens": [14, 4, PAD_ID, PAD_ID],
+        "type_labels": None, "dpe_labels": None, "event_boundaries": [[0, 2]],
+    }) + "\n")
+    hier, flat = S.load_streams(path)
+    assert hier.patient_id == "p7" and hier.layout == "hierarchical"
+    assert hier.tokens.tolist() == [[14, 4, PAD_ID], [PAD_ID, PAD_ID, PAD_ID]]
+    assert hier.type_labels.tolist() == [[1, 4, 0], [0, 0, 0]]
+    assert hier.dpe_labels is None and hier.event_boundaries is None
+    assert flat.tokens.tolist() == [14, 4, PAD_ID, PAD_ID] and flat.type_labels is None
+    assert flat.event_boundaries == [(0, 2)]
+
+
+GOOD = {"patient_id": "p", "layout": "hierarchical", "shape": [2, 3], "lengths": [2, 1],
+        "tokens": [4, 5, 6], "type_labels": None, "dpe_labels": None, "event_boundaries": None}
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('{"patient_id": "p", "layout": "hier', "malformed JSON"),
+    ("[1, 2]", "not a JSON object"),
+    (json.dumps({**GOOD, "layout": "grid"}), "unknown layout"),
+    (json.dumps({"layout": "hierarchical", "tokens": [[4, 5], [6]]}), "inhomogeneous"),
+    (json.dumps({**GOOD, "lengths": [2, 2]}), "sum(lengths) = 4"),
+    (json.dumps({**GOOD, "type_labels": [1, 3]}), "type_labels payload"),
+    (json.dumps({**GOOD, "lengths": [0, 3], "shape": [2, 2]}), "row length outside 0..2"),
+    (json.dumps({**GOOD, "lengths": [-1, 4]}), "row length outside"),
+    (json.dumps({**GOOD, "lengths": [1, 1, 1]}), "3 row lengths for 2 rows"),
+    (json.dumps({**GOOD, "shape": [2, 3, 1]}), "bad shape"),
+    (json.dumps({k: v for k, v in GOOD.items() if k != "lengths"}), "missing field 'lengths'"),
+    (json.dumps({**GOOD, "tokens": None}), "no tokens"),
+])
+def test_load_rejects_bad_line_naming_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(GOOD) + "\n\n" + line + "\n")
+    with pytest.raises(S.SerializeError) as err:
+        S.load_streams(path)
+    assert str(err.value).startswith(f"{path}, line 3: ")
+    assert reason in str(err.value)
+
+
+def flatten_by_rows(tokens, labels, n_t):
+    """Row-by-row reference: each row keeps as many leading cells as it has
+    non-pad tokens."""
+    pieces, boundaries, offset = [], [], 0
+    for row in range(tokens.shape[0]):
+        count = int((tokens[row] != PAD_ID).sum())
+        if count:
+            pieces.append((tokens[row, :count], labels[row, :count]))
+            boundaries.append((offset, offset + count))
+            offset += count
+
+    def assemble(channel):
+        out = np.full(n_t, PAD_ID, dtype=np.int32)
+        if pieces:
+            flat = np.concatenate([p[channel] for p in pieces])[:n_t]
+            out[: len(flat)] = flat
+        return out
+
+    return (assemble(0), assemble(1), [(s, min(e, n_t)) for s, e in boundaries if s < n_t],
+            pieces)
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.int32, st.tuples(st.integers(0, 6), st.integers(0, 6)), elements=cells),
+       st.sampled_from([1, 4, 8, 64]))
+def test_flatten_and_segments_match_row_loop(tokens, n_t):
+    labels = tokens[::-1, ::-1].copy()
+    hier = S.TokenStream("hierarchical", tokens, labels, None)
+    flat = S.flatten(hier, n_t)
+    want_tokens, want_labels, boundaries, pieces = flatten_by_rows(tokens, labels, n_t)
+    assert np.array_equal(flat.tokens, want_tokens)
+    assert np.array_equal(flat.type_labels, want_labels)
+    assert flat.dpe_labels is None and flat.event_boundaries == boundaries
+    segments = [(t.tolist(), y.tolist()) for t, y in S._event_segments(hier)]
+    assert segments == [(t.tolist(), y.tolist()) for t, y in pieces]

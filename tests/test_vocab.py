@@ -1,5 +1,6 @@
 import random
 
+from ehrseq import vocab as vocab_mod
 from hypothesis import given, strategies as st
 
 from ehrseq.vocab import (
@@ -62,3 +63,18 @@ def test_save_load_roundtrip(tmp_path, small_vocab):
     path = tmp_path / "vocab.txt"
     small_vocab.save(path)
     assert Vocabulary.load(path).units == small_vocab.units
+
+
+def test_tokenize_runs_tokenize_word_once_per_distinct_word(monkeypatch):
+    vocab = fixture_vocab(["lympho", "cytes"] + sorted(set("lymphocytes")))
+    calls = []
+
+    def counted(word, v):
+        calls.append(word)
+        return tokenize_word(word, v)
+
+    monkeypatch.setattr(vocab_mod, "tokenize_word", counted)
+    text = "lymphocytes cytes lymphocytes"
+    assert tokenize(text, vocab) == ["lympho", "cytes", "cytes", "lympho", "cytes"]
+    assert tokenize(text, vocab) == ["lympho", "cytes", "cytes", "lympho", "cytes"]
+    assert calls == ["lymphocytes", "cytes"]
