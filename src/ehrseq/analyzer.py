@@ -4,22 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .planner import (
-    CNN,
-    LD,
-    LD1,
-    LD2,
-    LN,
-    LND,
-    POOL,
-    UD,
-    UN,
-    UND,
-    XATTN,
-    LayerOp,
-    LayerPlan,
-    PlanError,
-)
+from .planner import ATTENTION, CONV, OP_KINDS, LayerOp, LayerPlan, PlanError
 
 FULL_ATTENTION = "full"
 LINEAR_ATTENTION = "linear"
@@ -28,15 +13,14 @@ LINEAR_ATTENTION = "linear"
 @dataclass(frozen=True)
 class CostModel:
     kernel: int = 5
-    heads: int = 4
     ffn_multiplier: int = 4
     attention_variant: str = FULL_ATTENTION
 
     def __post_init__(self):
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise PlanError("kernel size must be odd and >= 1")
-        if self.heads < 1 or self.ffn_multiplier < 1:
-            raise PlanError("heads and ffn multiplier must be >= 1")
+        if self.ffn_multiplier < 1:
+            raise PlanError("ffn multiplier must be >= 1")
         if self.attention_variant not in (FULL_ATTENTION, LINEAR_ATTENTION):
             raise PlanError(f"unknown attention variant {self.attention_variant!r}")
 
@@ -52,38 +36,15 @@ class ShapeTrace:
 
 
 def _step_shape(op: LayerOp, shape: tuple[int, int]) -> tuple[int, int]:
-    n, d = shape
-    if op.kind == LN:
-        n, d = n // 2 if n % 2 == 0 else -1, d
-    elif op.kind == LD:
-        n, d = n, d // 2 if d % 2 == 0 else -1
-    elif op.kind == LND:
-        n = n // 2 if n % 2 == 0 else -1
-        d = d // 2 if d % 2 == 0 else -1
-    elif op.kind in (LD1, LD2):
-        d = d // op.factor if d % op.factor == 0 else -1
-    elif op.kind == POOL:
-        n = op.target
-    elif op.kind == UN:
-        n *= 2
-    elif op.kind == UD:
-        d *= 2
-    elif op.kind == UND:
-        n, d = n * 2, d * 2
-    elif op.kind == XATTN:
-        d *= op.factor
-    else:
-        raise PlanError(f"unknown layer kind {op.kind!r}")
+    n, d = OP_KINDS[op.kind].shape(*shape, op)
     if n <= 0 or d <= 0:
         raise PlanError(f"layer {op.kind} produces non-integral shape from {shape}")
     return n, d
 
 
-def propagate_shapes(plan: LayerPlan, input_shape: tuple[int, int] | None = None) -> ShapeTrace:
+def propagate_shapes(plan: LayerPlan) -> ShapeTrace:
     """Walk the plan layer by layer, recording the shape after each op."""
-    shape = tuple(input_shape) if input_shape is not None else tuple(plan.input_shape)
-    if shape != tuple(plan.input_shape):
-        raise PlanError(f"input {shape} does not match plan input {plan.input_shape}")
+    shape = tuple(plan.input_shape)
     trace = ShapeTrace(shape)
     for i, op in enumerate(plan.ops):
         try:
@@ -94,59 +55,42 @@ def propagate_shapes(plan: LayerPlan, input_shape: tuple[int, int] | None = None
     return trace
 
 
-_CNN_KINDS = {LN, LD, LND, UN, UD, UND}
+def _trace_costs(trace: ShapeTrace, cost_model: CostModel) -> list[tuple[int, int]]:
+    """(params, flops) of each traced layer; FLOPs count the dominant
+    matrix products, params do not depend on the temporal length."""
+    k, m = cost_model.kernel, cost_model.ffn_multiplier
+    costs = []
+    n, d = trace.input_shape
+    for _, op, (n_out, d_out) in trace.steps:
+        family = OP_KINDS[op.kind].family
+        if family == CONV:
+            params = k * d * d_out + d_out
+            flops = 2 * k * d * d_out * n_out
+        elif family == ATTENTION:
+            # attention qkv + out projection, channel projection, ffn, biases
+            params = 4 * d * d + d * d_out + 2 * d * (m * d) + 5 * d + d_out + m * d
+            mixing = n * d if cost_model.attention_variant == FULL_ATTENTION else d * d
+            flops = 8 * n * d * d + 4 * n * mixing + 4 * n * d * (m * d)
+        else:  # pooling has no parameters and no matrix products
+            params = flops = 0
+        costs.append((params, flops))
+        n, d = n_out, d_out
+    return costs
 
 
-def _cnn_channels(op: LayerOp, d_in: int) -> int:
-    if op.kind in (LD, LND):
-        return d_in // 2
-    if op.kind in (UD, UND):
-        return d_in * 2
-    return d_in
+def layer_costs(plan: LayerPlan, cost_model: CostModel = CostModel()) -> list[tuple[int, int]]:
+    """(params, flops) of each layer of the plan, in order."""
+    return _trace_costs(propagate_shapes(plan), cost_model)
 
 
 def count_params(plan: LayerPlan, cost_model: CostModel = CostModel()) -> int:
-    """Parameter count; independent of input length."""
-    total = 0
-    d = plan.input_shape[1]
-    m = cost_model.ffn_multiplier
-    for op in plan.ops:
-        if op.kind in _CNN_KINDS:
-            c_out = _cnn_channels(op, d)
-            total += cost_model.kernel * d * c_out + c_out
-            d = c_out
-        elif op.kind in (LD1, LD2, XATTN):
-            d_out = d * op.factor if op.kind == XATTN else d // op.factor
-            # attention qkv + out projection, channel projection, ffn, biases
-            total += 4 * d * d + d * d_out
-            total += 2 * d * (m * d)
-            total += 5 * d + d_out + m * d
-            d = d_out
-        # pool has no parameters
-    return total
+    """Parameter count: the sum over the plan's layers."""
+    return sum(params for params, _ in layer_costs(plan, cost_model))
 
 
-def count_flops(plan: LayerPlan, input_shape: tuple[int, int] | None = None,
-                cost_model: CostModel = CostModel()) -> int:
-    """FLOP estimate summed over the shape trace (dominant matrix products)."""
-    trace = propagate_shapes(plan, input_shape)
-    shape = trace.input_shape
-    m = cost_model.ffn_multiplier
-    total = 0
-    for _, op, shape_after in trace.steps:
-        n, d = shape
-        if op.kind in _CNN_KINDS:
-            n_out, c_out = shape_after
-            total += 2 * cost_model.kernel * d * c_out * n_out
-        elif op.kind in (LD1, LD2, XATTN):
-            total += 8 * n * d * d
-            if cost_model.attention_variant == FULL_ATTENTION:
-                total += 4 * n * n * d
-            else:
-                total += 4 * n * d * d
-            total += 4 * n * d * (m * d)
-        shape = shape_after
-    return total
+def count_flops(plan: LayerPlan, cost_model: CostModel = CostModel()) -> int:
+    """FLOP estimate: the sum over the plan's layers."""
+    return sum(flops for _, flops in layer_costs(plan, cost_model))
 
 
 @dataclass
@@ -173,18 +117,20 @@ def validate_plan(plan: LayerPlan) -> list[PlanDefect]:
 
 
 def analysis_report(plan: LayerPlan, cost_model: CostModel = CostModel()) -> dict:
-    """Shape trace, params, and FLOPs as a plain dict for serialization."""
+    """Shape trace with each layer's params and FLOPs, and their totals, as a
+    plain dict for serialization."""
     trace = propagate_shapes(plan)
+    rows = [
+        {"layer": i, "op": op.kind, "factor": op.factor, "target": op.target,
+         "shape": list(shape), "params": params, "flops": flops}
+        for (i, op, shape), (params, flops) in zip(trace.steps, _trace_costs(trace, cost_model))
+    ]
     return {
         "backbone": plan.backbone,
         "direction": plan.direction,
         "input_shape": list(plan.input_shape),
         "output_shape": list(plan.output_shape),
-        "trace": [
-            {"layer": i, "op": op.kind, "factor": op.factor, "target": op.target,
-             "shape": list(shape)}
-            for i, op, shape in trace.steps
-        ],
-        "params": count_params(plan, cost_model),
-        "flops": count_flops(plan, cost_model=cost_model),
+        "trace": rows,
+        "params": sum(row["params"] for row in rows),
+        "flops": sum(row["flops"] for row in rows),
     }

@@ -13,13 +13,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .corpus import Corpus
-from .serializer import (
-    DEFECT_NOT_TABLE_FIRST,
-    DEFECT_UNPAIRED_COLUMN,
-    ReconstructedEvent,
-    textualize_cell,
-)
+from .corpus import Corpus, is_decimal
+from .serializer import DEFECT_NOT_TABLE_FIRST as NOT_TABLE_FIRST
+from .serializer import DEFECT_UNPAIRED_COLUMN as UNPAIRED_COLUMN
+from .serializer import ReconstructedEvent, textualize_cell
 from .vocab import Vocabulary, tokenize
 
 
@@ -27,9 +24,7 @@ class AuditError(ValueError):
     pass
 
 
-# defect kinds, in check order
-NOT_TABLE_FIRST = "not_table_first"
-UNPAIRED_COLUMN = "unpaired_column"
+# defect kinds, in check order; the first two are also marked by the serializer
 UNKNOWN_TABLE_COLUMN = "unknown_table_column"
 NUMERIC_OUT_OF_RANGE = "numeric_out_of_range"
 UNKNOWN_SUBWORD = "unknown_subword"
@@ -99,12 +94,7 @@ class TripleSet:
 def _parse_decimal(text: str) -> Optional[float]:
     """Parse content text as a decimal, reassembling spaced digits first."""
     compact = text.replace(" ", "")
-    if not compact:
-        return None
-    try:
-        return float(compact)
-    except ValueError:
-        return None
+    return float(compact) if is_decimal(compact) else None
 
 
 def build_triples(real: Corpus, vocab: Vocabulary) -> TripleSet:
@@ -199,10 +189,8 @@ def _structure_raw_event(event: ReconstructedEvent, triples: TripleSet) -> Recon
 def check_event(event: ReconstructedEvent, triples: TripleSet,
                 vocab: Vocabulary) -> EventVerdict:
     """Syntax then semantics check of one reconstructed event."""
-    if event.defect == DEFECT_NOT_TABLE_FIRST:
-        return EventVerdict(False, NOT_TABLE_FIRST)
-    if event.defect == DEFECT_UNPAIRED_COLUMN:
-        return EventVerdict(False, UNPAIRED_COLUMN)
+    if event.defect is not None:
+        return EventVerdict(False, event.defect)
 
     if event.words is not None:
         event = _structure_raw_event(event, triples)

@@ -1,11 +1,15 @@
 """Command-line pipelines: gen, load, serialize, plan, analyze, quantize,
-audit, privacy, metrics.  Every run writes a manifest; quality and privacy
-scores are report contents, never exit failures."""
+audit, privacy, metrics.  Every run that writes files writes a manifest next
+to them; quality and privacy scores are report contents, never exit
+failures.  Bad input or a failed read or write exits 1 with one
+`error:` line."""
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -20,17 +24,25 @@ from .manifest import write_manifest
 from .vocab import Vocabulary, build_vocabulary
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
+def _run(command):
+    """The one error boundary: library errors (all ValueError) and failed
+    file operations end the run with `error: <message>` and exit 1."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (ValueError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+    return run
 
 
-def _parse_shape(text: str) -> tuple[int, int]:
+def _parse_pair(text: str, sep: str, form: str) -> tuple[int, int]:
     try:
-        n, d = text.lower().split("x")
-        return int(n), int(d)
+        a, b = text.lower().split(sep)
+        return int(a), int(b)
     except ValueError:
-        _fail(f"expected NxD shape, got {text!r}")
+        raise ValueError(f"expected {form}, got {text!r}") from None
 
 
 @click.group()
@@ -44,22 +56,19 @@ def main():
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--n-patients", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
+@_run
 def gen(config_path, seed, n_patients, out_dir):
     """Generate a deterministic synthetic corpus."""
-    try:
-        if config_path is None:
-            config = corpus_mod.default_config()
-        else:
-            config = corpus_mod.load_generator_config(config_path)
-        if seed is not None:
-            config = corpus_mod.with_seed(config, seed)
-        if n_patients is not None:
-            from dataclasses import replace
-            config = replace(config, n_patients=n_patients)
-        config.validate()
-        corpus = corpus_mod.generate_corpus(config)
-    except (corpus_mod.CorpusError, OSError, json.JSONDecodeError) as exc:
-        _fail(str(exc))
+    if config_path is None:
+        config = corpus_mod.default_config()
+    else:
+        config = corpus_mod.load_generator_config(config_path)
+    if seed is not None:
+        config = corpus_mod.with_seed(config, seed)
+    if n_patients is not None:
+        config = replace(config, n_patients=n_patients)
+    config.validate()
+    corpus = corpus_mod.generate_corpus(config)
     written = corpus_mod.save_corpus(corpus, out_dir)
     write_manifest(out_dir, "gen", {"n_patients": config.n_patients},
                    inputs=[config_path] if config_path else [], outputs=written,
@@ -69,12 +78,10 @@ def gen(config_path, seed, n_patients, out_dir):
 
 @main.command()
 @click.option("--in", "in_dir", type=click.Path(), required=True)
+@_run
 def load(in_dir):
     """Load and validate a corpus directory, printing a summary."""
-    try:
-        corpus = corpus_mod.load_corpus(in_dir)
-    except (corpus_mod.CorpusError, OSError) as exc:
-        _fail(str(exc))
+    corpus = corpus_mod.load_corpus(in_dir)
     n_events = sum(len(p.events) for p in corpus.patients)
     click.echo(f"{len(corpus.patients)} patients, {n_events} events, "
                f"{len(corpus.schema)} tables")
@@ -89,20 +96,18 @@ def load(in_dir):
 @click.option("--n-e", type=int, default=256)
 @click.option("--n-tpe", type=int, default=128)
 @click.option("--n-t", type=int, default=8192)
+@_run
 def serialize(in_dir, out_dir, vocab_path, min_count, n_e, n_tpe, n_t):
     """Serialize a corpus into hierarchical and flattened token streams."""
-    try:
-        corpus = corpus_mod.load_corpus(in_dir)
-        config = serializer.SerializerConfig(n_e=n_e, n_tpe=n_tpe, n_t=n_t)
-        if vocab_path:
-            vocab = Vocabulary.load(vocab_path)
-        else:
-            vocab = build_vocabulary(_corpus_texts(corpus), min_count=min_count)
-        hier = [serializer.build_hierarchical(p, vocab, corpus.definitions, config)
-                for p in corpus.patients]
-        flat = [serializer.flatten(h, n_t=config.n_t) for h in hier]
-    except (corpus_mod.CorpusError, serializer.SerializeError, OSError) as exc:
-        _fail(str(exc))
+    corpus = corpus_mod.load_corpus(in_dir)
+    config = serializer.SerializerConfig(n_e=n_e, n_tpe=n_tpe, n_t=n_t)
+    if vocab_path:
+        vocab = Vocabulary.load(vocab_path)
+    else:
+        vocab = build_vocabulary(serializer.corpus_texts(corpus), min_count=min_count)
+    hier = [serializer.build_hierarchical(p, vocab, corpus.definitions, config)
+            for p in corpus.patients]
+    flat = [serializer.flatten(h, n_t=config.n_t) for h in hier]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     vocab_out = out / "vocab.txt"
@@ -116,15 +121,6 @@ def serialize(in_dir, out_dir, vocab_path, min_count, n_e, n_tpe, n_t):
     click.echo(f"serialized {len(hier)} patients to {out_dir}")
 
 
-def _corpus_texts(corpus):
-    for p in corpus.patients:
-        for e in p.events:
-            yield e.table_name
-            for col, cell in e.columns:
-                yield col
-                yield serializer.textualize_cell(cell, corpus.definitions)
-
-
 @main.command()
 @click.option("--backbone", type=click.Choice([planner.CNN, planner.TRANSFORMER]),
               default=planner.CNN)
@@ -135,44 +131,42 @@ def _corpus_texts(corpus):
 @click.option("--grid", default=None, help="LMIN:LMAX latent sweep instead of one plan.")
 @click.option("--kernel", type=int, default=5)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
+@_run
 def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
     """Emit a layer plan (or a latent-grid sweep) with its analysis report."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n, d = _parse_shape(input_shape)
+    n, d = _parse_pair(input_shape, "x", "NxD shape")
     cost = CostModel(kernel=kernel,
                      attention_variant="linear" if backbone == planner.TRANSFORMER else "full")
-    try:
-        if grid:
-            l_min, l_max = (int(x) for x in grid.split(":"))
-            rows = ["l\tt\tc\tbackbone\trate\tparams\tflops"]
-            for l, specs in planner.search_grid(l_min, l_max):
-                rate = planner.compression_rate_flat(n, d, l)
-                for spec in specs:
-                    p = (planner.cnn_plan(n, d, spec.t, spec.c) if backbone == planner.CNN
-                         else planner.transformer_plan(n, d, spec.t, spec.c, n_l))
-                    report = analysis_report(p, cost)
-                    rows.append(f"{l}\t{spec.t}\t{spec.c}\t{backbone}\t{rate}"
-                                f"\t{report['params']}\t{report['flops']}")
-            grid_path = out / "grid.tsv"
-            grid_path.write_text("\n".join(rows) + "\n")
-            write_manifest(out, "plan", {"grid": grid, "backbone": backbone},
-                           inputs=[], outputs=[grid_path])
-            click.echo(f"wrote grid sweep to {grid_path}")
-            return
-        n_out, d_out = _parse_shape(output_shape)
-        p = (planner.cnn_plan(n, d, n_out, d_out) if backbone == planner.CNN
-             else planner.transformer_plan(n, d, n_out, d_out, n_l))
-        defects = validate_plan(p)
-        if defects:
-            _fail("; ".join(d.message for d in defects))
-        plan_path = out / "plan.json"
-        planner.save_plan(p, plan_path)
-        report = analysis_report(p, cost)
-        report_path = out / "analysis.json"
-        report_path.write_text(json.dumps(report, indent=2) + "\n")
-    except planner.PlanError as exc:
-        _fail(str(exc))
+    if grid:
+        l_min, l_max = _parse_pair(grid, ":", "LMIN:LMAX")
+        rows = ["l\tt\tc\tbackbone\trate\tparams\tflops"]
+        for l, specs in planner.search_grid(l_min, l_max):
+            rate = planner.compression_rate_flat(n, d, l)
+            for spec in specs:
+                p = (planner.cnn_plan(n, d, spec.t, spec.c) if backbone == planner.CNN
+                     else planner.transformer_plan(n, d, spec.t, spec.c, n_l))
+                report = analysis_report(p, cost)
+                rows.append(f"{l}\t{spec.t}\t{spec.c}\t{backbone}\t{rate}"
+                            f"\t{report['params']}\t{report['flops']}")
+        grid_path = out / "grid.tsv"
+        grid_path.write_text("\n".join(rows) + "\n")
+        write_manifest(out, "plan", {"grid": grid, "backbone": backbone},
+                       inputs=[], outputs=[grid_path])
+        click.echo(f"wrote grid sweep to {grid_path}")
+        return
+    n_out, d_out = _parse_pair(output_shape, "x", "NxD shape")
+    p = (planner.cnn_plan(n, d, n_out, d_out) if backbone == planner.CNN
+         else planner.transformer_plan(n, d, n_out, d_out, n_l))
+    defects = validate_plan(p)
+    if defects:
+        raise planner.PlanError("; ".join(d.message for d in defects))
+    plan_path = out / "plan.json"
+    planner.save_plan(p, plan_path)
+    report = analysis_report(p, cost)
+    report_path = out / "analysis.json"
+    report_path.write_text(json.dumps(report, indent=2) + "\n")
     write_manifest(out, "plan", {"backbone": backbone, "input": input_shape,
                                  "output": output_shape, "layers": n_l},
                    inputs=[], outputs=[plan_path, report_path])
@@ -186,13 +180,11 @@ def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
 @click.option("--plan", "plan_path", type=click.Path(), required=True)
 @click.option("--kernel", type=int, default=5)
 @click.option("--attention", type=click.Choice(["full", "linear"]), default="full")
+@_run
 def analyze(plan_path, kernel, attention):
-    """Analyze an existing plan document: shapes, params, FLOPs."""
-    try:
-        p = planner.load_plan(plan_path)
-        report = analysis_report(p, CostModel(kernel=kernel, attention_variant=attention))
-    except (planner.PlanError, OSError, json.JSONDecodeError, KeyError) as exc:
-        _fail(str(exc))
+    """Analyze an existing plan document: shapes and per-layer params and FLOPs."""
+    p = planner.load_plan(plan_path)
+    report = analysis_report(p, CostModel(kernel=kernel, attention_variant=attention))
     click.echo(json.dumps(report, indent=2))
 
 
@@ -204,14 +196,12 @@ def analyze(plan_path, kernel, attention):
               help="Commitment weight; when given, the loss terms are reported "
                    "for x = x_tilde = 0.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
+@_run
 def quantize(latent_path, codebook_path, beta, out_path):
     """Nearest-code quantization of a latent array."""
-    try:
-        z = np.asarray(json.loads(Path(latent_path).read_text()), dtype=np.float64)
-        codebook = vq.Codebook.load(codebook_path)
-        result = vq.quantize(z, codebook)
-    except (vq.VQError, OSError, json.JSONDecodeError, ValueError) as exc:
-        _fail(str(exc))
+    z = np.asarray(json.loads(Path(latent_path).read_text()), dtype=np.float64)
+    codebook = vq.Codebook.load(codebook_path)
+    result = vq.quantize(z, codebook)
     doc = {
         "indices": result.indices.tolist(),
         "z_q": result.z_q.tolist(),
@@ -233,18 +223,15 @@ def quantize(latent_path, codebook_path, beta, out_path):
               help="Stream JSONL; one sample per line.")
 @click.option("--vocab", "vocab_path", type=click.Path(), required=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
+@_run
 def audit_cmd(real_dir, generated_path, vocab_path, out_dir):
     """Score generated streams against triples built from a real corpus."""
-    try:
-        corpus = corpus_mod.load_corpus(real_dir)
-        vocab = Vocabulary.load(vocab_path)
-        triples = audit_mod.build_triples(corpus, vocab)
-        streams = serializer.load_streams(generated_path)
-        samples = [serializer.detokenize_events(s, vocab) for s in streams]
-        report = audit_mod.score(samples, triples, vocab)
-    except (corpus_mod.CorpusError, audit_mod.AuditError,
-            serializer.SerializeError, OSError) as exc:
-        _fail(str(exc))
+    corpus = corpus_mod.load_corpus(real_dir)
+    vocab = Vocabulary.load(vocab_path)
+    triples = audit_mod.build_triples(corpus, vocab)
+    streams = serializer.load_streams(generated_path)
+    samples = [serializer.detokenize_events(s, vocab) for s in streams]
+    report = audit_mod.score(samples, triples, vocab)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "audit_report.json"
@@ -262,18 +249,16 @@ def audit_cmd(real_dir, generated_path, vocab_path, out_dir):
 @click.option("--thresholds", default="0,0.05,0.1,0.2,0.5,1.0")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
+@_run
 def privacy_cmd(train_path, heldout_path, synthetic_path, n_r, thresholds, seed, out_dir):
     """Membership inference attack; writes per-threshold precision/recall."""
-    try:
-        config = privacy.AttackConfig(
-            n_r=n_r, thresholds=tuple(float(t) for t in thresholds.split(",")), seed=seed
-        )
-        tokens = lambda path: [s.tokens for s in serializer.load_streams(path)]
-        report = privacy.membership_attack(
-            tokens(train_path), tokens(heldout_path), tokens(synthetic_path), config
-        )
-    except (privacy.PrivacyError, serializer.SerializeError, OSError, ValueError) as exc:
-        _fail(str(exc))
+    config = privacy.AttackConfig(
+        n_r=n_r, thresholds=tuple(float(t) for t in thresholds.split(",")), seed=seed
+    )
+    tokens = lambda path: [s.tokens for s in serializer.load_streams(path)]
+    report = privacy.membership_attack(
+        tokens(train_path), tokens(heldout_path), tokens(synthetic_path), config
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows_path = out / "privacy_curve.tsv"
@@ -306,35 +291,34 @@ def privacy_cmd(train_path, heldout_path, synthetic_path, n_r, thresholds, seed,
 @click.option("--include-pads", is_flag=True, default=False)
 @click.option("--scores", "scores_path", type=click.Path(), default=None,
               help="TSV of score<TAB>label rows for AUROC.")
+@_run
 def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
     """Token accuracy between stream files and/or AUROC over scored labels."""
     printed = False
-    try:
-        if reference_path and hypothesis_path:
-            refs = serializer.load_streams(reference_path)
-            hyps = serializer.load_streams(hypothesis_path)
-            if len(refs) != len(hyps):
-                _fail("reference and hypothesis stream counts differ")
-            values = [metrics_mod.token_accuracy(r, h, include_pads)
-                      for r, h in zip(refs, hyps)]
-            defined = [v for v in values if v is not None]
-            mean = sum(defined) / len(defined) if defined else None
-            click.echo(f"token_accuracy\t{mean}")
-            printed = True
-        if scores_path:
-            scores, labels = [], []
-            for line in Path(scores_path).read_text().splitlines():
-                if not line.strip():
-                    continue
-                s, lab = line.split("\t")
-                scores.append(float(s))
-                labels.append(int(lab))
-            click.echo(f"auroc\t{metrics_mod.auroc(scores, labels)}")
-            printed = True
-    except (metrics_mod.MetricError, serializer.SerializeError, OSError, ValueError) as exc:
-        _fail(str(exc))
+    if reference_path and hypothesis_path:
+        refs = serializer.load_streams(reference_path)
+        hyps = serializer.load_streams(hypothesis_path)
+        if len(refs) != len(hyps):
+            raise metrics_mod.MetricError("reference and hypothesis stream counts differ")
+        values = [metrics_mod.token_accuracy(r, h, include_pads)
+                  for r, h in zip(refs, hyps)]
+        defined = [v for v in values if v is not None]
+        mean = sum(defined) / len(defined) if defined else None
+        click.echo(f"token_accuracy\t{mean}")
+        printed = True
+    if scores_path:
+        scores, labels = [], []
+        for line in Path(scores_path).read_text().splitlines():
+            if not line.strip():
+                continue
+            s, lab = line.split("\t")
+            scores.append(float(s))
+            labels.append(int(lab))
+        click.echo(f"auroc\t{metrics_mod.auroc(scores, labels)}")
+        printed = True
     if not printed:
-        _fail("nothing to compute: pass --reference/--hypothesis or --scores")
+        raise metrics_mod.MetricError(
+            "nothing to compute: pass --reference/--hypothesis or --scores")
 
 
 if __name__ == "__main__":

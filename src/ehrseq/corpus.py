@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -25,6 +26,15 @@ class CorpusError(ValueError):
     """Raised for invalid configs, malformed files, or broken invariants."""
 
 
+# The one numeric grammar: an optional minus, ASCII digits, and an optional
+# fractional part.  No exponent, sign "+", separators, spaces, nan or inf.
+_DECIMAL = re.compile(r"-?\d+(\.\d+)?", re.ASCII)
+
+
+def is_decimal(text: str) -> bool:
+    return _DECIMAL.fullmatch(text) is not None
+
+
 @dataclass(frozen=True)
 class CellValue:
     kind: str
@@ -33,11 +43,8 @@ class CellValue:
     def __post_init__(self):
         if self.kind not in _CELL_KINDS:
             raise CorpusError(f"unknown cell kind {self.kind!r}")
-        if self.kind == NUMERIC:
-            try:
-                float(self.value)
-            except ValueError:
-                raise CorpusError(f"numeric cell {self.value!r} is not a finite decimal") from None
+        if self.kind == NUMERIC and not is_decimal(self.value):
+            raise CorpusError(f"numeric cell {self.value!r} is not a finite decimal")
 
 
 def numeric(value: str) -> CellValue:
@@ -389,19 +396,13 @@ def load_corpus(path: Path | str, min_events: int = 5,
                 raise CorpusError(f"{table_path}:{row_no}: bad timestamp {ts_raw!r}") from None
             cells = []
             for spec, value in zip(table.columns, fields[2:]):
-                if spec.kind == NUMERIC:
-                    try:
-                        float(value)
-                    except ValueError:
-                        raise CorpusError(
-                            f"{table_path}:{row_no}: column {spec.name!r}: "
-                            f"{value!r} is not numeric"
-                        ) from None
-                if spec.kind == ITEMIZED and value not in definitions:
+                try:
+                    if spec.kind == ITEMIZED and value not in definitions:
+                        raise CorpusError(f"unknown code {value!r}")
+                    cells.append((spec.name, CellValue(spec.kind, value)))
+                except CorpusError as exc:
                     raise CorpusError(
-                        f"{table_path}:{row_no}: column {spec.name!r}: unknown code {value!r}"
-                    )
-                cells.append((spec.name, CellValue(spec.kind, value)))
+                        f"{table_path}:{row_no}: column {spec.name!r}: {exc}") from None
             by_patient.setdefault(pid, []).append(EventRecord(table.name, tuple(cells), ts))
 
     labels = {p["id"]: p.get("labels", {}) for p in schema_raw.get("patients", [])}

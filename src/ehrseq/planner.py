@@ -11,18 +11,49 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 # layer op kinds
-LN = "Ln"        # temporal /2
-LD = "Ld"        # channel /2
-LND = "Lnd"      # both /2
-LD1 = "Ld1"      # channel / factor (factor = 2^(q+1))
-LD2 = "Ld2"      # channel / factor (factor = 2^q)
-POOL = "pool"    # adaptive pool: temporal -> target
-UN = "Un"        # temporal x2
-UD = "Ud"        # channel x2
-UND = "Und"      # both x2
-XATTN = "xattn"  # cross-attention decoder block: channel x factor
+LN = "Ln"
+LD = "Ld"
+LND = "Lnd"
+LD1 = "Ld1"
+LD2 = "Ld2"
+POOL = "pool"
+UN = "Un"
+UD = "Ud"
+UND = "Und"
+XATTN = "xattn"
+
+# cost families: how a layer's params and FLOPs are counted
+CONV = "conv"
+ATTENTION = "attention"
+POOLING = "pool"
+
+
+def _div(x: int, k: int) -> int:
+    return x // k if x % k == 0 else -1
+
+
+class OpKind(NamedTuple):
+    shape: Callable  # (n, d, op) -> (n', d'); -1 marks a non-integral size
+    family: str
+
+
+# What each op kind does to a (temporal n, channel d) shape, and how it is
+# costed.  The single table the analyzer reads.
+OP_KINDS = {
+    LN: OpKind(lambda n, d, op: (_div(n, 2), d), CONV),
+    LD: OpKind(lambda n, d, op: (n, _div(d, 2)), CONV),
+    LND: OpKind(lambda n, d, op: (_div(n, 2), _div(d, 2)), CONV),
+    LD1: OpKind(lambda n, d, op: (n, _div(d, op.factor)), ATTENTION),
+    LD2: OpKind(lambda n, d, op: (n, _div(d, op.factor)), ATTENTION),
+    POOL: OpKind(lambda n, d, op: (op.target, d), POOLING),
+    UN: OpKind(lambda n, d, op: (2 * n, d), CONV),
+    UD: OpKind(lambda n, d, op: (n, 2 * d), CONV),
+    UND: OpKind(lambda n, d, op: (2 * n, 2 * d), CONV),
+    XATTN: OpKind(lambda n, d, op: (n, d * op.factor), ATTENTION),
+}
 
 CNN = "cnn"
 TRANSFORMER = "transformer"
@@ -49,6 +80,10 @@ class LayerOp:
     target: int = 0   # target temporal length for pool
 
     def __post_init__(self):
+        if self.kind not in OP_KINDS:
+            raise PlanError(f"unknown layer kind {self.kind!r}")
+        if not (isinstance(self.factor, int) and isinstance(self.target, int)):
+            raise PlanError("layer factor and target must be integers")
         if self.factor < 1 or not _is_pow2(self.factor):
             raise PlanError(f"layer factor {self.factor} must be a power of two >= 1")
 
@@ -259,12 +294,28 @@ def plan_to_dict(plan: LayerPlan) -> dict:
     }
 
 
+def _shape(value) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(x, int) and x > 0 for x in value)):
+        raise PlanError(f"shape {value!r} is not two positive integers")
+    return tuple(value)
+
+
 def load_plan(path: Path | str) -> LayerPlan:
-    raw = json.loads(Path(path).read_text())
-    return LayerPlan(
-        backbone=raw["backbone"],
-        direction=raw["direction"],
-        ops=[LayerOp(**op) for op in raw["ops"]],
-        input_shape=tuple(raw["input_shape"]),
-        output_shape=tuple(raw["output_shape"]),
-    )
+    """Read a plan document; malformed content fails naming the file."""
+    text = Path(path).read_text()
+    try:
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise PlanError("plan document is not a JSON object")
+        return LayerPlan(
+            backbone=raw["backbone"],
+            direction=raw["direction"],
+            ops=[LayerOp(**op) for op in raw["ops"]],
+            input_shape=_shape(raw["input_shape"]),
+            output_shape=_shape(raw["output_shape"]),
+        )
+    except KeyError as exc:
+        raise PlanError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise PlanError(f"{path}: {exc}") from exc

@@ -13,11 +13,11 @@ import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .corpus import NUMERIC, CellValue, EventRecord, PatientRecord
+from .corpus import NUMERIC, CellValue, Corpus, EventRecord, PatientRecord, is_decimal
 from .vocab import (
     PAD_ID,
     TIMEGAP_ID0,
@@ -39,8 +39,6 @@ class TokenType(IntEnum):
     COLUMN_NAME = 2
     COLUMN_VALUE = 3
     TIMEGAP = 4
-    START = 5
-    END = 6
 
 
 # Digit-place labels are small ints: 0 = non-digit, 1 = decimal point,
@@ -130,6 +128,17 @@ def textualize_cell(cell: CellValue, definitions: dict[str, str]) -> str:
     return cell.value.casefold()
 
 
+def corpus_texts(corpus: Corpus) -> Iterator[str]:
+    """Every text the serializer tokenizes for a corpus: table names, column
+    names and textualized cells, in event order."""
+    for p in corpus.patients:
+        for e in p.events:
+            yield e.table_name
+            for col, cell in e.columns:
+                yield col
+                yield textualize_cell(cell, corpus.definitions)
+
+
 def quantize_timegap(delta_seconds: int,
                      boundaries_min: tuple[int, ...] = DEFAULT_TIMEGAP_BOUNDARIES_MIN) -> str:
     """Bucket a non-negative gap into TG tokens; buckets are [b_i, b_{i+1})."""
@@ -141,6 +150,8 @@ def quantize_timegap(delta_seconds: int,
 
 def _numeric_dpe_labels(value: str) -> list[int]:
     """Per-character digit-place labels for a decimal string."""
+    if not is_decimal(value):
+        raise SerializeError(f"{value!r} is not a decimal")
     point = value.find(".")
     int_part = value[:point] if point >= 0 else value
     n_int_digits = sum(c.isdigit() for c in int_part)

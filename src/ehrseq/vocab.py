@@ -29,8 +29,6 @@ def timegap_unit(i: int) -> str:
 RESERVED = [PAD, START, END, UNK] + [timegap_unit(i) for i in range(N_TIMEGAP_TOKENS)]
 
 PAD_ID = RESERVED.index(PAD)
-START_ID = RESERVED.index(START)
-END_ID = RESERVED.index(END)
 UNK_ID = RESERVED.index(UNK)
 TIMEGAP_ID0 = RESERVED.index(timegap_unit(0))
 
@@ -60,17 +58,11 @@ class Vocabulary:
     def __contains__(self, unit: str) -> bool:
         return unit in self._index
 
-    def id(self, unit: str) -> int:
-        return self._index[unit]
-
     def unit(self, token_id: int) -> str:
         return self.units[token_id]
 
     def encode(self, units: Iterable[str]) -> list[int]:
         return [self._index.get(u, UNK_ID) for u in units]
-
-    def is_reserved_id(self, token_id: int) -> bool:
-        return token_id < len(RESERVED)
 
     def is_timegap_id(self, token_id: int) -> bool:
         return TIMEGAP_ID0 <= token_id < TIMEGAP_ID0 + N_TIMEGAP_TOKENS

@@ -1,17 +1,8 @@
 import pytest
 
 from ehrseq import corpus as corpus_mod
-from ehrseq import serializer
+from ehrseq.serializer import corpus_texts
 from ehrseq.vocab import build_vocabulary
-
-
-def corpus_texts(corpus):
-    for p in corpus.patients:
-        for e in p.events:
-            yield e.table_name
-            for col, cell in e.columns:
-                yield col
-                yield serializer.textualize_cell(cell, corpus.definitions)
 
 
 @pytest.fixture(scope="session")

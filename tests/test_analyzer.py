@@ -6,6 +6,7 @@ from ehrseq.analyzer import (
     analysis_report,
     count_flops,
     count_params,
+    layer_costs,
     propagate_shapes,
     validate_plan,
 )
@@ -117,3 +118,43 @@ def test_analysis_report_fields():
     report = analysis_report(P.cnn_plan(8192, 256, 64, 8))
     assert report["params"] > 0 and report["flops"] > 0
     assert [tuple(s["shape"]) for s in report["trace"]][-1] == (64, 8)
+
+
+def test_analysis_report_per_layer_golden_cnn():
+    report = analysis_report(P.cnn_plan(8192, 256, 64, 8))
+    rows = [(r["op"], tuple(r["shape"]), r["params"], r["flops"]) for r in report["trace"]]
+    # conv layer: params k*d*c_out + c_out, FLOPs 2*k*d*c_out*n_out with k = 5
+    assert rows == [
+        ("Lnd", (4096, 128), 163968, 1342177280),
+        ("Lnd", (2048, 64), 41024, 167772160),
+        ("Lnd", (1024, 32), 10272, 20971520),
+        ("Lnd", (512, 16), 2576, 2621440),
+        ("Ln", (256, 16), 1296, 655360),
+        ("Lnd", (128, 8), 648, 163840),
+        ("Ln", (64, 8), 328, 40960),
+    ]
+    assert report["params"] == sum(r[2] for r in rows) == 220112
+    assert report["flops"] == sum(r[3] for r in rows) == 1534402560
+
+
+@pytest.mark.parametrize("plan", [
+    P.transformer_plan(8192, 256, 64, 8, n_l=4),
+    P.mirror_decoder(P.transformer_plan(8192, 256, 64, 8, n_l=3)),
+    P.mirror_decoder(P.cnn_plan(4096, 128, 32, 16)),
+])
+def test_totals_are_sums_of_layer_rows(plan):
+    cost = CostModel(attention_variant="linear")
+    report = analysis_report(plan, cost)
+    costs = layer_costs(plan, cost)
+    assert [(r["params"], r["flops"]) for r in report["trace"]] == costs
+    assert report["params"] == count_params(plan, cost) == sum(p for p, _ in costs)
+    assert report["flops"] == count_flops(plan, cost) == sum(f for _, f in costs)
+    for row in report["trace"]:
+        if row["op"] == P.POOL:
+            assert (row["params"], row["flops"]) == (0, 0)
+
+
+def test_count_params_rejects_plan_whose_shapes_do_not_propagate():
+    plan = P.LayerPlan(P.CNN, P.ENCODE, [P.LayerOp(P.LD)], (4, 3), (4, 1))
+    with pytest.raises(P.PlanError, match="layer 0"):
+        count_params(plan)

@@ -243,3 +243,44 @@ def test_manifest_contents(runner, tmp_path):
     assert manifest["command"] == "gen"
     assert manifest["seed"] == 7
     assert manifest["outputs"] and all(isinstance(p, str) for p in manifest["outputs"])
+
+
+def _bad_vocab(tmp_path):
+    path = tmp_path / "bad_vocab.txt"
+    path.write_text("not\na\nvocabulary\n")
+    return path
+
+
+def _a_file(tmp_path):
+    path = tmp_path / "a_file"
+    path.write_text("x")
+    return path
+
+
+@pytest.mark.parametrize("make_args", [
+    lambda tmp, corpus: ["serialize", "--in", corpus, "--out", str(tmp / "s"),
+                         "--vocab", str(_bad_vocab(tmp))],
+    lambda tmp, corpus: ["audit", "--real", corpus, "--generated", str(tmp / "none.jsonl"),
+                         "--vocab", str(_bad_vocab(tmp)), "--out", str(tmp / "a")],
+    lambda tmp, corpus: ["plan", "--grid", "256", "--out", str(tmp / "p")],
+    lambda tmp, corpus: ["gen", "--n-patients", "2", "--out", str(_a_file(tmp) / "sub")],
+    lambda tmp, corpus: ["serialize", "--in", corpus, "--out", str(_a_file(tmp))],
+    lambda tmp, corpus: ["analyze", "--plan", str(_a_file(tmp))],
+], ids=["serialize-bad-vocab", "audit-bad-vocab", "plan-grid-one-number",
+        "gen-out-under-file", "serialize-out-is-file",
+        "analyze-not-json"])
+def test_bad_input_is_one_error_line(runner, tmp_path, make_args):
+    corpus = tmp_path / "corpus"
+    runner.invoke(main, ["gen", "--seed", "1", "--n-patients", "6", "--out", str(corpus)])
+    result = runner.invoke(main, make_args(tmp_path, str(corpus)))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output and "Traceback" not in result.output
+
+
+def test_analyze_names_plan_file_missing_a_field(runner, tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text("{}")
+    result = runner.invoke(main, ["analyze", "--plan", str(path)])
+    assert result.exit_code == 1
+    assert f"error: {path}: missing field 'backbone'" in result.output

@@ -1,8 +1,11 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
+from ehrseq import audit as A
 from ehrseq import corpus as C
+from ehrseq import serializer as S
 
 
 def read_all(directory):
@@ -141,3 +144,49 @@ def test_split_missing_label_errors():
     corpus = C.generate_corpus(C.default_config(seed=2, n_patients=4))
     with pytest.raises(C.CorpusError):
         C.split_cohort(corpus, (0.8, 0.1, 0.1), seed=0, stratify_on="nonexistent")
+
+
+def _accepts(parse, value):
+    try:
+        parse(value)
+    except ValueError:
+        return False
+    return True
+
+
+@given(st.one_of(st.from_regex(r"-?[0-9]+(\.[0-9]+)?", fullmatch=True),
+                 st.text(alphabet="0123456789.-+eE_nanif\u0663\t", max_size=8)))
+def test_corpus_serializer_and_audit_share_one_decimal_grammar(value):
+    corpus = _accepts(C.numeric, value)
+    dpe = _accepts(S._numeric_dpe_labels, value)
+    # audit reads a numeric cell in its textualized, character-spaced form
+    audit = A._parse_decimal(" ".join(value)) is not None
+    assert corpus == dpe == audit
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e5", "1_000", " 12", "12.", ".5",
+                                   "+1", "\u0663", ""])
+def test_non_decimals_rejected(value):
+    with pytest.raises(C.CorpusError, match="not a finite decimal"):
+        C.numeric(value)
+    with pytest.raises(S.SerializeError):
+        S._numeric_dpe_labels(value)
+
+
+def test_audit_reassembles_spaced_decimals_only():
+    assert A._parse_decimal("- 1 2 . 5") == -12.5
+    assert A._parse_decimal("n a n") is None
+    assert A._parse_decimal("1 _ 0") is None
+
+
+def test_load_names_row_of_non_decimal(tmp_path):
+    corpus = C.generate_corpus(C.default_config(seed=3, n_patients=5))
+    C.save_corpus(corpus, tmp_path)
+    lab = tmp_path / "lab.tsv"
+    lines = lab.read_text().splitlines()
+    fields = lines[1].split("\t")
+    fields[3] = "1e5"
+    lines[1] = "\t".join(fields)
+    lab.write_text("\n".join(lines) + "\n")
+    with pytest.raises(C.CorpusError, match=f"{lab}:2: column 'value': .*'1e5'"):
+        C.load_corpus(tmp_path)

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -171,3 +172,28 @@ def test_plan_save_load(tmp_path):
     P.save_plan(plan, path)
     loaded = P.load_plan(path)
     assert loaded == plan
+
+
+def test_layer_op_rejects_unknown_kind():
+    with pytest.raises(P.PlanError, match="unknown layer kind 'conv'"):
+        P.LayerOp("conv")
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({}, "missing field 'backbone'"),
+    ([1, 2], "not a JSON object"),
+    ({"backbone": "cnn", "direction": "encode", "input_shape": [8, 4],
+      "output_shape": [4, 4], "ops": [{"kind": "Ln", "stride": 2}]}, "stride"),
+    ({"backbone": "cnn", "direction": "encode", "input_shape": [8, 4],
+      "output_shape": [4, 4], "ops": [{"kind": "Lx"}]}, "unknown layer kind"),
+    ({"backbone": "cnn", "direction": "encode", "input_shape": [8, "4"],
+      "output_shape": [4, 4], "ops": []}, "two positive integers"),
+    ({"backbone": "cnn", "direction": "encode", "input_shape": [8, 4],
+      "output_shape": [4, 4], "ops": [{"kind": "pool", "target": "4"}]}, "integers"),
+])
+def test_load_plan_names_file_on_bad_input(tmp_path, doc, reason):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(P.PlanError, match=reason) as info:
+        P.load_plan(path)
+    assert str(info.value).startswith(f"{path}: ")
