@@ -9,18 +9,17 @@ from .planner import ATTENTION, CONV, OP_KINDS, LayerOp, LayerPlan, PlanError
 FULL_ATTENTION = "full"
 LINEAR_ATTENTION = "linear"
 
+FFN_MULTIPLIER = 4  # transformer feed-forward width, in multiples of d
+
 
 @dataclass(frozen=True)
 class CostModel:
     kernel: int = 5
-    ffn_multiplier: int = 4
     attention_variant: str = FULL_ATTENTION
 
     def __post_init__(self):
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise PlanError("kernel size must be odd and >= 1")
-        if self.ffn_multiplier < 1:
-            raise PlanError("ffn multiplier must be >= 1")
         if self.attention_variant not in (FULL_ATTENTION, LINEAR_ATTENTION):
             raise PlanError(f"unknown attention variant {self.attention_variant!r}")
 
@@ -58,7 +57,7 @@ def propagate_shapes(plan: LayerPlan) -> ShapeTrace:
 def _trace_costs(trace: ShapeTrace, cost_model: CostModel) -> list[tuple[int, int]]:
     """(params, flops) of each traced layer; FLOPs count the dominant
     matrix products, params do not depend on the temporal length."""
-    k, m = cost_model.kernel, cost_model.ffn_multiplier
+    k, m = cost_model.kernel, FFN_MULTIPLIER
     costs = []
     n, d = trace.input_shape
     for _, op, (n_out, d_out) in trace.steps:
@@ -95,25 +94,19 @@ def count_flops(plan: LayerPlan, cost_model: CostModel = CostModel()) -> int:
 
 @dataclass
 class PlanDefect:
-    layer: int  # -1 for the terminal-shape check
     message: str
 
 
 def validate_plan(plan: LayerPlan) -> list[PlanDefect]:
     """Empty list iff shapes propagate and land on the declared output."""
-    defects: list[PlanDefect] = []
     try:
         trace = propagate_shapes(plan)
     except PlanError as exc:
-        return [PlanDefect(-1, str(exc))]
+        return [PlanDefect(str(exc))]
     if trace.output_shape != tuple(plan.output_shape):
-        defects.append(
-            PlanDefect(
-                -1,
-                f"terminal shape {trace.output_shape} != declared {tuple(plan.output_shape)}",
-            )
-        )
-    return defects
+        return [PlanDefect(
+            f"terminal shape {trace.output_shape} != declared {tuple(plan.output_shape)}")]
+    return []
 
 
 def analysis_report(plan: LayerPlan, cost_model: CostModel = CostModel()) -> dict:

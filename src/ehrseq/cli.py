@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -64,10 +65,9 @@ def gen(config_path, seed, n_patients, out_dir):
     else:
         config = corpus_mod.load_generator_config(config_path)
     if seed is not None:
-        config = corpus_mod.with_seed(config, seed)
+        config = replace(config, seed=seed)
     if n_patients is not None:
         config = replace(config, n_patients=n_patients)
-    config.validate()
     corpus = corpus_mod.generate_corpus(config)
     written = corpus_mod.save_corpus(corpus, out_dir)
     write_manifest(out_dir, "gen", {"n_patients": config.n_patients},
@@ -308,12 +308,19 @@ def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
         printed = True
     if scores_path:
         scores, labels = [], []
-        for line in Path(scores_path).read_text().splitlines():
+        for row, line in enumerate(Path(scores_path).read_text().splitlines(), 1):
             if not line.strip():
                 continue
-            s, lab = line.split("\t")
-            scores.append(float(s))
-            labels.append(int(lab))
+            try:
+                s, lab = line.split("\t")
+                score, label = float(s), int(lab)
+                if not math.isfinite(score):
+                    raise ValueError
+            except ValueError:
+                raise metrics_mod.MetricError(
+                    f"{scores_path}:{row}: expected score<TAB>label") from None
+            scores.append(score)
+            labels.append(label)
         click.echo(f"auroc\t{metrics_mod.auroc(scores, labels)}")
         printed = True
     if not printed:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -20,6 +20,11 @@ TEXT = "text"
 ITEMIZED = "itemized"
 
 _CELL_KINDS = (NUMERIC, TEXT, ITEMIZED)
+
+# The cohort filter: a patient is kept with at least MIN_EVENTS events in the
+# first OBSERVATION_WINDOW_HOURS after admission; the generator stays inside it.
+MIN_EVENTS = 5
+OBSERVATION_WINDOW_HOURS = 12
 
 
 class CorpusError(ValueError):
@@ -138,12 +143,11 @@ class Corpus:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    seed: int
     n_patients: int
     tables: tuple[TableSpec, ...]
+    seed: int = 0
     definitions: dict[str, str] = field(default_factory=dict)
-    events_per_patient: tuple[int, int] = (5, 12)
-    observation_window_hours: int = 12
+    events_per_patient: tuple[int, int] = (MIN_EVENTS, 12)
 
     def validate(self) -> None:
         if self.n_patients < 0:
@@ -151,16 +155,16 @@ class GeneratorConfig:
         if not self.tables:
             raise CorpusError("at least one table spec required")
         lo, hi = self.events_per_patient
-        if lo < 5:
-            raise CorpusError("events_per_patient minimum is 5 (cohort filter)")
+        if lo < MIN_EVENTS:
+            raise CorpusError(f"events_per_patient minimum is {MIN_EVENTS} (cohort filter)")
         if hi < lo:
             raise CorpusError("events_per_patient range inverted")
-        if self.observation_window_hours <= 0:
-            raise CorpusError("observation window must be positive")
         for table in self.tables:
             if not table.columns:
                 raise CorpusError(f"table {table.name} has no columns")
             for col in table.columns:
+                if col.kind not in _CELL_KINDS:
+                    raise CorpusError(f"column {table.name}.{col.name}: unknown type {col.kind!r}")
                 if col.kind == NUMERIC and col.low > col.high:
                     raise CorpusError(f"column {table.name}.{col.name}: range min > max")
                 if col.kind == TEXT and not col.choices:
@@ -241,7 +245,7 @@ def generate_corpus(config: GeneratorConfig) -> Corpus:
     """Deterministically generate a corpus from a seeded config."""
     config.validate()
     rng = random.Random(config.seed)
-    window = config.observation_window_hours * 3600
+    window = OBSERVATION_WINDOW_HOURS * 3600
     patients = []
     for i in range(config.n_patients):
         n_events = rng.randint(*config.events_per_patient)
@@ -257,43 +261,39 @@ def generate_corpus(config: GeneratorConfig) -> Corpus:
     return corpus
 
 
+def _from_json(cls, raw):
+    """`cls` from a JSON object, each key converted as `_JSON_KEYS` says; an
+    absent key takes the field's default, and any other key is an error.
+    The JSON key "type" is the field `kind`."""
+    if not isinstance(raw, dict):
+        raise CorpusError(f"expected a JSON object, got {raw!r}")
+    keys = _JSON_KEYS[cls]
+    unknown = [key for key in raw if key not in keys]
+    if unknown:
+        raise CorpusError(f"unknown key {unknown[0]!r}")
+    return cls(**{"kind" if key == "type" else key: keys[key](value)
+                  for key, value in raw.items()})
+
+
+_JSON_KEYS = {
+    ColumnSpec: {"name": str, "type": str, "low": float, "high": float, "decimals": int,
+                 "choices": tuple, "codes": lambda codes: tuple(str(c) for c in codes)},
+    TableSpec: {"name": str,
+                "columns": lambda cols: tuple(_from_json(ColumnSpec, c) for c in cols)},
+    GeneratorConfig: {"seed": int, "n_patients": int, "events_per_patient": tuple,
+                      "tables": lambda tables: tuple(_from_json(TableSpec, t) for t in tables),
+                      "definitions": lambda defs: {str(k): v for k, v in defs.items()}},
+}
+
+
 def load_generator_config(path: Path | str) -> GeneratorConfig:
-    raw = json.loads(Path(path).read_text())
+    """Read and validate a generator config; any fault in it names the file."""
     try:
-        tables = tuple(
-            TableSpec(
-                t["name"],
-                tuple(
-                    ColumnSpec(
-                        c["name"],
-                        c["type"],
-                        low=float(c.get("low", 0.0)),
-                        high=float(c.get("high", 1.0)),
-                        decimals=int(c.get("decimals", 1)),
-                        choices=tuple(c.get("choices", ())),
-                        codes=tuple(str(x) for x in c.get("codes", ())),
-                    )
-                    for c in t["columns"]
-                ),
-            )
-            for t in raw["tables"]
-        )
-        config = GeneratorConfig(
-            seed=int(raw.get("seed", 0)),
-            n_patients=int(raw["n_patients"]),
-            tables=tables,
-            definitions={str(k): v for k, v in raw.get("definitions", {}).items()},
-            events_per_patient=tuple(raw.get("events_per_patient", (5, 12))),
-            observation_window_hours=int(raw.get("observation_window_hours", 12)),
-        )
-    except (KeyError, TypeError) as exc:
+        config = _from_json(GeneratorConfig, json.loads(Path(path).read_text()))
+        config.validate()
+    except (AttributeError, TypeError, ValueError) as exc:
         raise CorpusError(f"malformed generator config {path}: {exc}") from exc
-    config.validate()
     return config
-
-
-def with_seed(config: GeneratorConfig, seed: int) -> GeneratorConfig:
-    return replace(config, seed=seed)
 
 
 # --- disk format ------------------------------------------------------------
@@ -303,31 +303,40 @@ def with_seed(config: GeneratorConfig, seed: int) -> GeneratorConfig:
 # plus "definitions.tsv" (code, description) and "schema.json" declaring
 # per-column types.
 
+_TSV_UNSAFE = re.compile(r"[\t\n\r]")
+
+
+def _tsv_row(fields: list[str], names: list[str], where: str) -> str:
+    """Fields joined by tabs; a field holding a tab or line break is refused,
+    since the file could not be read back."""
+    line = "\t".join(fields)
+    if line.count("\t") != len(fields) - 1 or "\n" in line or "\r" in line:
+        name, value = next((n, v) for n, v in zip(names, fields) if _TSV_UNSAFE.search(v))
+        raise CorpusError(f"{where}, column {name!r}: {value!r} holds a tab or line break")
+    return line
+
+
 def save_corpus(corpus: Corpus, out_dir: Path | str) -> list[Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    """Write a corpus directory; a value the format cannot hold is refused
+    before any file is written."""
+    files = {}
     for table in corpus.schema:
-        path = out / f"{table.name}.tsv"
-        col_names = [c.name for c in table.columns]
-        lines = ["\t".join(["patient_id", "timestamp_seconds"] + col_names)]
+        header = ["patient_id", "timestamp_seconds"] + [c.name for c in table.columns]
+        lines = [_tsv_row(header, header, f"table {table.name!r}")]
         for p in corpus.patients:
             for e in p.events:
                 if e.table_name != table.name:
                     continue
                 cells = {name: cell for name, cell in e.columns}
                 row = [p.patient_id, str(e.timestamp)]
-                row += [cells[name].value for name in col_names]
-                lines.append("\t".join(row))
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+                row += [cells[name].value for name in header[2:]]
+                lines.append(_tsv_row(row, header, f"patient {p.patient_id!r}, table {table.name!r}"))
+        files[f"{table.name}.tsv"] = "\n".join(lines) + "\n"
 
-    defs_path = out / "definitions.tsv"
-    defs_path.write_text(
-        "".join(f"{code}\t{desc}\n" for code, desc in sorted(corpus.definitions.items()))
+    files["definitions.tsv"] = "".join(
+        _tsv_row([code, desc], ["code", "description"], "definitions") + "\n"
+        for code, desc in sorted(corpus.definitions.items())
     )
-    written.append(defs_path)
-
     schema = {
         "tables": [
             {
@@ -338,15 +347,17 @@ def save_corpus(corpus: Corpus, out_dir: Path | str) -> list[Path]:
         ],
         "patients": [{"id": p.patient_id, "labels": p.labels} for p in corpus.patients],
     }
-    schema_path = out / "schema.json"
-    schema_path.write_text(json.dumps(schema, indent=2) + "\n")
-    written.append(schema_path)
-    return written
+    files["schema.json"] = json.dumps(schema, indent=2) + "\n"
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        (out / name).write_text(content)
+    return [out / name for name in files]
 
 
-def load_corpus(path: Path | str, min_events: int = 5,
-                observation_window_hours: Optional[int] = 12) -> Corpus:
-    """Load a corpus directory; sorts events, applies cohort filters.
+def load_corpus(path: Path | str) -> Corpus:
+    """Load a corpus directory; sorts events, applies the cohort filter.
 
     Non-monotone timestamps are sorted, not rejected.  Rows failing the
     declared column type, or itemized codes missing from the definitions
@@ -356,17 +367,23 @@ def load_corpus(path: Path | str, min_events: int = 5,
     schema_path = root / "schema.json"
     if not schema_path.exists():
         raise CorpusError(f"missing schema sidecar {schema_path}")
-    schema_raw = json.loads(schema_path.read_text())
-    schema = [
-        TableSpec(t["name"], tuple(ColumnSpec(c["name"], c["type"]) for c in t["columns"]))
-        for t in schema_raw["tables"]
-    ]
+    try:
+        schema_raw = json.loads(schema_path.read_text())
+        schema = [
+            TableSpec(t["name"], tuple(ColumnSpec(c["name"], c["type"]) for c in t["columns"]))
+            for t in schema_raw["tables"]
+        ]
+        labels = {p["id"]: p.get("labels", {}) for p in schema_raw.get("patients", [])}
+    except KeyError as exc:
+        raise CorpusError(f"{schema_path}: missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CorpusError(f"{schema_path}: {exc}") from exc
 
     definitions: dict[str, str] = {}
     defs_path = root / "definitions.tsv"
     if defs_path.exists():
-        for line in defs_path.read_text().splitlines():
-            if not line.strip():
+        for line in defs_path.read_text().split("\n"):
+            if not line:
                 continue
             code, _, desc = line.partition("\t")
             definitions[code] = desc
@@ -376,8 +393,8 @@ def load_corpus(path: Path | str, min_events: int = 5,
         table_path = root / f"{table.name}.tsv"
         if not table_path.exists():
             raise CorpusError(f"missing table file {table_path}")
-        lines = table_path.read_text().splitlines()
-        if not lines:
+        lines = table_path.read_text().split("\n")
+        if lines == [""]:
             continue
         header = lines[0].split("\t")
         expected = ["patient_id", "timestamp_seconds"] + [c.name for c in table.columns]
@@ -405,14 +422,11 @@ def load_corpus(path: Path | str, min_events: int = 5,
                         f"{table_path}:{row_no}: column {spec.name!r}: {exc}") from None
             by_patient.setdefault(pid, []).append(EventRecord(table.name, tuple(cells), ts))
 
-    labels = {p["id"]: p.get("labels", {}) for p in schema_raw.get("patients", [])}
-    window = observation_window_hours * 3600 if observation_window_hours else None
+    window = OBSERVATION_WINDOW_HOURS * 3600
     patients = []
     for pid in sorted(set(by_patient) | set(labels)):
-        events = sorted(by_patient.get(pid, []), key=lambda e: e.timestamp)
-        if window is not None:
-            events = [e for e in events if e.timestamp < window]
-        if len(events) < min_events:
+        events = [e for e in by_patient.get(pid, []) if e.timestamp < window]
+        if len(events) < MIN_EVENTS:
             continue
         patients.append(PatientRecord(pid, events, labels.get(pid, {})))
     corpus = Corpus(patients, definitions, schema)

@@ -7,14 +7,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from importlib.metadata import PackageNotFoundError, version
-
-
-def _tool_version() -> str:
-    try:
-        return version("ehrseq")
-    except PackageNotFoundError:
-        return "unknown"
+from . import __version__
 
 
 def file_digest(path: Path | str) -> str:
@@ -32,7 +25,7 @@ def write_manifest(out_dir: Path | str, command: str, config: dict,
         "command": command,
         "config": config,
         "seed": seed,
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
         "inputs": {str(p): file_digest(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }

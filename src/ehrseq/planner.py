@@ -96,6 +96,12 @@ class LayerPlan:
     input_shape: tuple[int, int]
     output_shape: tuple[int, int]
 
+    def __post_init__(self):
+        if self.backbone not in (CNN, TRANSFORMER):
+            raise PlanError(f"unknown backbone {self.backbone!r}")
+        if self.direction not in (ENCODE, DECODE):
+            raise PlanError(f"unknown direction {self.direction!r}")
+
 
 @dataclass(frozen=True)
 class LatentSpec:
@@ -243,10 +249,7 @@ def hierarchical_plan(n_e: int, n_tpe: int, d: int, latent: LatentSpec,
 
 
 def compression_rate_hier(n_e: int, n_tpe: int, d: int, l: int) -> int:
-    volume = n_e * n_tpe * d
-    if l <= 0 or volume % l:
-        raise PlanError(f"latent size {l} does not divide input volume {volume}")
-    return volume // l
+    return compression_rate_flat(n_e * n_tpe, d, l)
 
 
 def compression_rate_flat(n_t: int, d: int, l: int) -> int:

@@ -20,10 +20,10 @@ import numpy as np
 from .corpus import NUMERIC, CellValue, Corpus, EventRecord, PatientRecord, is_decimal
 from .vocab import (
     PAD_ID,
-    TIMEGAP_ID0,
-    N_TIMEGAP_TOKENS,
+    TIMEGAP_BOUNDARIES_MIN,
     Vocabulary,
     detokenize,
+    is_timegap_id,
     timegap_unit,
     tokenize,
 )
@@ -65,9 +65,6 @@ def dpe_place_value(label: int) -> int:
     return label - DPE_PLACE_ZERO
 
 
-DEFAULT_TIMEGAP_BOUNDARIES_MIN = (1, 5, 15, 30, 60, 120, 360, 720)
-
-
 def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
@@ -77,17 +74,11 @@ class SerializerConfig:
     n_e: int = 256
     n_tpe: int = 128
     n_t: int = 8192
-    timegap_boundaries_min: tuple[int, ...] = DEFAULT_TIMEGAP_BOUNDARIES_MIN
 
     def __post_init__(self):
         for name, v in (("n_e", self.n_e), ("n_tpe", self.n_tpe), ("n_t", self.n_t)):
             if not _is_pow2(v):
                 raise SerializeError(f"{name}={v} must be a power of two")
-        b = self.timegap_boundaries_min
-        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-            raise SerializeError("timegap boundaries must be strictly increasing")
-        if len(b) + 1 > N_TIMEGAP_TOKENS:
-            raise SerializeError("more timegap buckets than reserved tokens")
 
 
 # Stream channels in record order, and the fill value of each.
@@ -139,45 +130,30 @@ def corpus_texts(corpus: Corpus) -> Iterator[str]:
                 yield textualize_cell(cell, corpus.definitions)
 
 
-def quantize_timegap(delta_seconds: int,
-                     boundaries_min: tuple[int, ...] = DEFAULT_TIMEGAP_BOUNDARIES_MIN) -> str:
+def quantize_timegap(delta_seconds: int) -> str:
     """Bucket a non-negative gap into TG tokens; buckets are [b_i, b_{i+1})."""
     if delta_seconds < 0:
         raise SerializeError("negative time gap")
     minutes = delta_seconds / 60.0
-    return timegap_unit(bisect.bisect_right(boundaries_min, minutes))
+    return timegap_unit(bisect.bisect_right(TIMEGAP_BOUNDARIES_MIN, minutes))
 
 
 def _numeric_dpe_labels(value: str) -> list[int]:
-    """Per-character digit-place labels for a decimal string."""
+    """Per-character digit-place labels for a decimal string: non-digit for
+    the sign, then the integer digits' places, the point, the fraction's."""
     if not is_decimal(value):
         raise SerializeError(f"{value!r} is not a decimal")
-    point = value.find(".")
-    int_part = value[:point] if point >= 0 else value
-    n_int_digits = sum(c.isdigit() for c in int_part)
-    labels = []
-    seen_int = 0
-    frac = 0
-    past_point = False
-    for c in value:
-        if c == ".":
-            labels.append(DPE_DECIMAL_POINT)
-            past_point = True
-        elif c.isdigit():
-            if past_point:
-                frac += 1
-                labels.append(dpe_place(-frac))
-            else:
-                labels.append(dpe_place(n_int_digits - 1 - seen_int))
-                seen_int += 1
-        else:
-            labels.append(DPE_NON_DIGIT)
-    return labels
+    digits = value.removeprefix("-")
+    int_part, point, frac_part = digits.partition(".")
+    n = len(int_part)
+    return ([DPE_NON_DIGIT] * (len(value) - len(digits))
+            + [dpe_place(n - 1 - i) for i in range(n)]
+            + [DPE_DECIMAL_POINT] * len(point)
+            + [dpe_place(-k) for k in range(1, len(frac_part) + 1)])
 
 
 def serialize_event(event: EventRecord, prev_timestamp: int, vocab: Vocabulary,
-                    definitions: dict[str, str],
-                    config: SerializerConfig) -> tuple[list[int], list[int], list[int]]:
+                    definitions: dict[str, str]) -> tuple[list[int], list[int], list[int]]:
     """Serialize one event to (token ids, type labels, dpe labels)."""
     delta = event.timestamp - prev_timestamp
     if delta < 0:
@@ -203,8 +179,7 @@ def serialize_event(event: EventRecord, prev_timestamp: int, vocab: Vocabulary,
             emit(units, TokenType.COLUMN_VALUE, _numeric_dpe_labels(cell.value))
         else:
             emit(units, TokenType.COLUMN_VALUE)
-    tg = quantize_timegap(delta, config.timegap_boundaries_min)
-    emit([tg], TokenType.TIMEGAP)
+    emit([quantize_timegap(delta)], TokenType.TIMEGAP)
     return ids, types, dpes
 
 
@@ -224,7 +199,7 @@ def build_hierarchical(patient: PatientRecord, vocab: Vocabulary,
 
     prev_ts = 0  # first gap measured from admission
     for row, event in enumerate(patient.events[: config.n_e]):
-        ids, tl, dl = serialize_event(event, prev_ts, vocab, definitions, config)
+        ids, tl, dl = serialize_event(event, prev_ts, vocab, definitions)
         prev_ts = event.timestamp
         length = min(len(ids), config.n_tpe)
         tokens[row, :length] = ids[:length]
@@ -351,7 +326,7 @@ def _event_segments(stream: TokenStream):
             tokens = stream.tokens[stream.tokens != PAD_ID]
             start = 0
             for i, tid in enumerate(tokens):
-                if TIMEGAP_ID0 <= tid < TIMEGAP_ID0 + N_TIMEGAP_TOKENS:
+                if is_timegap_id(tid):
                     yield tokens[start:i + 1], None
                     start = i + 1
             if start < len(tokens):
@@ -406,7 +381,7 @@ def detokenize_events(stream: TokenStream, vocab: Vocabulary) -> list[Reconstruc
             events.append(_parse_labeled(units, [int(x) for x in labels]))
         else:
             timegap = None
-            if units and vocab.is_timegap_id(int(token_ids[-1])):
+            if units and is_timegap_id(int(token_ids[-1])):
                 timegap = units[-1]
                 units = units[:-1]
             words = detokenize(units).split(" ") if units else []

@@ -17,7 +17,9 @@ START = "[start]"
 END = "[end]"
 UNK = "[unk]"
 
-N_TIMEGAP_TOKENS = 9  # TG0..TG8 for the default 8-boundary bucket table
+# Time-gap bucket boundaries in minutes; token i holds gaps in [b_{i-1}, b_i).
+TIMEGAP_BOUNDARIES_MIN = (1, 5, 15, 30, 60, 120, 360, 720)
+N_TIMEGAP_TOKENS = len(TIMEGAP_BOUNDARIES_MIN) + 1
 
 CONTINUATION = "##"
 
@@ -31,6 +33,10 @@ RESERVED = [PAD, START, END, UNK] + [timegap_unit(i) for i in range(N_TIMEGAP_TO
 PAD_ID = RESERVED.index(PAD)
 UNK_ID = RESERVED.index(UNK)
 TIMEGAP_ID0 = RESERVED.index(timegap_unit(0))
+
+
+def is_timegap_id(token_id: int) -> bool:
+    return TIMEGAP_ID0 <= token_id < TIMEGAP_ID0 + N_TIMEGAP_TOKENS
 
 
 class VocabError(ValueError):
@@ -63,9 +69,6 @@ class Vocabulary:
 
     def encode(self, units: Iterable[str]) -> list[int]:
         return [self._index.get(u, UNK_ID) for u in units]
-
-    def is_timegap_id(self, token_id: int) -> bool:
-        return TIMEGAP_ID0 <= token_id < TIMEGAP_ID0 + N_TIMEGAP_TOKENS
 
     @property
     def max_unit_len(self) -> int:

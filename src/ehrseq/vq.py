@@ -61,13 +61,19 @@ class Codebook:
 
     @classmethod
     def load(cls, path: Path | str) -> "Codebook":
-        doc = json.loads(Path(path).read_text())
-        return cls(
-            np.asarray(doc["entries"]),
-            np.asarray(doc["ema_counts"]),
-            np.asarray(doc["ema_sums"]),
-            float(doc["decay"]),
-        )
+        """Read a saved codebook; malformed content fails naming the file."""
+        try:
+            doc = json.loads(Path(path).read_text())
+            return cls(
+                np.asarray(doc["entries"]),
+                np.asarray(doc["ema_counts"]),
+                np.asarray(doc["ema_sums"]),
+                float(doc["decay"]),
+            )
+        except KeyError as exc:
+            raise VQError(f"{path}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise VQError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -90,6 +96,8 @@ def quantize(z: np.ndarray, codebook: Codebook) -> QuantizationResult:
         raise VQError(f"channel dim {c} not divisible by 4")
     if c // 4 != codebook.width:
         raise VQError(f"piece width {c // 4} does not match codebook width {codebook.width}")
+    if not np.isfinite(z).all():
+        raise VQError("latent holds non-finite values")
 
     pieces = z.reshape(t * 4, codebook.width)
     # squared distances via explicit differences so exact ties stay exact;
@@ -125,6 +133,8 @@ def ema_update(codebook: Codebook, assignments: list[tuple[int, np.ndarray]]) ->
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (codebook.width,):
             raise VQError(f"assigned vector width {vec.shape} != {codebook.width}")
+        if not 0 <= code < codebook.size:
+            raise VQError(f"assigned code {code} outside 0..{codebook.size - 1}")
         counts[code] += 1.0
         sums[code] += vec
         touched[code] = True

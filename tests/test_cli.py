@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ehrseq
 from ehrseq.cli import main
 from ehrseq.vq import Codebook
 
@@ -231,6 +232,15 @@ def test_metrics_accuracy_and_auroc(runner, tmp_path):
     assert "auroc\t0.75" in result.output
 
 
+@pytest.mark.parametrize("row", ["0.5", "abc\t1", "0.5\tyes", "0.5\t1\t0", "nan\t1"])
+def test_metrics_names_row_of_bad_score(runner, tmp_path, row):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(f"0.1\t0\n{row}\n0.8\t1\n")
+    result = runner.invoke(main, ["metrics", "--scores", str(scores)])
+    assert result.exit_code == 1
+    assert result.output == f"error: {scores}:2: expected score<TAB>label\n"
+
+
 def test_metrics_without_inputs_fails(runner):
     result = CliRunner().invoke(main, ["metrics"])
     assert result.exit_code == 1
@@ -242,6 +252,7 @@ def test_manifest_contents(runner, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "gen"
     assert manifest["seed"] == 7
+    assert manifest["tool_version"] == ehrseq.__version__
     assert manifest["outputs"] and all(isinstance(p, str) for p in manifest["outputs"])
 
 
@@ -251,10 +262,23 @@ def _bad_vocab(tmp_path):
     return path
 
 
-def _a_file(tmp_path):
+def _a_file(tmp_path, text="x"):
     path = tmp_path / "a_file"
-    path.write_text("x")
+    path.write_text(text)
     return path
+
+
+def _bad_codebook(tmp_path):
+    path = tmp_path / "codebook.json"
+    path.write_text("{}")
+    return path
+
+
+def _corpus_with_schema(tmp_path, schema):
+    path = tmp_path / "bad_corpus"
+    path.mkdir()
+    (path / "schema.json").write_text(json.dumps(schema))
+    return str(path)
 
 
 @pytest.mark.parametrize("make_args", [
@@ -266,16 +290,22 @@ def _a_file(tmp_path):
     lambda tmp, corpus: ["gen", "--n-patients", "2", "--out", str(_a_file(tmp) / "sub")],
     lambda tmp, corpus: ["serialize", "--in", corpus, "--out", str(_a_file(tmp))],
     lambda tmp, corpus: ["analyze", "--plan", str(_a_file(tmp))],
+    lambda tmp, corpus: ["gen", "--config", str(_a_file(tmp, "{")), "--out", str(tmp / "g")],
+    lambda tmp, corpus: ["quantize", "--latent", str(_a_file(tmp, "[[0, 0, 0, 0]]")),
+                         "--codebook", str(_bad_codebook(tmp)), "--out", str(tmp / "q.json")],
+    lambda tmp, corpus: ["load", "--in", _corpus_with_schema(tmp, {})],
+    lambda tmp, corpus: ["load", "--in", _corpus_with_schema(tmp, {"tables": [{"name": "lab"}]})],
 ], ids=["serialize-bad-vocab", "audit-bad-vocab", "plan-grid-one-number",
         "gen-out-under-file", "serialize-out-is-file",
-        "analyze-not-json"])
+        "analyze-not-json", "gen-config-not-json", "quantize-codebook-empty",
+        "load-schema-without-tables", "load-table-without-columns"])
 def test_bad_input_is_one_error_line(runner, tmp_path, make_args):
     corpus = tmp_path / "corpus"
     runner.invoke(main, ["gen", "--seed", "1", "--n-patients", "6", "--out", str(corpus)])
     result = runner.invoke(main, make_args(tmp_path, str(corpus)))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert "error: " in result.output and "Traceback" not in result.output
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
 
 
 def test_analyze_names_plan_file_missing_a_field(runner, tmp_path):

@@ -1,7 +1,11 @@
 import dataclasses
+import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ehrseq import audit as A
 from ehrseq import corpus as C
@@ -68,6 +72,170 @@ def test_save_load_roundtrip(tmp_path):
     for orig, back in zip(corpus.patients, loaded.patients):
         assert len(orig.events) == len(back.events)
         assert [e.table_name for e in orig.events] == [e.table_name for e in back.events]
+
+
+WINDOW = C.OBSERVATION_WINDOW_HOURS * 3600
+_UNSAFE = re.compile(r"[\t\n\r]")
+_SCHEMA_NAMES = st.text(alphabet="abcxyz _", min_size=1, max_size=5)
+
+
+@st.composite
+def corpora(draw):
+    """Corpora inside the cohort filter whose ids, cells and definitions are
+    arbitrary text; patients come in id order, as a corpus directory lists them."""
+    definitions = draw(st.dictionaries(st.text(max_size=4), st.text(max_size=6),
+                                       min_size=1, max_size=3))
+    cells = {
+        C.NUMERIC: st.from_regex(r"-?[0-9]+(\.[0-9]+)?", fullmatch=True).map(C.numeric),
+        C.TEXT: st.text(max_size=6).map(C.text),
+        C.ITEMIZED: st.sampled_from(sorted(definitions)).map(C.itemized),
+    }
+    schema = [
+        C.TableSpec(name, tuple(C.ColumnSpec(col, draw(st.sampled_from(sorted(cells))))
+                                for col in draw(st.lists(_SCHEMA_NAMES, min_size=1,
+                                                         max_size=3, unique=True))))
+        for name in draw(st.lists(_SCHEMA_NAMES, min_size=1, max_size=3, unique=True))
+    ]
+    timestamps = st.one_of(st.integers(0, 2), st.integers(0, WINDOW - 1))
+    patients = []
+    for pid in sorted(draw(st.lists(st.text(max_size=5), max_size=3, unique=True))):
+        events = []
+        for _ in range(draw(st.integers(C.MIN_EVENTS, C.MIN_EVENTS + 3))):
+            table = draw(st.sampled_from(schema))
+            row = tuple((c.name, draw(cells[c.kind])) for c in table.columns)
+            events.append(C.EventRecord(table.name, row, draw(timestamps)))
+        labels = draw(st.dictionaries(st.text(max_size=3), st.integers(0, 1), max_size=2))
+        patients.append(C.PatientRecord(pid, events, labels))
+    return C.Corpus(patients, definitions, schema)
+
+
+def _tsv_fields(corpus):
+    for code, description in corpus.definitions.items():
+        yield code
+        yield description
+    for p in corpus.patients:
+        yield p.patient_id
+        for e in p.events:
+            yield from (cell.value for _, cell in e.columns)
+
+
+@settings(deadline=None)
+@given(corpora())
+def test_save_then_load_gives_back_the_corpus(corpus):
+    unsafe = any(_UNSAFE.search(field) for field in _tsv_fields(corpus))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "corpus"
+        if unsafe:
+            with pytest.raises(C.CorpusError, match="holds a tab or line break"):
+                C.save_corpus(corpus, out)
+            assert not out.exists()
+            return
+        C.save_corpus(corpus, out)
+        loaded = C.load_corpus(out)
+    assert loaded.schema == corpus.schema
+    assert loaded.definitions == corpus.definitions
+    # One file per table keeps no order between same-timestamp events of
+    # different tables: they load back in schema order.
+    table_order = {t.name: i for i, t in enumerate(corpus.schema)}
+    def events(p):
+        return sorted(p.events, key=lambda e: (e.timestamp, table_order[e.table_name]))
+    assert [(p.patient_id, p.labels, events(p)) for p in loaded.patients] == \
+        [(p.patient_id, p.labels, events(p)) for p in corpus.patients]
+
+
+@pytest.mark.parametrize("patient_id, cell, column", [
+    ("p\t1", "aspirin", "patient_id"),
+    ("p1", "as\npirin", "drug"),
+    ("p1", "as\rpirin", "drug"),
+])
+def test_save_refuses_unstorable_values_before_writing(tmp_path, patient_id, cell, column):
+    event = C.EventRecord("prescription", (("drug", C.text(cell)),), 0)
+    corpus = C.Corpus([C.PatientRecord(patient_id, [event] * C.MIN_EVENTS)], {},
+                      [C.TableSpec("prescription", (C.ColumnSpec("drug", C.TEXT),))])
+    with pytest.raises(C.CorpusError) as info:
+        C.save_corpus(corpus, tmp_path / "out")
+    assert str(info.value).startswith(
+        f"patient {patient_id!r}, table 'prescription', column {column!r}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_applies_the_cohort_filter(tmp_path):
+    def events(timestamps):
+        return [C.EventRecord("prescription", (("drug", C.text("aspirin")),), ts)
+                for ts in timestamps]
+    inside = list(range(C.MIN_EVENTS))
+    corpus = C.Corpus(
+        [C.PatientRecord("kept", events(inside + [WINDOW])),
+         C.PatientRecord("too few", events(inside[1:])),
+         C.PatientRecord("too late", events(inside[1:] + [WINDOW]))],
+        {}, [C.TableSpec("prescription", (C.ColumnSpec("drug", C.TEXT),))])
+    C.save_corpus(corpus, tmp_path)
+    loaded = C.load_corpus(tmp_path)
+    assert [p.patient_id for p in loaded.patients] == ["kept"]
+    assert [e.timestamp for e in loaded.patients[0].events] == inside
+
+
+def _config_json(config):
+    doc = dataclasses.asdict(config)
+    for table in doc["tables"]:
+        for col in table["columns"]:
+            col["type"] = col.pop("kind")
+    return doc
+
+
+def test_generator_config_file_roundtrip(tmp_path):
+    config = C.default_config(seed=4, n_patients=9)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_config_json(config)))
+    assert C.load_generator_config(path) == config
+
+
+def test_generator_config_defaults_come_from_the_dataclass(tmp_path):
+    doc = _config_json(C.default_config())
+    del doc["seed"], doc["events_per_patient"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    config = C.load_generator_config(path)
+    assert (config.seed, config.events_per_patient) == (0, (C.MIN_EVENTS, 12))
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda doc: doc.update(observation_window_hours=24),
+     "unknown key 'observation_window_hours'"),
+    (lambda doc: doc["tables"][0]["columns"][0].update(kind="numeric"), "unknown key 'kind'"),
+    (lambda doc: doc.pop("n_patients"), "n_patients"),
+    (lambda doc: doc.update(events_per_patient=[2, 8]), "minimum is 5"),
+    (lambda doc: doc["tables"][0]["columns"][0].update(type="foo"), "unknown type 'foo'"),
+])
+def test_generator_config_faults_name_the_file(tmp_path, edit, reason):
+    doc = _config_json(C.default_config())
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(C.CorpusError, match=reason) as info:
+        C.load_generator_config(path)
+    assert str(info.value).startswith(f"malformed generator config {path}: ")
+
+
+def test_generator_config_malformed_json_names_the_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("{")
+    with pytest.raises(C.CorpusError, match=f"malformed generator config {path}: "):
+        C.load_generator_config(path)
+
+
+@pytest.mark.parametrize("schema, reason", [
+    ({}, "missing field 'tables'"),
+    ({"tables": [{"name": "lab"}]}, "missing field 'columns'"),
+    ([], "list indices"),
+    ("{", "Expecting"),
+])
+def test_load_names_malformed_schema(tmp_path, schema, reason):
+    path = tmp_path / "schema.json"
+    path.write_text(schema if isinstance(schema, str) else json.dumps(schema))
+    with pytest.raises(C.CorpusError, match=reason) as info:
+        C.load_corpus(tmp_path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_load_rejects_bad_numeric(tmp_path):

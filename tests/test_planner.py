@@ -190,6 +190,10 @@ def test_layer_op_rejects_unknown_kind():
       "output_shape": [4, 4], "ops": []}, "two positive integers"),
     ({"backbone": "cnn", "direction": "encode", "input_shape": [8, 4],
       "output_shape": [4, 4], "ops": [{"kind": "pool", "target": "4"}]}, "integers"),
+    ({"backbone": "banana", "direction": "encode", "input_shape": [8, 4],
+      "output_shape": [4, 4], "ops": []}, "unknown backbone 'banana'"),
+    ({"backbone": "cnn", "direction": "sideways", "input_shape": [8, 4],
+      "output_shape": [4, 4], "ops": []}, "unknown direction 'sideways'"),
 ])
 def test_load_plan_names_file_on_bad_input(tmp_path, doc, reason):
     path = tmp_path / "plan.json"

@@ -55,7 +55,7 @@ def simple_vocab():
 def test_serialize_event_numeric_tail():
     vocab = simple_vocab()
     event = C.EventRecord("lab", (("value", C.numeric("7.4")),), timestamp=0)
-    ids, types, dpes = S.serialize_event(event, 0, vocab, {}, S.SerializerConfig())
+    ids, types, dpes = S.serialize_event(event, 0, vocab, {})
     units = [vocab.unit(i) for i in ids]
     assert units == ["lab", "value", "7", ".", "4", "[tg0]"]
     assert types == [int(S.TokenType.TABLE_NAME), int(S.TokenType.COLUMN_NAME),
@@ -100,7 +100,7 @@ def test_build_hierarchical_truncates_long_event():
     event = C.EventRecord("t", (("c", C.text(" ".join(["v"] * 10))),), timestamp=0)
     config = S.SerializerConfig(n_e=4, n_tpe=8, n_t=64)
     stream = S.build_hierarchical(C.PatientRecord("p", [event]), vocab, {}, config)
-    full, _, _ = S.serialize_event(event, 0, vocab, {}, config)
+    full, _, _ = S.serialize_event(event, 0, vocab, {})
     assert list(stream.tokens[0]) == full[:8]
 
 

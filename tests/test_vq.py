@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,38 @@ def test_ema_rejects_width_mismatch():
     book = Codebook.new(np.zeros((2, 2)))
     with pytest.raises(VQError):
         ema_update(book, [(0, np.zeros(3))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_rejects_non_finite_latents(bad):
+    book = Codebook.new(np.zeros((2, 2)))
+    z = np.zeros((1, 8))
+    z[0, 5] = bad
+    with pytest.raises(VQError, match="non-finite"):
+        quantize(z, book)
+
+
+@pytest.mark.parametrize("code", [-1, 2])
+def test_ema_rejects_code_outside_codebook(code):
+    book = Codebook.new(np.array([[1.0, 2.0], [3.0, 4.0]]), decay=0.5)
+    before = (book.entries.copy(), book.ema_counts.copy(), book.ema_sums.copy())
+    with pytest.raises(VQError, match=f"code {code} outside 0..1"):
+        ema_update(book, [(0, np.ones(2)), (code, np.ones(2))])
+    for got, want in zip((book.entries, book.ema_counts, book.ema_sums), before):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({}, "missing field 'entries'"),
+    ([], "list indices"),
+    ({"entries": [[0.0]], "ema_counts": [1.0], "ema_sums": [[0.0]], "decay": 2.0}, "decay"),
+])
+def test_codebook_load_names_file(tmp_path, doc, reason):
+    path = tmp_path / "codebook.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(VQError, match=reason) as info:
+        Codebook.load(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_codebook_save_load(tmp_path):
