@@ -231,17 +231,6 @@ class AuditReport:
     total_samples: int
     defect_counts: dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "rce": self.rce,
-            "rue": self.rue,
-            "rcs": self.rcs,
-            "total_events": self.total_events,
-            "unique_events": self.unique_events,
-            "total_samples": self.total_samples,
-            "defect_counts": self.defect_counts,
-        }
-
 
 def score(generated: list[list[ReconstructedEvent]], triples: TripleSet,
           vocab: Vocabulary) -> AuditReport:

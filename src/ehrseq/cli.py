@@ -1,8 +1,8 @@
 """Command-line pipelines: gen, load, serialize, plan, analyze, quantize,
-audit, privacy, metrics.  Every run that writes files writes a manifest next
-to them; quality and privacy scores are report contents, never exit
-failures.  Bad input or a failed read or write exits 1 with one
-`error:` line."""
+audit, privacy, metrics.  Every run that writes files writes them, and a
+manifest next to them, only once its work has succeeded; quality and privacy
+scores are report contents, never exit failures.  Bad input or a failed read
+or write exits 1 with one `error:` line."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -38,6 +38,36 @@ def _run(command):
     return run
 
 
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _save(out_dir, command: str, config: dict, inputs: list, files: dict,
+          seed=None) -> None:
+    """The one output step of a writing command: make `out_dir`, write each of
+    `files` (name -> text, or a function that writes the path it is given) in
+    order, then the manifest listing exactly those files.  A manifest that
+    another command wrote in `out_dir` is refused before anything is written."""
+    out = Path(out_dir)
+    manifest = out / "manifest.json"
+    if manifest.exists():
+        try:
+            recorded = json.loads(manifest.read_text()).get("command")
+        except (ValueError, AttributeError):
+            recorded = None
+        if recorded != command:
+            raise ValueError(f"{manifest} is not a {command} manifest; "
+                             f"write {command} outputs to another directory")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if callable(content):
+            content(out / name)
+        else:
+            (out / name).write_text(content)
+    write_manifest(out, command, config, inputs=inputs,
+                   outputs=[out / name for name in files], seed=seed)
+
+
 def _parse_pair(text: str, sep: str, form: str) -> tuple[int, int]:
     try:
         a, b = text.lower().split(sep)
@@ -60,19 +90,14 @@ def main():
 @_run
 def gen(config_path, seed, n_patients, out_dir):
     """Generate a deterministic synthetic corpus."""
-    if config_path is None:
-        config = corpus_mod.default_config()
-    else:
-        config = corpus_mod.load_generator_config(config_path)
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if n_patients is not None:
-        config = replace(config, n_patients=n_patients)
+    config = (corpus_mod.default_config() if config_path is None
+              else corpus_mod.load_generator_config(config_path))
+    overrides = {"seed": seed, "n_patients": n_patients}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     corpus = corpus_mod.generate_corpus(config)
-    written = corpus_mod.save_corpus(corpus, out_dir)
-    write_manifest(out_dir, "gen", {"n_patients": config.n_patients},
-                   inputs=[config_path] if config_path else [], outputs=written,
-                   seed=config.seed)
+    _save(out_dir, "gen", {"n_patients": config.n_patients},
+          [config_path] if config_path else [], corpus_mod.corpus_files(corpus),
+          seed=config.seed)
     click.echo(f"wrote corpus with {len(corpus.patients)} patients to {out_dir}")
 
 
@@ -108,16 +133,11 @@ def serialize(in_dir, out_dir, vocab_path, min_count, n_e, n_tpe, n_t):
     hier = [serializer.build_hierarchical(p, vocab, corpus.definitions, config)
             for p in corpus.patients]
     flat = [serializer.flatten(h, n_t=config.n_t) for h in hier]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    vocab_out = out / "vocab.txt"
-    vocab.save(vocab_out)
-    hier_path, flat_path = out / "streams_hier.jsonl", out / "streams_flat.jsonl"
-    serializer.save_streams(hier, hier_path)
-    serializer.save_streams(flat, flat_path)
-    inputs = sorted(str(p) for p in Path(in_dir).glob("*.tsv"))
-    write_manifest(out, "serialize", {"n_e": n_e, "n_tpe": n_tpe, "n_t": n_t},
-                   inputs=inputs, outputs=[vocab_out, hier_path, flat_path])
+    _save(out_dir, "serialize", {"n_e": n_e, "n_tpe": n_tpe, "n_t": n_t},
+          sorted(str(p) for p in Path(in_dir).glob("*.tsv")),
+          {"vocab.txt": vocab.save,
+           "streams_hier.jsonl": lambda path: serializer.save_streams(hier, path),
+           "streams_flat.jsonl": lambda path: serializer.save_streams(flat, path)})
     click.echo(f"serialized {len(hier)} patients to {out_dir}")
 
 
@@ -134,8 +154,6 @@ def serialize(in_dir, out_dir, vocab_path, min_count, n_e, n_tpe, n_t):
 @_run
 def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
     """Emit a layer plan (or a latent-grid sweep) with its analysis report."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     n, d = _parse_pair(input_shape, "x", "NxD shape")
     cost = CostModel(kernel=kernel,
                      attention_variant="linear" if backbone == planner.TRANSFORMER else "full")
@@ -150,11 +168,9 @@ def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
                 report = analysis_report(p, cost)
                 rows.append(f"{l}\t{spec.t}\t{spec.c}\t{backbone}\t{rate}"
                             f"\t{report['params']}\t{report['flops']}")
-        grid_path = out / "grid.tsv"
-        grid_path.write_text("\n".join(rows) + "\n")
-        write_manifest(out, "plan", {"grid": grid, "backbone": backbone},
-                       inputs=[], outputs=[grid_path])
-        click.echo(f"wrote grid sweep to {grid_path}")
+        _save(out_dir, "plan", {"grid": grid, "backbone": backbone}, [],
+              {"grid.tsv": "\n".join(rows) + "\n"})
+        click.echo(f"wrote grid sweep to {Path(out_dir) / 'grid.tsv'}")
         return
     n_out, d_out = _parse_pair(output_shape, "x", "NxD shape")
     p = (planner.cnn_plan(n, d, n_out, d_out) if backbone == planner.CNN
@@ -162,14 +178,11 @@ def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
     defects = validate_plan(p)
     if defects:
         raise planner.PlanError("; ".join(d.message for d in defects))
-    plan_path = out / "plan.json"
-    planner.save_plan(p, plan_path)
     report = analysis_report(p, cost)
-    report_path = out / "analysis.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
-    write_manifest(out, "plan", {"backbone": backbone, "input": input_shape,
-                                 "output": output_shape, "layers": n_l},
-                   inputs=[], outputs=[plan_path, report_path])
+    _save(out_dir, "plan", {"backbone": backbone, "input": input_shape,
+                            "output": output_shape, "layers": n_l}, [],
+          {"plan.json": lambda path: planner.save_plan(p, path),
+           "analysis.json": _json(report)})
     for step in report["trace"]:
         click.echo(f"layer {step['layer'] + 1}: {step['op']} -> "
                    f"({step['shape'][0]},{step['shape'][1]})")
@@ -185,7 +198,7 @@ def analyze(plan_path, kernel, attention):
     """Analyze an existing plan document: shapes and per-layer params and FLOPs."""
     p = planner.load_plan(plan_path)
     report = analysis_report(p, CostModel(kernel=kernel, attention_variant=attention))
-    click.echo(json.dumps(report, indent=2))
+    click.echo(_json(report), nl=False)
 
 
 @main.command()
@@ -210,10 +223,8 @@ def quantize(latent_path, codebook_path, beta, out_path):
     if beta is not None:
         doc["commitment_term"] = beta * result.commitment_distance
     out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    write_manifest(out.parent, "quantize", {"beta": beta},
-                   inputs=[latent_path, codebook_path], outputs=[out_path])
+    _save(out.parent, "quantize", {"beta": beta}, [latent_path, codebook_path],
+          {out.name: _json(doc)})
     click.echo(f"quantized {z.shape[0]}x{z.shape[1]} latent -> {out_path}")
 
 
@@ -231,14 +242,9 @@ def audit_cmd(real_dir, generated_path, vocab_path, out_dir):
     triples = audit_mod.build_triples(corpus, vocab)
     streams = serializer.load_streams(generated_path)
     samples = [serializer.detokenize_events(s, vocab) for s in streams]
-    report = audit_mod.score(samples, triples, vocab)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "audit_report.json"
-    report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    write_manifest(out, "audit", {}, inputs=[generated_path, vocab_path],
-                   outputs=[report_path])
-    click.echo(json.dumps(report.to_dict(), indent=2))
+    text = _json(asdict(audit_mod.score(samples, triples, vocab)))
+    _save(out_dir, "audit", {}, [generated_path, vocab_path], {"audit_report.json": text})
+    click.echo(text, nl=False)
 
 
 @main.command("privacy")
@@ -259,30 +265,13 @@ def privacy_cmd(train_path, heldout_path, synthetic_path, n_r, thresholds, seed,
     report = privacy.membership_attack(
         tokens(train_path), tokens(heldout_path), tokens(synthetic_path), config
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows_path = out / "privacy_curve.tsv"
-    lines = ["threshold\tprecision\trecall"]
-    for threshold, precision, recall in report.rows():
-        lines.append(f"{threshold}\t{'' if precision is None else precision}"
-                     f"\t{'' if recall is None else recall}")
-    rows_path.write_text("\n".join(lines) + "\n")
-    report_path = out / "privacy_report.json"
-    report_path.write_text(json.dumps({
-        "n_r": report.n_r,
-        "seed": report.seed,
-        "train_indices": report.train_indices,
-        "heldout_indices": report.heldout_indices,
-        "results": [
-            {"threshold": r.threshold, "precision": r.precision,
-             "recall": r.recall, "flagged": r.flagged}
-            for r in report.results
-        ],
-    }, indent=2) + "\n")
-    write_manifest(out, "privacy", {"n_r": n_r, "thresholds": thresholds},
-                   inputs=[train_path, heldout_path, synthetic_path],
-                   outputs=[rows_path, report_path], seed=seed)
-    click.echo("\n".join(lines))
+    curve = "threshold\tprecision\trecall\n" + "".join(
+        f"{t}\t{'' if p is None else p}\t{'' if r is None else r}\n" for t, p, r in report.rows())
+    _save(out_dir, "privacy", {"n_r": n_r, "thresholds": thresholds},
+          [train_path, heldout_path, synthetic_path],
+          {"privacy_curve.tsv": curve, "privacy_report.json": _json(asdict(report))},
+          seed=seed)
+    click.echo(curve, nl=False)
 
 
 @main.command("metrics")

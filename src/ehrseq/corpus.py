@@ -111,6 +111,22 @@ class TableSpec:
     columns: tuple[ColumnSpec, ...]
 
 
+def _at(p: PatientRecord, e: EventRecord) -> str:
+    return f"patient {p.patient_id!r}, table {e.table_name!r}"
+
+
+def _column_mismatch(names: list[str], columns: tuple) -> str:
+    """Why an event's columns are not its table's schema columns."""
+    given = [name for name, _ in columns]
+    missing = [name for name in names if name not in given]
+    if missing:
+        return f"column {missing[0]!r}: missing from the event"
+    stray = [name for name in given if name not in names]
+    if stray:
+        return f"column {stray[0]!r}: not in the schema"
+    return f"column {next(n for n in given if given.count(n) > 1)!r}: given twice"
+
+
 @dataclass
 class Corpus:
     patients: list[PatientRecord]
@@ -118,27 +134,28 @@ class Corpus:
     schema: list[TableSpec]
 
     def validate(self) -> None:
-        known = {t.name: {c.name: c for c in t.columns} for t in self.schema}
+        """Events come in time order, each with exactly its schema table's
+        columns, of the declared kinds, and with resolvable itemized codes; a
+        breach names patient, table and column."""
+        known = {t.name: {c.name: c.kind for c in t.columns} for t in self.schema}
         for p in self.patients:
             prev = -1
             for e in p.events:
                 if e.timestamp < prev:
-                    raise CorpusError(f"patient {p.patient_id}: events out of order")
+                    raise CorpusError(f"{_at(p, e)}: events out of order")
                 prev = e.timestamp
+                kinds = known.get(e.table_name)
+                if kinds is None:
+                    raise CorpusError(f"{_at(p, e)}: table not in the schema")
+                if len(e.columns) != len(kinds) or dict(e.columns).keys() != kinds.keys():
+                    raise CorpusError(f"{_at(p, e)}, {_column_mismatch(list(kinds), e.columns)}")
                 for col, cell in e.columns:
+                    if cell.kind != kinds[col]:
+                        raise CorpusError(f"{_at(p, e)}, column {col!r}: cell kind {cell.kind} "
+                                          f"does not match declared {kinds[col]}")
                     if cell.kind == ITEMIZED and cell.value not in self.definitions:
-                        raise CorpusError(
-                            f"patient {p.patient_id}, table {e.table_name}, column {col}: "
-                            f"unresolvable itemized code {cell.value!r}"
-                        )
-                if e.table_name in known:
-                    for col, cell in e.columns:
-                        spec = known[e.table_name].get(col)
-                        if spec is not None and spec.kind != cell.kind:
-                            raise CorpusError(
-                                f"table {e.table_name}, column {col}: cell kind {cell.kind} "
-                                f"does not match declared {spec.kind}"
-                            )
+                        raise CorpusError(f"{_at(p, e)}, column {col!r}: "
+                                          f"unresolvable itemized code {cell.value!r}")
 
 
 @dataclass(frozen=True)
@@ -304,6 +321,7 @@ def load_generator_config(path: Path | str) -> GeneratorConfig:
 # per-column types.
 
 _TSV_UNSAFE = re.compile(r"[\t\n\r]")
+_TIMESTAMP = re.compile(r"\d+", re.ASCII)  # whole seconds; no sign, space or other digits
 
 
 def _tsv_row(fields: list[str], names: list[str], where: str) -> str:
@@ -316,22 +334,20 @@ def _tsv_row(fields: list[str], names: list[str], where: str) -> str:
     return line
 
 
-def save_corpus(corpus: Corpus, out_dir: Path | str) -> list[Path]:
-    """Write a corpus directory; a value the format cannot hold is refused
-    before any file is written."""
-    files = {}
-    for table in corpus.schema:
-        header = ["patient_id", "timestamp_seconds"] + [c.name for c in table.columns]
-        lines = [_tsv_row(header, header, f"table {table.name!r}")]
-        for p in corpus.patients:
-            for e in p.events:
-                if e.table_name != table.name:
-                    continue
-                cells = {name: cell for name, cell in e.columns}
-                row = [p.patient_id, str(e.timestamp)]
-                row += [cells[name].value for name in header[2:]]
-                lines.append(_tsv_row(row, header, f"patient {p.patient_id!r}, table {table.name!r}"))
-        files[f"{table.name}.tsv"] = "\n".join(lines) + "\n"
+def corpus_files(corpus: Corpus) -> dict[str, str]:
+    """The files of a corpus directory, name -> text.  A corpus that fails
+    `Corpus.validate`, or a value the format cannot hold, is refused."""
+    corpus.validate()
+    headers = {t.name: ["patient_id", "timestamp_seconds"] + [c.name for c in t.columns]
+               for t in corpus.schema}
+    tables = {name: [_tsv_row(header, header, f"table {name!r}")]
+              for name, header in headers.items()}
+    for p in corpus.patients:
+        for e in p.events:
+            header, cells = headers[e.table_name], dict(e.columns)
+            row = [p.patient_id, str(e.timestamp)] + [cells[name].value for name in header[2:]]
+            tables[e.table_name].append(_tsv_row(row, header, _at(p, e)))
+    files = {f"{name}.tsv": "\n".join(lines) + "\n" for name, lines in tables.items()}
 
     files["definitions.tsv"] = "".join(
         _tsv_row([code, desc], ["code", "description"], "definitions") + "\n"
@@ -348,12 +364,15 @@ def save_corpus(corpus: Corpus, out_dir: Path | str) -> list[Path]:
         "patients": [{"id": p.patient_id, "labels": p.labels} for p in corpus.patients],
     }
     files["schema.json"] = json.dumps(schema, indent=2) + "\n"
+    return files
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+
+def save_corpus(corpus: Corpus, out_dir: Path | str) -> None:
+    """Write a corpus directory; nothing is written if `corpus_files` refuses."""
+    files = corpus_files(corpus)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
-        (out / name).write_text(content)
-    return [out / name for name in files]
+        (Path(out_dir) / name).write_text(content)
 
 
 def load_corpus(path: Path | str) -> Corpus:
@@ -407,10 +426,9 @@ def load_corpus(path: Path | str) -> Corpus:
             if len(fields) != len(expected):
                 raise CorpusError(f"{table_path}:{row_no}: unpaired column/cell row")
             pid, ts_raw = fields[0], fields[1]
-            try:
-                ts = int(ts_raw)
-            except ValueError:
-                raise CorpusError(f"{table_path}:{row_no}: bad timestamp {ts_raw!r}") from None
+            if not _TIMESTAMP.fullmatch(ts_raw):
+                raise CorpusError(f"{table_path}:{row_no}: bad timestamp {ts_raw!r}")
+            ts = int(ts_raw)
             cells = []
             for spec, value in zip(table.columns, fields[2:]):
                 try:

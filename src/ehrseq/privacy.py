@@ -75,6 +75,9 @@ def membership_attack(train: Sequence[np.ndarray], heldout: Sequence[np.ndarray]
     record counts as an inferred member iff its minimum normalized Hamming
     distance over all synthetic records is <= the threshold.
     """
+    for name, streams in (("train", train), ("held-out", heldout), ("synthetic", synthetic)):
+        if len(streams) == 0:
+            raise PrivacyError(f"the {name} set is empty")
     train_m, heldout_m, synth_m = map(_as_matrix, (train, heldout, synthetic))
     if train_m.shape[1] != heldout_m.shape[1] or train_m.shape[1] != synth_m.shape[1]:
         raise PrivacyError("train/held-out/synthetic streams must share a length")

@@ -314,3 +314,80 @@ def test_analyze_names_plan_file_missing_a_field(runner, tmp_path):
     result = runner.invoke(main, ["analyze", "--plan", str(path)])
     assert result.exit_code == 1
     assert f"error: {path}: missing field 'backbone'" in result.output
+
+
+@pytest.mark.parametrize("args, written", [
+    (["gen", "--n-patients", "6"],
+     ["lab.tsv", "prescription.tsv", "infusion.tsv", "definitions.tsv", "schema.json"]),
+    (["serialize", "--in", "{corpus}"],
+     ["vocab.txt", "streams_hier.jsonl", "streams_flat.jsonl"]),
+    (["plan"], ["plan.json", "analysis.json"]),
+    (["plan", "--grid", "256:512"], ["grid.tsv"]),
+    (["quantize", "--latent", "{latent}", "--codebook", "{codebook}"], ["q.json"]),
+    (["audit", "--real", "{corpus}", "--generated", "{hier}", "--vocab", "{vocab}"],
+     ["audit_report.json"]),
+    (["privacy", "--train", "{flat}", "--heldout", "{flat}", "--synthetic", "{flat}",
+      "--nr", "2"], ["privacy_curve.tsv", "privacy_report.json"]),
+], ids=["gen", "serialize", "plan", "plan-grid", "quantize", "audit", "privacy"])
+def test_manifest_lists_exactly_the_files_written(runner, tmp_path, args, written):
+    corpus_dir, streams = serialize_corpus(runner, tmp_path)
+    Codebook.new(np.zeros((2, 2))).save(tmp_path / "codebook.json")
+    (tmp_path / "latent.json").write_text(json.dumps([[0.0] * 8]))
+    inputs = {"corpus": corpus_dir, "hier": streams / "streams_hier.jsonl",
+              "flat": streams / "streams_flat.jsonl", "vocab": streams / "vocab.txt",
+              "latent": tmp_path / "latent.json", "codebook": tmp_path / "codebook.json"}
+    out = tmp_path / "out"
+    target = out / "q.json" if args[0] == "quantize" else out
+    result = runner.invoke(main, [a.format(**inputs) for a in args] + ["--out", str(target)])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == args[0]
+    assert manifest["outputs"] == [str(out / name) for name in written]
+    assert sorted(p.name for p in out.iterdir()) == sorted(written + ["manifest.json"])
+    mtimes = [(out / name).stat().st_mtime_ns for name in written + ["manifest.json"]]
+    assert mtimes == sorted(mtimes)
+
+
+@pytest.mark.parametrize("args", [
+    ["plan", "--grid", "256"],
+    ["plan", "--input", "bad"],
+    ["plan", "--input", "64x8", "--output", "128x8"],
+    ["gen", "--n-patients", "-1"],
+])
+def test_failed_run_leaves_no_out_dir(runner, tmp_path, args):
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "p")])
+    assert result.exit_code == 1
+    assert not (tmp_path / "p").exists()
+
+
+def _gen_manifest(runner, out):
+    runner.invoke(main, ["gen", "--n-patients", "6", "--out", str(out)])
+
+
+@pytest.mark.parametrize("make_manifest", [
+    _gen_manifest,
+    lambda runner, out: out.mkdir() or (out / "manifest.json").write_text("[]"),
+    lambda runner, out: out.mkdir() or (out / "manifest.json").write_text("{"),
+], ids=["gen", "not-an-object", "not-json"])
+def test_writer_refuses_a_manifest_it_did_not_write(runner, tmp_path, make_manifest):
+    out = tmp_path / "d"
+    make_manifest(runner, out)
+    before = (out / "manifest.json").read_bytes()
+    Codebook.new(np.zeros((2, 2))).save(tmp_path / "codebook.json")
+    (tmp_path / "latent.json").write_text(json.dumps([[0.0] * 8]))
+    result = runner.invoke(main, ["quantize", "--latent", str(tmp_path / "latent.json"),
+                                  "--codebook", str(tmp_path / "codebook.json"),
+                                  "--out", str(out / "q.json")])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"error: {out / 'manifest.json'} ")
+    assert result.output.count("\n") == 1
+    assert not (out / "q.json").exists()
+    assert (out / "manifest.json").read_bytes() == before
+
+
+def test_rerun_replaces_its_own_manifest(runner, tmp_path):
+    for seed in ("1", "2"):
+        result = runner.invoke(main, ["gen", "--seed", seed, "--n-patients", "6",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == 2

@@ -159,6 +159,29 @@ def test_save_refuses_unstorable_values_before_writing(tmp_path, patient_id, cel
     assert not (tmp_path / "out").exists()
 
 
+def _event_with(columns, table):
+    cells = tuple((name, C.numeric("1.0") if name == "dose" else C.text("oral"))
+                  for name in columns)
+    return C.EventRecord(table, cells, 0)
+
+
+@pytest.mark.parametrize("columns, table, where", [
+    (["drug", "dose"], "prescription",
+     "table 'prescription', column 'route': missing from the event"),
+    (["drug", "dose", "route", "site"], "prescription",
+     "table 'prescription', column 'site': not in the schema"),
+    (["drug", "dose", "route", "dose"], "prescription",
+     "table 'prescription', column 'dose': given twice"),
+    (["drug", "dose", "route"], "vitals", "table 'vitals': table not in the schema"),
+])
+def test_save_refuses_events_off_the_schema(tmp_path, columns, table, where):
+    corpus = C.generate_corpus(C.default_config(seed=3, n_patients=2))
+    corpus.patients[1].events.insert(0, _event_with(columns, table))
+    with pytest.raises(C.CorpusError, match=f"^patient 'p00001', {where}"):
+        C.save_corpus(corpus, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_applies_the_cohort_filter(tmp_path):
     def events(timestamps):
         return [C.EventRecord("prescription", (("drug", C.text("aspirin")),), ts)
@@ -259,6 +282,20 @@ def test_load_empty_tables_gives_zero_patients(tmp_path):
         header = path.read_text().splitlines()[0]
         path.write_text(header + "\n")
     assert C.load_corpus(tmp_path).patients == []
+
+
+@pytest.mark.parametrize("timestamp", ["+1", "\u0661", " 1", "1 ", "1e3", "-5"])
+def test_load_names_row_of_bad_timestamp(tmp_path, timestamp):
+    C.save_corpus(C.generate_corpus(C.default_config(seed=3, n_patients=5)), tmp_path)
+    lab = tmp_path / "lab.tsv"
+    lines = lab.read_text().split("\n")
+    fields = lines[1].split("\t")
+    fields[1] = timestamp
+    lines[1] = "\t".join(fields)
+    lab.write_text("\n".join(lines))
+    with pytest.raises(C.CorpusError) as info:
+        C.load_corpus(tmp_path)
+    assert str(info.value) == f"{lab}:2: bad timestamp {timestamp!r}"
 
 
 def test_load_sorts_non_monotone_timestamps(tmp_path):

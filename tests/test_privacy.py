@@ -137,6 +137,14 @@ def test_rejects_undersized_pools():
         membership_attack(xs, xs, xs, AttackConfig(n_r=2, thresholds=(0.5,)))
 
 
+@pytest.mark.parametrize("empty", ["train", "held-out", "synthetic"])
+def test_rejects_an_empty_set(empty):
+    sets = {name: [] if name == empty else streams([[1, 2], [3, 4]])
+            for name in ("train", "held-out", "synthetic")}
+    with pytest.raises(PrivacyError, match=f"the {empty} set is empty"):
+        membership_attack(*sets.values(), AttackConfig(n_r=1, thresholds=(0.5,)))
+
+
 def test_rejects_length_mismatch():
     with pytest.raises(PrivacyError):
         membership_attack(
