@@ -8,9 +8,7 @@ paired, table/column known) and then a semantics check per column.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from .corpus import Corpus, is_decimal
@@ -54,41 +52,6 @@ class TripleSet:
     tables: set[str]
     columns: dict[str, set[str]]  # table -> column names
     content: dict[tuple[str, str], NumericRange | SubwordSet]
-
-    def save(self, path: Path | str) -> None:
-        doc = {
-            "tables": sorted(self.tables),
-            "columns": {t: sorted(cols) for t, cols in self.columns.items()},
-            "content": [
-                {
-                    "table": t,
-                    "column": c,
-                    **(
-                        {"type": "numeric", "low": v.low, "high": v.high}
-                        if isinstance(v, NumericRange)
-                        else {"type": "text", "units": sorted(v.units)}
-                    ),
-                }
-                for (t, c), v in sorted(self.content.items())
-            ],
-        }
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: Path | str) -> "TripleSet":
-        doc = json.loads(Path(path).read_text())
-        content: dict[tuple[str, str], NumericRange | SubwordSet] = {}
-        for entry in doc["content"]:
-            key = (entry["table"], entry["column"])
-            if entry["type"] == "numeric":
-                content[key] = NumericRange(entry["low"], entry["high"])
-            else:
-                content[key] = SubwordSet(set(entry["units"]))
-        return cls(
-            set(doc["tables"]),
-            {t: set(cols) for t, cols in doc["columns"].items()},
-            content,
-        )
 
 
 def _parse_decimal(text: str) -> Optional[float]:

@@ -163,9 +163,8 @@ def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
         for l, specs in planner.search_grid(l_min, l_max):
             rate = planner.compression_rate_flat(n, d, l)
             for spec in specs:
-                p = (planner.cnn_plan(n, d, spec.t, spec.c) if backbone == planner.CNN
-                     else planner.transformer_plan(n, d, spec.t, spec.c, n_l))
-                report = analysis_report(p, cost)
+                report = analysis_report(
+                    planner.encoder_plan(backbone, n, d, spec.t, spec.c, n_l), cost)
                 rows.append(f"{l}\t{spec.t}\t{spec.c}\t{backbone}\t{rate}"
                             f"\t{report['params']}\t{report['flops']}")
         _save(out_dir, "plan", {"grid": grid, "backbone": backbone}, [],
@@ -173,8 +172,7 @@ def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
         click.echo(f"wrote grid sweep to {Path(out_dir) / 'grid.tsv'}")
         return
     n_out, d_out = _parse_pair(output_shape, "x", "NxD shape")
-    p = (planner.cnn_plan(n, d, n_out, d_out) if backbone == planner.CNN
-         else planner.transformer_plan(n, d, n_out, d_out, n_l))
+    p = planner.encoder_plan(backbone, n, d, n_out, d_out, n_l)
     defects = validate_plan(p)
     if defects:
         raise planner.PlanError("; ".join(d.message for d in defects))
@@ -303,7 +301,7 @@ def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
             try:
                 s, lab = line.split("\t")
                 score, label = float(s), int(lab)
-                if not math.isfinite(score):
+                if not math.isfinite(score) or label not in (0, 1):
                     raise ValueError
             except ValueError:
                 raise metrics_mod.MetricError(

@@ -1,4 +1,4 @@
-"""Synthetic EHR corpora: generation, disk I/O, and cohort splitting.
+"""Synthetic EHR corpora: generation and disk I/O.
 
 A corpus is a set of patients, each a chronologically sorted list of clinical
 events drawn from a handful of tables (lab, prescription, infusion).  Cell
@@ -13,7 +13,6 @@ import random
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 NUMERIC = "numeric"
 TEXT = "text"
@@ -134,10 +133,14 @@ class Corpus:
     schema: list[TableSpec]
 
     def validate(self) -> None:
-        """Events come in time order, each with exactly its schema table's
-        columns, of the declared kinds, and with resolvable itemized codes; a
-        breach names patient, table and column."""
+        """Each schema table is named once.  Events come in time order, each with
+        exactly its schema table's columns, of the declared kinds, and with
+        resolvable itemized codes; a breach names patient, table and column."""
         known = {t.name: {c.name: c.kind for c in t.columns} for t in self.schema}
+        if len(known) != len(self.schema):
+            names = [t.name for t in self.schema]
+            twice = next(name for name in names if names.count(name) > 1)
+            raise CorpusError(f"table {twice!r}: named twice in the schema")
         for p in self.patients:
             prev = -1
             for e in p.events:
@@ -379,8 +382,9 @@ def load_corpus(path: Path | str) -> Corpus:
     """Load a corpus directory; sorts events, applies the cohort filter.
 
     Non-monotone timestamps are sorted, not rejected.  Rows failing the
-    declared column type, or itemized codes missing from the definitions
-    file, are load errors naming the offending row.
+    declared column type, itemized codes missing from the definitions file,
+    and definitions rows without exactly one tab or repeating a code are load
+    errors naming the offending row.
     """
     root = Path(path)
     schema_path = root / "schema.json"
@@ -401,11 +405,15 @@ def load_corpus(path: Path | str) -> Corpus:
     definitions: dict[str, str] = {}
     defs_path = root / "definitions.tsv"
     if defs_path.exists():
-        for line in defs_path.read_text().split("\n"):
+        for row_no, line in enumerate(defs_path.read_text().split("\n"), start=1):
             if not line:
                 continue
-            code, _, desc = line.partition("\t")
-            definitions[code] = desc
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise CorpusError(f"{defs_path}:{row_no}: expected code<TAB>description")
+            if fields[0] in definitions:
+                raise CorpusError(f"{defs_path}:{row_no}: code {fields[0]!r} given twice")
+            definitions[fields[0]] = fields[1]
 
     by_patient: dict[str, list[EventRecord]] = {}
     for table in schema:
@@ -451,45 +459,3 @@ def load_corpus(path: Path | str) -> Corpus:
     corpus.validate()
     return corpus
 
-
-def split_cohort(corpus: Corpus, ratios: tuple[float, float, float], seed: int,
-                 stratify_on: Optional[str] = None) -> tuple[Corpus, Corpus, Corpus]:
-    """Partition patients into train/valid/test by largest-remainder allocation."""
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise CorpusError(f"ratios {ratios} must be non-negative and sum to 1")
-    rng = random.Random(seed)
-
-    if stratify_on is None:
-        groups = [list(corpus.patients)]
-    else:
-        by_label: dict[int, list[PatientRecord]] = {}
-        for p in corpus.patients:
-            if stratify_on not in p.labels:
-                raise CorpusError(f"patient {p.patient_id} lacks stratify label {stratify_on!r}")
-            by_label.setdefault(p.labels[stratify_on], []).append(p)
-        groups = [by_label[k] for k in sorted(by_label)]
-
-    splits: tuple[list[PatientRecord], ...] = ([], [], [])
-    for group in groups:
-        pool = list(group)
-        rng.shuffle(pool)
-        counts = _largest_remainder(len(pool), ratios)
-        offset = 0
-        for split, count in zip(splits, counts):
-            split.extend(pool[offset:offset + count])
-            offset += count
-
-    return tuple(
-        Corpus(sorted(split, key=lambda p: p.patient_id), corpus.definitions, corpus.schema)
-        for split in splits
-    )
-
-
-def _largest_remainder(total: int, ratios: tuple[float, ...]) -> list[int]:
-    exact = [total * r for r in ratios]
-    counts = [int(x) for x in exact]
-    remainder = total - sum(counts)
-    order = sorted(range(len(ratios)), key=lambda i: exact[i] - counts[i], reverse=True)
-    for i in order[:remainder]:
-        counts[i] += 1
-    return counts

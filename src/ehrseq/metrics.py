@@ -36,11 +36,13 @@ def token_accuracy(reference: TokenStream, hypothesis: TokenStream,
 def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Pairwise ranking statistic via midrank rank-sum; ties count half."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise MetricError("scores and labels must be matched 1-d sequences")
     if not np.isfinite(scores).all():
         raise MetricError("scores must be finite")
+    if not np.isin(labels, (0, 1)).all():
+        raise MetricError("labels must be 0 or 1")
     n_pos = int(np.count_nonzero(labels == 1))
     n_neg = int(np.count_nonzero(labels == 0))
     if n_pos == 0 or n_neg == 0:

@@ -112,10 +112,6 @@ class LatentSpec:
         if not (_is_pow2(self.t) and _is_pow2(self.c)):
             raise PlanError(f"latent dims ({self.t},{self.c}) must be powers of two")
 
-    @property
-    def l(self) -> int:
-        return self.t * self.c
-
 
 @dataclass
 class HierarchicalPlan:
@@ -201,6 +197,15 @@ def transformer_plan(n: int, d: int, n_out: int, d_out: int, n_l: int) -> LayerP
     return LayerPlan(TRANSFORMER, ENCODE, ops, (n, d), (n_out, d_out))
 
 
+def encoder_plan(backbone: str, n: int, d: int, n_out: int, d_out: int, n_l: int) -> LayerPlan:
+    """The backbone's encoder plan for (n, d) -> (n_out, d_out); the CNN ignores `n_l`."""
+    if backbone == CNN:
+        return cnn_plan(n, d, n_out, d_out)
+    if backbone == TRANSFORMER:
+        return transformer_plan(n, d, n_out, d_out, n_l)
+    raise PlanError(f"unknown backbone {backbone!r}")
+
+
 _CNN_MIRROR = {LN: UN, LD: UD, LND: UND}
 
 
@@ -237,15 +242,9 @@ def hierarchical_plan(n_e: int, n_tpe: int, d: int, latent: LatentSpec,
     width = intermediate[0] * intermediate[1]
     if not _is_pow2(width):
         raise PlanError(f"intermediate width {width} must be a power of two")
-    if backbone == CNN:
-        text_plan = cnn_plan(n_tpe, d, *intermediate)
-        event_plan = cnn_plan(n_e, width, latent.t, latent.c)
-    elif backbone == TRANSFORMER:
-        text_plan = transformer_plan(n_tpe, d, *intermediate, n_l=n_l)
-        event_plan = transformer_plan(n_e, width, latent.t, latent.c, n_l=n_l)
-    else:
-        raise PlanError(f"unknown backbone {backbone!r}")
-    return HierarchicalPlan(text_plan, event_plan, width)
+    return HierarchicalPlan(encoder_plan(backbone, n_tpe, d, *intermediate, n_l),
+                            encoder_plan(backbone, n_e, width, latent.t, latent.c, n_l),
+                            width)
 
 
 def compression_rate_hier(n_e: int, n_tpe: int, d: int, l: int) -> int:

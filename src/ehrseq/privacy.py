@@ -29,16 +29,6 @@ class AttackConfig:
             raise PrivacyError("thresholds must be sorted ascending")
 
 
-def hamming(a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> tuple[int, float]:
-    """(raw differing positions, raw / length) for equal-length id sequences."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise PrivacyError(f"length mismatch: {a.shape} vs {b.shape}")
-    raw = int(np.count_nonzero(a != b))
-    return raw, raw / a.shape[0]
-
-
 @dataclass
 class ThresholdResult:
     threshold: float

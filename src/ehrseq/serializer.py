@@ -104,9 +104,6 @@ class TokenStream:
             if channel is not None and channel.shape != self.tokens.shape:
                 raise SerializeError("label channel shape does not match token channel")
 
-    def payload_length(self) -> int:
-        return int(np.count_nonzero(self.tokens != PAD_ID))
-
 
 def textualize_cell(cell: CellValue, definitions: dict[str, str]) -> str:
     """Map a cell to text: code -> description, number -> spaced characters."""

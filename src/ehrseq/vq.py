@@ -1,5 +1,5 @@
 """Vector-quantization mechanics: fiber splitting, nearest-code assignment,
-loss evaluation, and EMA codebook updates (no training loop)."""
+and EMA codebook updates (no training loop)."""
 
 from __future__ import annotations
 
@@ -107,18 +107,6 @@ def quantize(z: np.ndarray, codebook: Codebook) -> QuantizationResult:
     z_q = codebook.entries[indices].reshape(t, c)
     commitment = float(np.sum((z - z_q) ** 2))
     return QuantizationResult(indices.reshape(t, 4), z_q, commitment)
-
-
-def vq_loss(x: np.ndarray, x_tilde: np.ndarray, z: np.ndarray, z_q: np.ndarray,
-            beta: float) -> tuple[float, float, float]:
-    """(total, reconstruction, commitment); the codebook term is handled by EMA."""
-    x, x_tilde = np.asarray(x, dtype=np.float64), np.asarray(x_tilde, dtype=np.float64)
-    z, z_q = np.asarray(z, dtype=np.float64), np.asarray(z_q, dtype=np.float64)
-    if x.shape != x_tilde.shape or z.shape != z_q.shape:
-        raise VQError("shape mismatch between paired inputs")
-    reconstruction = float(np.sum((x - x_tilde) ** 2))
-    commitment = beta * float(np.sum((z - z_q) ** 2))
-    return reconstruction + commitment, reconstruction, commitment
 
 
 def ema_update(codebook: Codebook, assignments: list[tuple[int, np.ndarray]]) -> Codebook:

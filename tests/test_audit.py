@@ -196,12 +196,3 @@ def test_corruption_lowers_scores(small_corpus, small_vocab):
     assert clean.rce == 1.0 and dirty.rce == 0.0
     assert dirty.defect_counts[A.UNKNOWN_TABLE_COLUMN] == len(events)
 
-
-def test_triples_save_load(tmp_path, triples_fixture):
-    triples, _ = triples_fixture
-    path = tmp_path / "triples.json"
-    triples.save(path)
-    loaded = A.TripleSet.load(path)
-    assert loaded.tables == triples.tables
-    assert loaded.columns == triples.columns
-    assert loaded.content == triples.content

@@ -206,6 +206,39 @@ def _config_json(config):
     return doc
 
 
+def test_table_named_twice_is_refused(tmp_path):
+    twice = "^table 'lab': named twice in the schema$"
+    config = C.default_config(seed=3, n_patients=4)
+    with pytest.raises(C.CorpusError, match=twice):
+        C.generate_corpus(dataclasses.replace(config, tables=config.tables + config.tables[:1]))
+    corpus = C.generate_corpus(config)
+    with pytest.raises(C.CorpusError, match=twice):
+        C.corpus_files(dataclasses.replace(corpus, schema=corpus.schema + corpus.schema[:1]))
+    C.save_corpus(corpus, tmp_path)
+    schema = json.loads((tmp_path / "schema.json").read_text())
+    schema["tables"].append(schema["tables"][0])
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    with pytest.raises(C.CorpusError, match=twice):
+        C.load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("50009", "expected code<TAB>description"),
+    ("50009\tsodium\tlevel", "expected code<TAB>description"),
+    ("50001\tsodium again", "code '50001' given twice"),
+])
+def test_load_names_row_of_bad_definition(tmp_path, row, reason):
+    C.save_corpus(C.generate_corpus(C.default_config(seed=3, n_patients=5)), tmp_path)
+    defs = tmp_path / "definitions.tsv"
+    lines = defs.read_text().splitlines()
+    assert lines[0].startswith("50001\t")
+    lines.insert(1, row)
+    defs.write_text("\n".join(lines) + "\n")
+    with pytest.raises(C.CorpusError) as info:
+        C.load_corpus(tmp_path)
+    assert str(info.value) == f"{defs}:2: {reason}"
+
+
 def test_generator_config_file_roundtrip(tmp_path):
     config = C.default_config(seed=4, n_patients=9)
     path = tmp_path / "config.json"
@@ -310,45 +343,6 @@ def test_load_sorts_non_monotone_timestamps(tmp_path):
     for p in loaded.patients:
         timestamps = [e.timestamp for e in p.events]
         assert timestamps == sorted(timestamps)
-
-
-def test_split_sizes_8_1_1():
-    corpus = C.generate_corpus(C.default_config(seed=2, n_patients=10))
-    train, valid, test = C.split_cohort(corpus, (0.8, 0.1, 0.1), seed=0)
-    assert (len(train.patients), len(valid.patients), len(test.patients)) == (8, 1, 1)
-
-
-def test_split_all_train():
-    corpus = C.generate_corpus(C.default_config(seed=2, n_patients=10))
-    train, valid, test = C.split_cohort(corpus, (1.0, 0.0, 0.0), seed=0)
-    assert len(train.patients) == 10
-    assert not valid.patients and not test.patients
-
-
-def test_split_partition_is_exact():
-    corpus = C.generate_corpus(C.default_config(seed=4, n_patients=23))
-    parts = C.split_cohort(corpus, (0.8, 0.1, 0.1), seed=5)
-    ids = [p.patient_id for part in parts for p in part.patients]
-    assert sorted(ids) == sorted(p.patient_id for p in corpus.patients)
-    assert len(set(ids)) == len(ids)
-
-
-def test_split_stratified_within_one():
-    corpus = C.generate_corpus(C.default_config(seed=6, n_patients=100))
-    # force an exact 50/50 label balance
-    for i, p in enumerate(corpus.patients):
-        p.labels["outcome"] = i % 2
-    parts = C.split_cohort(corpus, (0.8, 0.1, 0.1), seed=1, stratify_on="outcome")
-    for part, expected in zip(parts, (80, 10, 10)):
-        positives = sum(p.labels["outcome"] for p in part.patients)
-        assert abs(positives - len(part.patients) / 2) <= 1
-        assert abs(len(part.patients) - expected) <= 1
-
-
-def test_split_missing_label_errors():
-    corpus = C.generate_corpus(C.default_config(seed=2, n_patients=4))
-    with pytest.raises(C.CorpusError):
-        C.split_cohort(corpus, (0.8, 0.1, 0.1), seed=0, stratify_on="nonexistent")
 
 
 def _accepts(parse, value):

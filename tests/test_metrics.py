@@ -2,7 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from ehrseq.cli import main
 from ehrseq.metrics import MetricError, auroc, token_accuracy
 from ehrseq.serializer import TokenStream
 from ehrseq.vocab import PAD_ID
@@ -78,6 +80,17 @@ def test_auroc_single_class_rejected():
 def test_auroc_non_finite_rejected():
     with pytest.raises(MetricError):
         auroc([0.1, float("nan")], [0, 1])
+
+
+@pytest.mark.parametrize("label", [2, -1, 0.5])
+def test_auroc_refuses_labels_other_than_0_1(tmp_path, label):
+    with pytest.raises(MetricError, match="labels must be 0 or 1"):
+        auroc([0.1, 0.5, 0.9], [0, label, 1])
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(f"0.1\t0\n0.5\t{label}\n0.9\t1\n")
+    result = CliRunner().invoke(main, ["metrics", "--scores", str(scores)])
+    assert result.exit_code == 1
+    assert result.output == f"error: {scores}:2: expected score<TAB>label\n"
 
 
 def brute_force_auroc(scores, labels):

@@ -127,6 +127,16 @@ def test_hierarchical_identity_second_stage():
     assert plan.event_plan.ops == []
 
 
+def test_encoder_plan_dispatches_on_backbone():
+    assert P.encoder_plan(P.CNN, 8192, 256, 64, 8, 4) == P.cnn_plan(8192, 256, 64, 8)
+    assert (P.encoder_plan(P.TRANSFORMER, 8192, 256, 64, 8, 4)
+            == P.transformer_plan(8192, 256, 64, 8, n_l=4))
+    with pytest.raises(P.PlanError, match="^unknown backbone 'banana'$"):
+        P.encoder_plan("banana", 8192, 256, 64, 8, 4)
+    with pytest.raises(P.PlanError, match="^unknown backbone 'banana'$"):
+        P.hierarchical_plan(256, 128, 256, P.LatentSpec(256, 8), "banana")
+
+
 def test_flattened_one_stage_plan():
     plan = P.cnn_plan(8192, 256, 64, 8)
     assert plan.input_shape == (8192, 256)
@@ -153,7 +163,7 @@ def test_compression_rate_rejects_non_divisor():
 def test_search_grid_2048():
     grid = dict(P.search_grid(2048, 2048))
     assert [spec.t for spec in grid[2048]] == [16, 32, 64, 128, 256]
-    assert all(spec.l == 2048 for spec in grid[2048])
+    assert all(spec.t * spec.c == 2048 for spec in grid[2048])
 
 
 def test_search_grid_five_specs_per_l():

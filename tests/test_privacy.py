@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -7,41 +6,8 @@ import pytest
 from ehrseq.privacy import (
     AttackConfig,
     PrivacyError,
-    hamming,
     membership_attack,
 )
-
-
-def test_hamming_identical():
-    assert hamming([1, 2, 3], [1, 2, 3]) == (0, 0.0)
-
-
-def test_hamming_all_different():
-    assert hamming([1, 2], [3, 4]) == (2, 1.0)
-
-
-def test_hamming_hand_value():
-    raw, norm = hamming([5, 0, 0, 7], [5, 1, 0, 8])
-    assert raw == 2 and norm == 0.5
-
-
-def test_hamming_rejects_length_mismatch():
-    with pytest.raises(PrivacyError):
-        hamming([1, 2], [1, 2, 3])
-
-
-def test_hamming_properties_vs_position_scan():
-    rng = random.Random(0)
-    for _ in range(1000):
-        n = rng.randint(1, 20)
-        a = [rng.randint(0, 3) for _ in range(n)]
-        b = [rng.randint(0, 3) for _ in range(n)]
-        c = [rng.randint(0, 3) for _ in range(n)]
-        raw, norm = hamming(a, b)
-        assert raw == sum(1 for x, y in zip(a, b) if x != y)
-        assert norm == raw / n
-        assert hamming(b, a) == (raw, norm)
-        assert hamming(a, c)[0] <= raw + hamming(b, c)[0]
 
 
 def streams(rows):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ehrseq.vq import Codebook, VQError, ema_update, quantize, vq_loss
+from ehrseq.vq import Codebook, VQError, ema_update, quantize
 
 
 def test_exact_match_piece():
@@ -72,31 +72,6 @@ def test_non_expansion_against_sampled_assemblies():
         alt_idx = rng.integers(0, 8, size=(4, 4))
         alt = book.entries[alt_idx.reshape(-1)].reshape(4, 8)
         assert chosen <= np.linalg.norm(z - alt) + 1e-12
-
-
-def test_loss_zero_case():
-    x = np.ones((2, 2))
-    assert vq_loss(x, x, x, x, beta=0.25) == (0.0, 0.0, 0.0)
-
-
-def test_loss_beta_zero():
-    x = np.array([1.0, 0.0])
-    z = np.array([2.0, 2.0])
-    total, recon, commit = vq_loss(x, np.zeros(2), z, np.zeros(2), beta=0.0)
-    assert commit == 0.0 and total == recon == 1.0
-
-
-def test_loss_hand_values():
-    total, recon, commit = vq_loss(
-        np.array([1.0, 0.0]), np.array([0.0, 0.0]),
-        np.array([1.0, 1.0]), np.array([0.0, 1.0]), beta=0.25,
-    )
-    assert (total, recon, commit) == (1.25, 1.0, 0.25)
-
-
-def test_loss_shape_mismatch():
-    with pytest.raises(VQError):
-        vq_loss(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), beta=0.1)
 
 
 def test_ema_full_decay_is_identity():
