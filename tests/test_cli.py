@@ -162,6 +162,25 @@ def test_quantize_roundtrip(runner, tmp_path):
     assert doc["commitment_term"] == pytest.approx(0.25 * doc["commitment_distance"])
 
 
+@pytest.mark.parametrize("beta", [None, "0", "0.25", "2"])
+def test_quantize_commitment_term_by_hand(runner, tmp_path, beta):
+    Codebook.new(np.asarray([[0.0, 0.0], [2.0, 2.0]])).save(tmp_path / "codebook.json")
+    # pieces (1, 0), (0, 0), (0, 0), (0, 0) all take code 0: squared distance 1
+    (tmp_path / "latent.json").write_text(json.dumps([[1.0] + [0.0] * 7]))
+    out = tmp_path / "q.json"
+    args = ["quantize", "--latent", str(tmp_path / "latent.json"),
+            "--codebook", str(tmp_path / "codebook.json"), "--out", str(out)]
+    result = runner.invoke(main, args + ([] if beta is None else ["--beta", beta]))
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.read_text())
+    assert doc["indices"] == [[0, 0, 0, 0]]
+    assert doc["commitment_distance"] == 1.0
+    if beta is None:
+        assert "commitment_term" not in doc
+    else:
+        assert doc["commitment_term"] == float(beta)
+
+
 def test_quantize_creates_missing_out_dir(runner, tmp_path):
     Codebook.new(np.zeros((2, 2))).save(tmp_path / "codebook.json")
     (tmp_path / "latent.json").write_text(json.dumps([[0.0] * 8]))

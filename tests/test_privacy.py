@@ -69,6 +69,35 @@ def test_min_over_all_synthetic_records():
     assert report.results[1].recall == 1.0
 
 
+@pytest.mark.parametrize("synthetic, distance", [
+    ([5, 0, 0, 7], 0.0),
+    ([5, 1, 0, 8], 0.5),
+    ([6, 1, 1, 8], 1.0),
+])
+def test_distance_is_share_of_mismatched_positions(synthetic, distance):
+    thresholds = (0.0, 0.25, 0.5, 0.75, 1.0)
+    report = membership_attack(
+        streams([[5, 0, 0, 7]]), streams([[9, 9, 9, 9]]), streams([synthetic]),
+        AttackConfig(n_r=1, thresholds=thresholds))
+    assert [0 in r.flagged for r in report.results] == [t >= distance for t in thresholds]
+
+
+def test_flags_match_a_position_scan():
+    rng = np.random.default_rng(5)
+    train = streams(rng.integers(0, 3, size=(12, 10)))
+    heldout = streams(rng.integers(0, 3, size=(12, 10)))
+    synthetic = streams(rng.integers(0, 3, size=(6, 10)))
+    thresholds = tuple(i / 10 for i in range(11))
+    report = membership_attack(
+        train, heldout, synthetic, AttackConfig(n_r=8, thresholds=thresholds, seed=3))
+    pool = ([train[i] for i in report.train_indices]
+            + [heldout[i] for i in report.heldout_indices])
+    nearest = [min(sum(1 for x, y in zip(record, s) if x != y) for s in synthetic) / 10
+               for record in pool]
+    for threshold, result in zip(thresholds, report.results):
+        assert result.flagged == [i for i, d in enumerate(nearest) if d <= threshold]
+
+
 def test_recall_monotone_in_threshold():
     rng = np.random.default_rng(13)
     train = streams(rng.integers(0, 4, size=(20, 16)))
