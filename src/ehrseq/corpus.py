@@ -109,6 +109,10 @@ class TableSpec:
     name: str
     columns: tuple[ColumnSpec, ...]
 
+    def __post_init__(self):
+        if not self.columns:
+            raise CorpusError(f"table {self.name!r} has no columns")
+
 
 def _at(p: PatientRecord, e: EventRecord) -> str:
     return f"patient {p.patient_id!r}, table {e.table_name!r}"
@@ -126,6 +130,16 @@ def _column_mismatch(names: list[str], columns: tuple) -> str:
     return f"column {next(n for n in given if given.count(n) > 1)!r}: given twice"
 
 
+def _check_schema(tables) -> None:
+    """Each table, and each column within its table, is named once."""
+    named = [("table", [t.name for t in tables])]
+    named += [(f"table {t.name!r}, column", [c.name for c in t.columns]) for t in tables]
+    for what, names in named:
+        twice = next((n for n in names if names.count(n) > 1), None)
+        if twice is not None:
+            raise CorpusError(f"{what} {twice!r}: named twice in the schema")
+
+
 @dataclass
 class Corpus:
     patients: list[PatientRecord]
@@ -133,15 +147,15 @@ class Corpus:
     schema: list[TableSpec]
 
     def validate(self) -> None:
-        """Each schema table is named once.  Events come in time order, each with
+        """Each schema table, and each column within its table, is named once.
+        Patient ids are not empty.  Events come in time order, each with
         exactly its schema table's columns, of the declared kinds, and with
         resolvable itemized codes; a breach names patient, table and column."""
+        _check_schema(self.schema)
         known = {t.name: {c.name: c.kind for c in t.columns} for t in self.schema}
-        if len(known) != len(self.schema):
-            names = [t.name for t in self.schema]
-            twice = next(name for name in names if names.count(name) > 1)
-            raise CorpusError(f"table {twice!r}: named twice in the schema")
-        for p in self.patients:
+        for i, p in enumerate(self.patients):
+            if not p.patient_id:
+                raise CorpusError(f"patient at position {i}: empty patient id")
             prev = -1
             for e in p.events:
                 if e.timestamp < prev:
@@ -179,9 +193,8 @@ class GeneratorConfig:
             raise CorpusError(f"events_per_patient minimum is {MIN_EVENTS} (cohort filter)")
         if hi < lo:
             raise CorpusError("events_per_patient range inverted")
+        _check_schema(self.tables)
         for table in self.tables:
-            if not table.columns:
-                raise CorpusError(f"table {table.name} has no columns")
             for col in table.columns:
                 if col.kind not in _CELL_KINDS:
                     raise CorpusError(f"column {table.name}.{col.name}: unknown type {col.kind!r}")
@@ -276,9 +289,8 @@ def generate_corpus(config: GeneratorConfig) -> Corpus:
             cells = tuple((c.name, _generate_cell(rng, c)) for c in table.columns)
             events.append(EventRecord(table.name, cells, ts))
         patients.append(PatientRecord(f"p{i:05d}", events, labels={"outcome": rng.randint(0, 1)}))
-    corpus = Corpus(patients, dict(config.definitions), list(config.tables))
-    corpus.validate()
-    return corpus
+    # valid by construction from a valid config; `corpus_files` validates it on write
+    return Corpus(patients, dict(config.definitions), list(config.tables))
 
 
 def _from_json(cls, raw):
@@ -434,6 +446,8 @@ def load_corpus(path: Path | str) -> Corpus:
             if len(fields) != len(expected):
                 raise CorpusError(f"{table_path}:{row_no}: unpaired column/cell row")
             pid, ts_raw = fields[0], fields[1]
+            if not pid:
+                raise CorpusError(f"{table_path}:{row_no}: empty patient id")
             if not _TIMESTAMP.fullmatch(ts_raw):
                 raise CorpusError(f"{table_path}:{row_no}: bad timestamp {ts_raw!r}")
             ts = int(ts_raw)

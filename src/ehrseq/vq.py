@@ -10,6 +10,11 @@ from pathlib import Path
 import numpy as np
 
 
+# Bytes one chunk of the nearest-code search may spend on its float64
+# (pieces, K, width) difference array; `quantize` holds at most about twice it.
+ASSIGN_BUDGET_BYTES = 32 * 2**20
+
+
 class VQError(ValueError):
     pass
 
@@ -25,8 +30,8 @@ class Codebook:
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.float64)
-        if self.entries.ndim != 2 or self.entries.shape[0] < 1:
-            raise VQError("codebook needs at least one entry vector")
+        if self.entries.ndim != 2 or 0 in self.entries.shape:
+            raise VQError("codebook needs at least one entry vector of width >= 1")
         if not 0.0 < self.decay <= 1.0:
             raise VQError("decay must be in (0, 1]")
         self.ema_counts = np.asarray(self.ema_counts, dtype=np.float64)
@@ -86,7 +91,9 @@ class QuantizationResult:
 def quantize(z: np.ndarray, codebook: Codebook) -> QuantizationResult:
     """Quarter each fiber and replace each piece by its nearest code.
 
-    Ties break to the lowest code index.
+    Ties break to the lowest code index.  The search takes
+    `max(1, ASSIGN_BUDGET_BYTES // (8 * K * width))` pieces at a time, so its memory
+    stays bounded; where one piece's K x width row exceeds the budget, it takes one.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
@@ -100,10 +107,13 @@ def quantize(z: np.ndarray, codebook: Codebook) -> QuantizationResult:
         raise VQError("latent holds non-finite values")
 
     pieces = z.reshape(t * 4, codebook.width)
-    # squared distances via explicit differences so exact ties stay exact;
-    # argmin takes the lowest code index on ties
-    d2 = np.sum((pieces[:, None, :] - codebook.entries[None, :, :]) ** 2, axis=2)
-    indices = np.argmin(d2, axis=1)
+    step = max(1, ASSIGN_BUDGET_BYTES // (8 * codebook.size * codebook.width))
+    indices = np.empty(t * 4, dtype=np.intp)
+    for start in range(0, t * 4, step):
+        # squared distances via explicit differences so exact ties stay exact;
+        # argmin takes the lowest code index on ties
+        d2 = np.sum((pieces[start:start + step, None, :] - codebook.entries[None]) ** 2, axis=2)
+        indices[start:start + step] = np.argmin(d2, axis=1)
     z_q = codebook.entries[indices].reshape(t, c)
     commitment = float(np.sum((z - z_q) ** 2))
     return QuantizationResult(indices.reshape(t, 4), z_q, commitment)

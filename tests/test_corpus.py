@@ -98,7 +98,7 @@ def corpora(draw):
     ]
     timestamps = st.one_of(st.integers(0, 2), st.integers(0, WINDOW - 1))
     patients = []
-    for pid in sorted(draw(st.lists(st.text(max_size=5), max_size=3, unique=True))):
+    for pid in sorted(draw(st.lists(st.text(min_size=1, max_size=5), max_size=3, unique=True))):
         events = []
         for _ in range(draw(st.integers(C.MIN_EVENTS, C.MIN_EVENTS + 3))):
             table = draw(st.sampled_from(schema))
@@ -220,6 +220,62 @@ def test_table_named_twice_is_refused(tmp_path):
     (tmp_path / "schema.json").write_text(json.dumps(schema))
     with pytest.raises(C.CorpusError, match=twice):
         C.load_corpus(tmp_path)
+
+
+def test_column_named_twice_is_refused(tmp_path):
+    twice = "^table 'lab', column 'unit': named twice in the schema$"
+    config = C.default_config(seed=3, n_patients=4)
+    lab = config.tables[0]
+    doubled = dataclasses.replace(lab, columns=lab.columns + lab.columns[-1:])
+    with pytest.raises(C.CorpusError, match=twice):
+        C.generate_corpus(dataclasses.replace(config, tables=(doubled,) + config.tables[1:]))
+    corpus = C.generate_corpus(config)
+    with pytest.raises(C.CorpusError, match=twice):
+        C.corpus_files(dataclasses.replace(corpus, schema=[doubled] + corpus.schema[1:]))
+
+
+def test_gen_validates_the_corpus_once(tmp_path, monkeypatch):
+    calls = []
+    validate = C.Corpus.validate
+    monkeypatch.setattr(C.Corpus, "validate", lambda self: calls.append(1) or validate(self))
+    C.save_corpus(C.generate_corpus(C.default_config(seed=3, n_patients=4)), tmp_path)
+    assert len(calls) == 1
+
+
+def test_table_without_columns_is_refused(tmp_path):
+    with pytest.raises(C.CorpusError, match="^table 'lab' has no columns$"):
+        C.TableSpec("lab", ())
+    C.save_corpus(C.generate_corpus(C.default_config(seed=3, n_patients=5)), tmp_path)
+    schema_path = tmp_path / "schema.json"
+    schema = json.loads(schema_path.read_text())
+    schema["tables"][1]["columns"] = []
+    schema_path.write_text(json.dumps(schema))
+    with pytest.raises(C.CorpusError) as info:
+        C.load_corpus(tmp_path)
+    assert str(info.value) == f"{schema_path}: table 'prescription' has no columns"
+    config_path = tmp_path / "config.json"
+    config = _config_json(C.default_config(seed=3, n_patients=5))
+    config["tables"][0]["columns"] = []
+    config_path.write_text(json.dumps(config))
+    with pytest.raises(C.CorpusError, match="table 'lab' has no columns$"):
+        C.load_generator_config(config_path)
+
+
+def test_empty_patient_id_is_refused(tmp_path):
+    event = C.EventRecord("prescription", (("drug", C.text("aspirin")),), 0)
+    schema = [C.TableSpec("prescription", (C.ColumnSpec("drug", C.TEXT),))]
+    corpus = C.Corpus([C.PatientRecord("p1", [event] * C.MIN_EVENTS),
+                       C.PatientRecord("", [event] * C.MIN_EVENTS)], {}, schema)
+    with pytest.raises(C.CorpusError, match="^patient at position 1: empty patient id$"):
+        C.save_corpus(corpus, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    corpus.patients.pop()
+    C.save_corpus(corpus, tmp_path / "out")
+    table = tmp_path / "out" / "prescription.tsv"
+    table.write_text(table.read_text() + "\t0\taspirin\n")
+    with pytest.raises(C.CorpusError) as info:
+        C.load_corpus(tmp_path / "out")
+    assert str(info.value) == f"{table}:{C.MIN_EVENTS + 2}: empty patient id"
 
 
 @pytest.mark.parametrize("row, reason", [

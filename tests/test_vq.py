@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ehrseq import vq
 from ehrseq.vq import Codebook, VQError, ema_update, quantize
 
 
@@ -43,6 +45,19 @@ def test_quantize_rejects_bad_widths():
         quantize(np.zeros((2, 8)), book)  # piece width 2 != 3
 
 
+def _brute_force_indices(z, book):
+    """Each piece's nearest code by a plain loop; the first of equals wins."""
+    indices = []
+    for piece in z.reshape(-1, book.width):
+        best, best_d = 0, float("inf")
+        for j in range(book.size):
+            d = float(np.sum((piece - book.entries[j]) ** 2))
+            if d < best_d:
+                best, best_d = j, d
+        indices.append(best)
+    return np.asarray(indices).reshape(z.shape[0], 4)
+
+
 def test_brute_force_argmin_oracle():
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -51,15 +66,56 @@ def test_brute_force_argmin_oracle():
         t = rng.integers(1, 5)
         book = Codebook.new(rng.normal(size=(k, width)))
         z = rng.normal(size=(t, 4 * width))
-        result = quantize(z, book)
-        pieces = z.reshape(t * 4, width)
-        for i, piece in enumerate(pieces):
-            best, best_d = 0, float("inf")
-            for j in range(k):
-                d = float(np.sum((piece - book.entries[j]) ** 2))
-                if d < best_d:
-                    best, best_d = j, d
-            assert result.indices.reshape(-1)[i] == best
+        np.testing.assert_array_equal(quantize(z, book).indices, _brute_force_indices(z, book))
+
+
+# codes 4 and 5 copy codes 1 and 2; of 20 pieces, those equal to the higher
+# copies sit on both sides of the boundaries of 3- and 7-piece chunks
+_TIED_AT = {0: 4, 2: 5, 3: 4, 6: 5, 7: 4, 13: 4, 14: 5, 17: 5, 18: 4, 19: 5}
+
+
+@pytest.mark.parametrize("budget", [
+    8 * 6 * 3, 3 * 8 * 6 * 3, 7 * 8 * 6 * 3,  # 1, 3 and 7 pieces per chunk
+    8 * 6 * 3 - 1, 1,                         # less than one piece's K x width row
+])
+def test_chunked_search_matches_brute_force(monkeypatch, budget):
+    rng = np.random.default_rng(13)
+    entries = rng.normal(size=(6, 3))
+    entries[4], entries[5] = entries[1], entries[2]
+    book = Codebook.new(entries)
+    pieces = rng.normal(size=(20, 3))
+    for i, code in _TIED_AT.items():
+        pieces[i] = entries[code]
+    z = pieces.reshape(5, 12)
+    whole = quantize(z, book)
+    monkeypatch.setattr(vq, "ASSIGN_BUDGET_BYTES", budget)
+    chunked = quantize(z, book)
+    expected = _brute_force_indices(z, book)
+    assert set(expected.reshape(-1)[list(_TIED_AT)]) == {1, 2}
+    np.testing.assert_array_equal(chunked.indices, expected)
+    np.testing.assert_array_equal(chunked.indices, whole.indices)
+    z_q = book.entries[expected].reshape(z.shape)
+    np.testing.assert_array_equal(chunked.z_q, z_q)
+    assert chunked.commitment_distance == float(np.sum((z - z_q) ** 2))
+
+
+def test_search_memory_stays_within_the_budget():
+    rng = np.random.default_rng(17)
+    book = Codebook.new(rng.normal(size=(1024, 64)))
+    z = rng.normal(size=(256, 256))
+    tracemalloc.start()
+    try:
+        quantize(z, book)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # without chunks the (1024 pieces, 1024 codes, 64) differences alone are 512 MB
+    assert peak < 2 * vq.ASSIGN_BUDGET_BYTES + 4 * (z.nbytes + book.entries.nbytes)
+
+
+def test_codebook_refuses_zero_width_entries():
+    with pytest.raises(VQError, match="width >= 1"):
+        Codebook.new(np.zeros((2, 0)))
 
 
 def test_non_expansion_against_sampled_assemblies():
