@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .corpus import Corpus, is_decimal
+from .corpus import CellValue, Corpus, is_decimal
 from .serializer import DEFECT_NOT_TABLE_FIRST as NOT_TABLE_FIRST
 from .serializer import DEFECT_UNPAIRED_COLUMN as UNPAIRED_COLUMN
 from .serializer import ReconstructedEvent, textualize_cell
@@ -47,11 +47,30 @@ class SubwordSet:
     units: set[str]
 
 
+def _name_index(names: set[str]) -> dict[str, list[tuple[tuple[str, ...], str]]]:
+    """First word -> (words, name) of each name that starts with it, longest
+    first; among names of equal length the one sorting first comes first, so
+    of two names with the same words the first in sorted order always wins."""
+    index: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+    for name in sorted(names):
+        words = tuple(name.split())
+        if not words:
+            raise AuditError(f"blank table or column name {name!r}")
+        index.setdefault(words[0], []).append((words, name))
+    for entries in index.values():
+        entries.sort(key=lambda entry: -len(entry[0]))  # stable
+    return index
+
+
 @dataclass
 class TripleSet:
     tables: set[str]
     columns: dict[str, set[str]]  # table -> column names
     content: dict[tuple[str, str], NumericRange | SubwordSet]
+
+    def __post_init__(self):  # a triple set is not changed once built
+        self._table_index = _name_index(self.tables)
+        self._column_index = {t: _name_index(cols) for t, cols in self.columns.items()}
 
 
 def _parse_decimal(text: str) -> Optional[float]:
@@ -69,7 +88,8 @@ def build_triples(real: Corpus, vocab: Vocabulary) -> TripleSet:
     """
     if not real.patients:
         raise AuditError("cannot build triples from an empty corpus")
-    observed: dict[tuple[str, str], list[str]] = {}
+    # (table, column) -> its distinct cells, in order of first sight, each textualized
+    observed: dict[tuple[str, str], dict[CellValue, str]] = {}
     tables: set[str] = set()
     columns: dict[str, set[str]] = {}
     for p in real.patients:
@@ -79,18 +99,18 @@ def build_triples(real: Corpus, vocab: Vocabulary) -> TripleSet:
             for col_name, cell in e.columns:
                 col = col_name.casefold()
                 columns.setdefault(table, set()).add(col)
-                observed.setdefault((table, col), []).append(
-                    textualize_cell(cell, real.definitions)
-                )
+                texts = observed.setdefault((table, col), {})
+                if cell not in texts:
+                    texts[cell] = textualize_cell(cell, real.definitions)
 
     content: dict[tuple[str, str], NumericRange | SubwordSet] = {}
     for key, texts in observed.items():
-        values = [_parse_decimal(t) for t in texts]
+        values = [_parse_decimal(t) for t in texts.values()]
         if all(v is not None for v in values):
             content[key] = NumericRange(min(values), max(values))
         else:
             units: set[str] = set()
-            for t in texts:
+            for t in texts.values():
                 units.update(tokenize(t, vocab))
             content[key] = SubwordSet(units)
     return TripleSet(tables, columns, content)
@@ -113,33 +133,31 @@ def _structure_raw_event(event: ReconstructedEvent, triples: TripleSet) -> Recon
     alternating longest column-name matches with contents running to the
     next recognized column name.
     """
-    words = list(event.words or [])
+    words = tuple(event.words or ())
     structured = ReconstructedEvent(timegap=event.timegap)
 
-    def match_prefix(pos: int, names: set[str]) -> Optional[str]:
-        best = None
-        for name in names:
-            name_words = name.split()
-            if words[pos:pos + len(name_words)] == name_words:
-                if best is None or len(name_words) > len(best.split()):
-                    best = name
-        return best
+    def longest_name(pos: int, index: dict) -> Optional[tuple[tuple[str, ...], str]]:
+        for entry in index.get(words[pos], ()):
+            if words[pos:pos + len(entry[0])] == entry[0]:
+                return entry
+        return None
 
-    table = match_prefix(0, triples.tables) if words else None
-    if table is None:
+    match = longest_name(0, triples._table_index) if words else None
+    if match is None:
         structured.defect = NOT_TABLE_FIRST
         return structured
-    structured.table = table
-    pos = len(table.split())
-    col_names = triples.columns.get(table, set())
+    table_words, structured.table = match
+    pos = len(table_words)
+    col_index = triples._column_index.get(structured.table, {})
     while pos < len(words):
-        col = match_prefix(pos, col_names)
-        if col is None:
+        match = longest_name(pos, col_index)
+        if match is None:
             structured.defect = UNKNOWN_TABLE_COLUMN
             return structured
-        pos += len(col.split())
+        col_words, col = match
+        pos += len(col_words)
         content_words: list[str] = []
-        while pos < len(words) and match_prefix(pos, col_names) is None:
+        while pos < len(words) and longest_name(pos, col_index) is None:
             content_words.append(words[pos])
             pos += 1
         if not content_words:

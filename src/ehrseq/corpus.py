@@ -131,10 +131,14 @@ def _column_mismatch(names: list[str], columns: tuple) -> str:
 
 
 def _check_schema(tables) -> None:
-    """Each table, and each column within its table, is named once."""
+    """Each table, and each column within its table, is named once, and each
+    name holds at least one word: the audit matches names word by word."""
     named = [("table", [t.name for t in tables])]
     named += [(f"table {t.name!r}, column", [c.name for c in t.columns]) for t in tables]
     for what, names in named:
+        blank = next((n for n in names if not str(n).split()), None)
+        if blank is not None:
+            raise CorpusError(f"{what} {blank!r}: blank name in the schema")
         twice = next((n for n in names if names.count(n) > 1), None)
         if twice is not None:
             raise CorpusError(f"{what} {twice!r}: named twice in the schema")
@@ -428,6 +432,7 @@ def load_corpus(path: Path | str) -> Corpus:
             definitions[fields[0]] = fields[1]
 
     by_patient: dict[str, list[EventRecord]] = {}
+    distinct_cells = {}  # (column, kind, value) -> its (column, cell), checked once
     for table in schema:
         table_path = root / f"{table.name}.tsv"
         if not table_path.exists():
@@ -453,13 +458,17 @@ def load_corpus(path: Path | str) -> Corpus:
             ts = int(ts_raw)
             cells = []
             for spec, value in zip(table.columns, fields[2:]):
-                try:
-                    if spec.kind == ITEMIZED and value not in definitions:
-                        raise CorpusError(f"unknown code {value!r}")
-                    cells.append((spec.name, CellValue(spec.kind, value)))
-                except CorpusError as exc:
-                    raise CorpusError(
-                        f"{table_path}:{row_no}: column {spec.name!r}: {exc}") from None
+                key = (spec.name, spec.kind, value)
+                cell = distinct_cells.get(key)
+                if cell is None:
+                    try:
+                        if spec.kind == ITEMIZED and value not in definitions:
+                            raise CorpusError(f"unknown code {value!r}")
+                        cell = distinct_cells[key] = (spec.name, CellValue(spec.kind, value))
+                    except CorpusError as exc:
+                        raise CorpusError(
+                            f"{table_path}:{row_no}: column {spec.name!r}: {exc}") from None
+                cells.append(cell)
             by_patient.setdefault(pid, []).append(EventRecord(table.name, tuple(cells), ts))
 
     window = OBSERVATION_WINDOW_HOURS * 3600

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import json
+from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -304,63 +305,47 @@ class ReconstructedEvent:
 
 
 def _event_segments(stream: TokenStream):
+    tokens, labels = stream.tokens, stream.type_labels
     if stream.layout == "hierarchical":
-        counts = _token_counts(stream.tokens)
+        counts = _token_counts(tokens)
         for row in np.flatnonzero(counts):
-            count = counts[row]
-            yield (
-                stream.tokens[row, :count],
-                None if stream.type_labels is None else stream.type_labels[row, :count],
-            )
+            n = counts[row]
+            yield tokens[row, :n], None if labels is None else labels[row, :n]
+    elif stream.event_boundaries is not None:
+        for s, e in stream.event_boundaries:
+            yield tokens[s:e], None if labels is None else labels[s:e]
     else:
-        if stream.event_boundaries is not None:
-            for s, e in stream.event_boundaries:
-                yield stream.tokens[s:e], (
-                    None if stream.type_labels is None else stream.type_labels[s:e]
-                )
-        else:
-            # no boundaries: split on timegap tokens
-            tokens = stream.tokens[stream.tokens != PAD_ID]
-            start = 0
-            for i, tid in enumerate(tokens):
-                if is_timegap_id(tid):
-                    yield tokens[start:i + 1], None
-                    start = i + 1
-            if start < len(tokens):
-                yield tokens[start:], None
+        # no boundaries: an event ends after each time-gap token
+        tokens = tokens[tokens != PAD_ID]
+        ends = (np.flatnonzero(is_timegap_id(tokens)) + 1).tolist()
+        for start, end in zip([0] + ends, ends + [len(tokens)]):
+            if start < end:
+                yield tokens[start:end], None
 
 
 def _parse_labeled(units: list[str], labels: list[int]) -> ReconstructedEvent:
-    runs: list[tuple[int, list[str]]] = []
-    for unit, label in zip(units, labels):
-        if runs and runs[-1][0] == label:
-            runs[-1][1].append(unit)
-        else:
-            runs.append((label, [unit]))
+    cuts = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
+    runs = [(labels[s], units[s:e])
+            for s, e in zip([0] + cuts, cuts + [len(labels)]) if s < e]
 
     event = ReconstructedEvent()
-    if not runs or runs[0][0] != int(TokenType.TABLE_NAME):
+    if not runs or runs[0][0] != TokenType.TABLE_NAME:
         event.defect = DEFECT_NOT_TABLE_FIRST
     idx = 0
     while idx < len(runs):
         label, run_units = runs[idx]
-        if label == int(TokenType.TABLE_NAME):
+        idx += 1
+        if label == TokenType.TABLE_NAME:
             event.table = detokenize(run_units)
+        elif (label == TokenType.COLUMN_NAME and idx < len(runs)
+              and runs[idx][0] == TokenType.COLUMN_VALUE):
+            event.pairs.append((detokenize(run_units), detokenize(runs[idx][1])))
             idx += 1
-        elif label == int(TokenType.COLUMN_NAME):
-            if idx + 1 < len(runs) and runs[idx + 1][0] == int(TokenType.COLUMN_VALUE):
-                event.pairs.append((detokenize(run_units), detokenize(runs[idx + 1][1])))
-                idx += 2
-            else:
-                event.defect = event.defect or DEFECT_UNPAIRED_COLUMN
-                idx += 1
-        elif label == int(TokenType.TIMEGAP):
+        elif label == TokenType.TIMEGAP:
             event.timegap = run_units[-1]
-            idx += 1
         else:
-            # value without a preceding column name
+            # a column name without a value, or a value without a column name
             event.defect = event.defect or DEFECT_UNPAIRED_COLUMN
-            idx += 1
     return event
 
 
@@ -369,18 +354,22 @@ def detokenize_events(stream: TokenStream, vocab: Vocabulary) -> list[Reconstruc
 
     Label-carrying streams parse exactly; label-less streams fall back to
     splitting on time-gap tokens and return raw word lists for the audit
-    to structure against its triple set.
+    to structure against its triple set.  A token id outside the vocabulary
+    is refused, naming the patient.
     """
+    tokens, unit_of, n_units = stream.tokens, vocab.units, len(vocab)
+    if tokens.size and not 0 <= tokens.min() <= tokens.max() < n_units:
+        bad = tokens[(tokens < 0) | (tokens >= n_units)].flat[0]
+        raise SerializeError(f"patient {stream.patient_id!r}: token id {bad} is outside "
+                             f"the vocabulary of {n_units} units")
     events = []
     for token_ids, labels in _event_segments(stream):
-        units = [vocab.unit(int(t)) for t in token_ids]
+        ids = token_ids.tolist()
+        units = [unit_of[t] for t in ids]
         if labels is not None:
-            events.append(_parse_labeled(units, [int(x) for x in labels]))
+            events.append(_parse_labeled(units, labels.tolist()))
         else:
-            timegap = None
-            if units and is_timegap_id(int(token_ids[-1])):
-                timegap = units[-1]
-                units = units[:-1]
+            timegap = units.pop() if ids and is_timegap_id(ids[-1]) else None
             words = detokenize(units).split(" ") if units else []
             events.append(ReconstructedEvent(timegap=timegap, words=words))
     return events
@@ -411,6 +400,31 @@ def save_streams(streams: list[TokenStream], path: Path | str) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+def _not_an_integer(text: str):
+    raise SerializeError(f"value {text} is not an integer")
+
+
+# floats, NaN and Infinity are refused while parsing; integers keep the fast path
+_RECORD_DECODER = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
+
+
+def _int32s(values, name: str) -> np.ndarray:
+    """A channel's JSON list of integers, or of equal-length lists of them, as
+    int32.  Strings, nulls and values past 32 bits are refused; JSON true and
+    false pass as 1 and 0, since catching them would take a step per value."""
+    nested = isinstance(values, list) and bool(values) and isinstance(values[0], list)
+    rows, cells = values if nested else [values], array("i")
+    try:
+        for row in rows:
+            cells.fromlist(row)
+    except (TypeError, OverflowError) as exc:
+        raise SerializeError(f"{name}: {exc}") from None
+    if len(set(map(len, rows))) > 1:
+        raise SerializeError(f"{name}: rows of inhomogeneous length")
+    out = np.frombuffer(cells, dtype=np.intc)  # typecode "i": a C int, 32 bits wide
+    return out.reshape(len(rows), len(rows[0])) if nested else out
+
+
 def load_streams(path: Path | str) -> list[TokenStream]:
     """Read stream records, de-padded or dense; bad input names file and line."""
     streams = []
@@ -419,7 +433,7 @@ def load_streams(path: Path | str) -> list[TokenStream]:
             if not line.strip():
                 continue
             try:
-                streams.append(_stream_from_record(json.loads(line)))
+                streams.append(_stream_from_record(_RECORD_DECODER.decode(line)))
             except json.JSONDecodeError as exc:
                 raise SerializeError(f"{path}, line {lineno}: malformed JSON "
                                      f"({exc.msg} at column {exc.pos + 1})") from exc
@@ -440,10 +454,10 @@ def _stream_from_record(r) -> TokenStream:
         mask = _prefix_mask(shape, r["lengths"])
 
         def channel(name, fill):
-            return _dense(np.asarray(r[name], dtype=np.int32), mask, shape, fill)
+            return _dense(_int32s(r[name], name), mask, shape, fill)
     else:
         def channel(name, fill):
-            return np.asarray(r[name], dtype=np.int32)
+            return _int32s(r[name], name)
 
     tokens, types, dpes = (None if r.get(name) is None else channel(name, fill)
                            for name, fill in zip(_CHANNELS, _FILLS))

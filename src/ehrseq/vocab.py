@@ -35,8 +35,9 @@ UNK_ID = RESERVED.index(UNK)
 TIMEGAP_ID0 = RESERVED.index(timegap_unit(0))
 
 
-def is_timegap_id(token_id: int) -> bool:
-    return TIMEGAP_ID0 <= token_id < TIMEGAP_ID0 + N_TIMEGAP_TOKENS
+def is_timegap_id(token_id):
+    """Whether a token id, or each id of an array, is a time-gap token."""
+    return (TIMEGAP_ID0 <= token_id) & (token_id < TIMEGAP_ID0 + N_TIMEGAP_TOKENS)
 
 
 class VocabError(ValueError):
@@ -54,6 +55,9 @@ class Vocabulary:
             raise VocabError("reserved entries must occupy the lowest indices")
         if len(set(self.units)) != len(self.units):
             raise VocabError("duplicate vocabulary units")
+        blank = next((u for u in self.units if u.split() != [u]), None)
+        if blank is not None:  # tokenize never emits such a unit; detokenize relies on it
+            raise VocabError(f"vocabulary unit {blank!r} is empty or holds whitespace")
         self._index = {u: i for i, u in enumerate(self.units)}
         self._max_len = max((len(u.removeprefix(CONTINUATION)) for u in self.units), default=1)
         self._word_units: dict[str, list[str]] = {}  # tokenize's memo of tokenize_word
@@ -63,9 +67,6 @@ class Vocabulary:
 
     def __contains__(self, unit: str) -> bool:
         return unit in self._index
-
-    def unit(self, token_id: int) -> str:
-        return self.units[token_id]
 
     def encode(self, units: Iterable[str]) -> list[int]:
         return [self._index.get(u, UNK_ID) for u in units]
@@ -154,11 +155,6 @@ def tokenize(text: str, vocab: Vocabulary) -> list[str]:
 
 
 def detokenize(units: Iterable[str]) -> str:
-    """Rejoin subword units into space-separated words."""
-    words: list[str] = []
-    for u in units:
-        if u.startswith(CONTINUATION) and words:
-            words[-1] += u.removeprefix(CONTINUATION)
-        else:
-            words.append(u)
-    return " ".join(words)
+    """Rejoin subword units into space-separated words: a "##" unit joins
+    the word before it, minus its "##"; a first unit is kept whole."""
+    return " ".join(units).replace(" " + CONTINUATION, "")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from ehrseq import audit as A
 from ehrseq import corpus as C
@@ -196,3 +197,97 @@ def test_corruption_lowers_scores(small_corpus, small_vocab):
     assert clean.rce == 1.0 and dirty.rce == 0.0
     assert dirty.defect_counts[A.UNKNOWN_TABLE_COLUMN] == len(events)
 
+
+
+def build_triples_per_occurrence(real, vocab):
+    """Reference: every cell occurrence textualized, parsed and tokenized."""
+    observed, tables, columns = {}, set(), {}
+    for p in real.patients:
+        for e in p.events:
+            table = e.table_name.casefold()
+            tables.add(table)
+            for col_name, cell in e.columns:
+                col = col_name.casefold()
+                columns.setdefault(table, set()).add(col)
+                observed.setdefault((table, col), []).append(
+                    S.textualize_cell(cell, real.definitions))
+    content = {}
+    for key, texts in observed.items():
+        values = [A._parse_decimal(t) for t in texts]
+        if all(v is not None for v in values):
+            content[key] = A.NumericRange(min(values), max(values))
+        else:
+            content[key] = A.SubwordSet({u for t in texts for u in tokenize(t, vocab)})
+    return A.TripleSet(tables, columns, content)
+
+
+def test_build_triples_matches_the_per_occurrence_build(tmp_path, small_corpus, small_vocab):
+    C.save_corpus(small_corpus, tmp_path)
+    for corpus in (small_corpus, C.load_corpus(tmp_path)):
+        built = A.build_triples(corpus, small_vocab)
+        assert built == build_triples_per_occurrence(corpus, small_vocab)
+        assert any(isinstance(c, A.NumericRange) for c in built.content.values())
+        assert any(isinstance(c, A.SubwordSet) for c in built.content.values())
+
+
+def structure_by_scan(words, triples):
+    """Reference: at each position try every name; the longest match wins and,
+    of names with the same words, the first in sorted order."""
+    def match(pos, names):
+        best = None
+        for name in sorted(names):
+            if words[pos:pos + len(name.split())] == name.split():
+                if best is None or len(name.split()) > len(best.split()):
+                    best = name
+        return best
+
+    out = ReconstructedEvent(timegap="[tg1]")
+    table = match(0, triples.tables) if words else None
+    if table is None:
+        out.defect = A.NOT_TABLE_FIRST
+        return out
+    out.table, pos = table, len(table.split())
+    names = triples.columns.get(table, set())
+    while pos < len(words):
+        col = match(pos, names)
+        if col is None:
+            out.defect = A.UNKNOWN_TABLE_COLUMN
+            return out
+        pos += len(col.split())
+        content = []
+        while pos < len(words) and match(pos, names) is None:
+            content.append(words[pos])
+            pos += 1
+        if not content:
+            out.defect = A.UNPAIRED_COLUMN
+            return out
+        out.pairs.append((col, " ".join(content)))
+    return out
+
+
+# names of one to three words that often share a first word; a double space
+# makes two names with the same words
+NAMES = st.builds(lambda words, sep: sep.join(words),
+                  st.lists(st.sampled_from("abc"), min_size=1, max_size=3),
+                  st.sampled_from([" ", " ", "  "]))
+
+
+@given(st.sets(NAMES, min_size=1, max_size=5).flatmap(
+           lambda tables: st.fixed_dictionaries({t: st.sets(NAMES, max_size=5) for t in tables})),
+       st.lists(st.sampled_from("abcz"), max_size=10))
+def test_raw_structuring_matches_a_longest_prefix_scan(columns, words):
+    triples = A.TripleSet(set(columns), columns, {})
+    raw = event(words=words, timegap="[tg1]")
+    assert A._structure_raw_event(raw, triples) == structure_by_scan(words, triples)
+
+
+def test_same_word_names_resolve_to_the_first_in_sorted_order():
+    for order in (["item id", "item  id"], ["item  id", "item id"]):
+        triples = A.TripleSet({"lab"}, {"lab": set(order)}, {})
+        raw = event(words=["lab", "item", "id", "5"])
+        assert A._structure_raw_event(raw, triples).pairs == [("item  id", "5")]
+
+
+def test_blank_names_are_refused_by_the_triple_set():
+    with pytest.raises(A.AuditError, match="blank table or column name ' '"):
+        A.TripleSet({"lab"}, {"lab": {"value", " "}}, {})

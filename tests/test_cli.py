@@ -110,6 +110,26 @@ def test_audit_rejects_bad_stream_line(runner, tmp_path, corrupt, reason):
     assert f"{streams}, line 2:" in result.output and reason in result.output
 
 
+@pytest.mark.parametrize("bad", [5000, -1])
+def test_audit_refuses_token_ids_outside_the_vocabulary(runner, tmp_path, bad):
+    corpus_dir, out = serialize_corpus(runner, tmp_path)
+    streams = out / "streams_flat.jsonl"
+    lines = streams.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["tokens"][1] = bad
+    lines[2] = json.dumps(record)
+    streams.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, [
+        "audit", "--real", str(corpus_dir), "--generated", str(streams),
+        "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "audit")])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"error: patient {record['patient_id']!r}: token id {bad} "
+                                    "is outside the vocabulary")
+    assert result.output.count("\n") == 1
+    assert not (tmp_path / "audit").exists()
+
+
 def test_plan_prints_golden_layers(runner, tmp_path):
     result = runner.invoke(main, ["plan", "--backbone", "cnn",
                                   "--input", "8192x256", "--output", "64x8",

@@ -76,7 +76,8 @@ def test_save_load_roundtrip(tmp_path):
 
 WINDOW = C.OBSERVATION_WINDOW_HOURS * 3600
 _UNSAFE = re.compile(r"[\t\n\r]")
-_SCHEMA_NAMES = st.text(alphabet="abcxyz _", min_size=1, max_size=5)
+# schema names hold at least one word (blank names are refused)
+_SCHEMA_NAMES = st.text(alphabet="abcxyz _", min_size=1, max_size=5).filter(lambda name: name.split())
 
 
 @st.composite
@@ -232,6 +233,55 @@ def test_column_named_twice_is_refused(tmp_path):
     corpus = C.generate_corpus(config)
     with pytest.raises(C.CorpusError, match=twice):
         C.corpus_files(dataclasses.replace(corpus, schema=[doubled] + corpus.schema[1:]))
+
+
+@pytest.mark.parametrize("blank", ["", " ", "\u00a0"])
+def test_blank_names_are_refused(tmp_path, blank):
+    config = C.default_config(seed=3, n_patients=5)
+    lab = config.tables[0]
+    renamed = dataclasses.replace(lab, columns=(dataclasses.replace(lab.columns[0], name=blank),)
+                                  + lab.columns[1:])
+    column = "^" + re.escape(f"table 'lab', column {blank!r}: blank name in the schema") + "$"
+    with pytest.raises(C.CorpusError, match=column):
+        C.generate_corpus(dataclasses.replace(config, tables=(renamed,) + config.tables[1:]))
+    corpus = C.generate_corpus(config)
+    with pytest.raises(C.CorpusError, match=re.escape(f"table {blank!r}: blank name")):
+        C.corpus_files(dataclasses.replace(
+            corpus, schema=[dataclasses.replace(lab, name=blank)] + corpus.schema[1:]))
+    C.save_corpus(corpus, tmp_path)
+    schema = json.loads((tmp_path / "schema.json").read_text())
+    schema["tables"][0]["columns"][0]["name"] = blank
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    lab_path = tmp_path / "lab.tsv"
+    lines = lab_path.read_text().split("\n")
+    lines[0] = lines[0].replace("item id", blank)
+    lab_path.write_text("\n".join(lines))
+    with pytest.raises(C.CorpusError, match=column):
+        C.load_corpus(tmp_path)
+
+
+def test_a_bad_cell_that_repeats_names_its_first_row(tmp_path):
+    """A value is checked once per load, keyed by column, kind and value: its
+    first bad row is named, and a value good in one column does not pass
+    unchecked in a column of another kind."""
+    schema = {"tables": [{"name": "note", "columns": [{"name": "value", "type": "text"}]},
+                         {"name": "lab", "columns": [{"name": "value", "type": "numeric"},
+                                                     {"name": "item", "type": "itemized"}]}]}
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    (tmp_path / "definitions.tsv").write_text("50001\tsodium\n")
+    (tmp_path / "note.tsv").write_text("patient_id\ttimestamp_seconds\tvalue\np1\t0\tabc\n")
+    lab = tmp_path / "lab.tsv"
+    header = "patient_id\ttimestamp_seconds\tvalue\titem\n"
+    rows = ["p1\t1\t5\t50001", "p1\t2\t5\t50001", "p1\t3\tabc\t50001", "p1\t4\tabc\t50001"]
+    lab.write_text(header + "\n".join(rows) + "\n")
+    with pytest.raises(C.CorpusError) as info:
+        C.load_corpus(tmp_path)
+    assert str(info.value) == f"{lab}:4: column 'value': numeric cell 'abc' is not a finite decimal"
+    rows = ["p1\t1\t5\t50001", "p1\t2\t5\t50009", "p1\t3\t5\t50009"]
+    lab.write_text(header + "\n".join(rows) + "\n")
+    with pytest.raises(C.CorpusError) as info:
+        C.load_corpus(tmp_path)
+    assert str(info.value) == f"{lab}:3: column 'item': unknown code '50009'"
 
 
 def test_gen_validates_the_corpus_once(tmp_path, monkeypatch):

@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from ehrseq import corpus as C
 from ehrseq import serializer as S
-from ehrseq.vocab import PAD_ID, RESERVED, Vocabulary, build_vocabulary
+from ehrseq.vocab import (PAD_ID, RESERVED, Vocabulary, build_vocabulary, detokenize,
+                          is_timegap_id)
 
 from conftest import corpus_texts
 
@@ -56,7 +57,7 @@ def test_serialize_event_numeric_tail():
     vocab = simple_vocab()
     event = C.EventRecord("lab", (("value", C.numeric("7.4")),), timestamp=0)
     ids, types, dpes = S.serialize_event(event, 0, vocab, {})
-    units = [vocab.unit(i) for i in ids]
+    units = [vocab.units[i] for i in ids]
     assert units == ["lab", "value", "7", ".", "4", "[tg0]"]
     assert types == [int(S.TokenType.TABLE_NAME), int(S.TokenType.COLUMN_NAME),
                      int(S.TokenType.COLUMN_VALUE), int(S.TokenType.COLUMN_VALUE),
@@ -182,6 +183,22 @@ def test_detokenize_label_less_splits_on_timegap(small_corpus, small_vocab):
     first = events[0]
     assert first.words is not None and first.timegap is not None
     assert first.words[0] == patient.events[0].table_name.casefold().split()[0]
+
+
+@pytest.mark.parametrize("bad", [-1, -2, 24, 5000])
+@pytest.mark.parametrize("labeled", [True, False])
+def test_detokenize_refuses_ids_outside_the_vocabulary(bad, labeled):
+    vocab = simple_vocab()
+    assert len(vocab) == 24
+    tokens = np.array([vocab.units.index("lab"), bad, RESERVED.index("[tg0]"), PAD_ID],
+                      dtype=np.int32)
+    labels = np.array([1, 3, 4, 0], dtype=np.int32) if labeled else None
+    stream = S.TokenStream("flattened", tokens, labels, patient_id="p9")
+    with pytest.raises(S.SerializeError) as err:
+        S.detokenize_events(stream, vocab)
+    assert str(err.value) == f"patient 'p9': token id {bad} is outside the vocabulary of 24 units"
+    tokens[1] = len(vocab) - 1
+    assert len(S.detokenize_events(stream, vocab)) == 1
 
 
 def reconstruct_from_dpe(chars, labels):
@@ -313,6 +330,17 @@ GOOD = {"patient_id": "p", "layout": "hierarchical", "shape": [2, 3], "lengths":
     (json.dumps({**GOOD, "shape": [2, 3, 1]}), "bad shape"),
     (json.dumps({k: v for k, v in GOOD.items() if k != "lengths"}), "missing field 'lengths'"),
     (json.dumps({**GOOD, "tokens": None}), "no tokens"),
+    (json.dumps({**GOOD, "tokens": [4, 4.7, 6]}), "value 4.7 is not an integer"),
+    (json.dumps({**GOOD, "tokens": [4, "5", 6]}),
+     "tokens: 'str' object cannot be interpreted as an integer"),
+    (json.dumps({**GOOD, "type_labels": [1, None, 0]}), "type_labels: 'NoneType' object"),
+    (json.dumps({**GOOD, "dpe_labels": [0, float("inf"), 0]}), "value Infinity is not an integer"),
+    (json.dumps({"layout": "flattened", "tokens": [4, float("nan")]}), "value NaN is not an integer"),
+    (json.dumps({"layout": "flattened", "tokens": [4, -4.0]}), "value -4.0 is not an integer"),
+    (json.dumps({"layout": "hierarchical", "tokens": [[4, 5], [6, "7"]]}), "'str' object"),
+    (json.dumps({"layout": "hierarchical", "tokens": [[[4]]]}), "'list' object"),
+    (json.dumps({"layout": "flattened", "tokens": [4, 2 ** 40]}), "greater than maximum"),
+    (json.dumps({"layout": "flattened", "tokens": "45"}), "tokens: arg must be list"),
 ])
 def test_load_rejects_bad_line_naming_file_and_line(tmp_path, line, reason):
     path = tmp_path / "bad.jsonl"
@@ -358,3 +386,60 @@ def test_flatten_and_segments_match_row_loop(tokens, n_t):
     assert flat.dpe_labels is None and flat.event_boundaries == boundaries
     segments = [(t.tolist(), y.tolist()) for t, y in S._event_segments(hier)]
     assert segments == [(t.tolist(), y.tolist()) for t, y in pieces]
+
+
+def segments_by_token_loop(tokens):
+    """Reference: de-padded ids split after each time-gap id, one id at a time."""
+    tokens = tokens[tokens != PAD_ID].tolist()
+    segments, start = [], 0
+    for i, tid in enumerate(tokens):
+        if is_timegap_id(tid):
+            segments.append(tokens[start:i + 1])
+            start = i + 1
+    return segments + ([tokens[start:]] if start < len(tokens) else [])
+
+
+@given(hnp.arrays(np.int32, st.integers(0, 40), elements=st.integers(0, 16)))
+def test_label_less_segments_match_the_token_loop(tokens):
+    stream = S.TokenStream("flattened", tokens)
+    assert [t.tolist() for t, _ in S._event_segments(stream)] == segments_by_token_loop(tokens)
+
+
+def parse_labeled_by_loop(units, labels):
+    """Reference: runs grown one unit at a time, then read run by run."""
+    runs = []
+    for unit, label in zip(units, labels):
+        if runs and runs[-1][0] == label:
+            runs[-1][1].append(unit)
+        else:
+            runs.append((label, [unit]))
+    event = S.ReconstructedEvent()
+    if not runs or runs[0][0] != S.TokenType.TABLE_NAME:
+        event.defect = S.DEFECT_NOT_TABLE_FIRST
+    idx = 0
+    while idx < len(runs):
+        label, run_units = runs[idx]
+        if label == S.TokenType.TABLE_NAME:
+            event.table = detokenize(run_units)
+            idx += 1
+        elif label == S.TokenType.COLUMN_NAME:
+            if idx + 1 < len(runs) and runs[idx + 1][0] == S.TokenType.COLUMN_VALUE:
+                event.pairs.append((detokenize(run_units), detokenize(runs[idx + 1][1])))
+                idx += 2
+            else:
+                event.defect = event.defect or S.DEFECT_UNPAIRED_COLUMN
+                idx += 1
+        elif label == S.TokenType.TIMEGAP:
+            event.timegap = run_units[-1]
+            idx += 1
+        else:
+            event.defect = event.defect or S.DEFECT_UNPAIRED_COLUMN
+            idx += 1
+    return event
+
+
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "##c", "[tg1]"]), st.integers(0, 5)),
+                max_size=12))
+def test_labeled_parse_matches_the_run_loop(pairs):
+    units, labels = [u for u, _ in pairs], [label for _, label in pairs]
+    assert S._parse_labeled(units, labels) == parse_labeled_by_loop(units, labels)

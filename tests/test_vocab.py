@@ -1,10 +1,12 @@
 import random
 
 from ehrseq import vocab as vocab_mod
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
 from ehrseq.vocab import (
     RESERVED,
+    VocabError,
     Vocabulary,
     build_vocabulary,
     detokenize,
@@ -78,3 +80,29 @@ def test_tokenize_runs_tokenize_word_once_per_distinct_word(monkeypatch):
     assert tokenize(text, vocab) == ["lympho", "cytes", "cytes", "lympho", "cytes"]
     assert tokenize(text, vocab) == ["lympho", "cytes", "cytes", "lympho", "cytes"]
     assert calls == ["lymphocytes", "cytes"]
+
+
+def detokenize_by_loop(units):
+    """Reference: a "##" unit joins the word before it; a first unit is kept whole."""
+    words = []
+    for u in units:
+        if u.startswith("##") and words:
+            words[-1] += u.removeprefix("##")
+        else:
+            words.append(u)
+    return " ".join(words)
+
+
+@given(st.lists(st.one_of(st.sampled_from(["##", "####", "##a", "a", "#", "[tg0]"]),
+                          st.text(alphabet="ab#", min_size=1, max_size=5))))
+@example(["##", "a"])
+@example(["##a", "##", "####", "b"])
+@example(["####", "##"])
+def test_detokenize_matches_the_unit_loop(units):
+    assert detokenize(units) == detokenize_by_loop(units)
+
+
+@pytest.mark.parametrize("unit", ["", "a b", "##a b", " a", "a\t", "a\u00a0"])
+def test_units_holding_whitespace_are_refused(unit):
+    with pytest.raises(VocabError, match="empty or holds whitespace"):
+        fixture_vocab(["a", unit])
