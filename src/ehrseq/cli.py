@@ -130,14 +130,17 @@ def serialize(in_dir, out_dir, vocab_path, min_count, n_e, n_tpe, n_t):
         vocab = Vocabulary.load(vocab_path)
     else:
         vocab = build_vocabulary(serializer.corpus_texts(corpus), min_count=min_count)
-    hier = [serializer.build_hierarchical(p, vocab, corpus.definitions, config)
-            for p in corpus.patients]
-    flat = [serializer.flatten(h, n_t=config.n_t) for h in hier]
+    # one patient's dense grid and flat stream at a time; only record text is kept
+    hier, flat = [], []
+    for p in corpus.patients:
+        grid = serializer.build_hierarchical(p, vocab, corpus.definitions, config)
+        hier.append(serializer.stream_record(grid))
+        flat.append(serializer.stream_record(serializer.flatten(grid, n_t=config.n_t)))
     _save(out_dir, "serialize", {"n_e": n_e, "n_tpe": n_tpe, "n_t": n_t},
           sorted(str(p) for p in Path(in_dir).glob("*.tsv")),
           {"vocab.txt": vocab.save,
-           "streams_hier.jsonl": lambda path: serializer.save_streams(hier, path),
-           "streams_flat.jsonl": lambda path: serializer.save_streams(flat, path)})
+           "streams_hier.jsonl": "".join(hier),
+           "streams_flat.jsonl": "".join(flat)})
     click.echo(f"serialized {len(hier)} patients to {out_dir}")
 
 

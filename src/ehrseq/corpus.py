@@ -397,10 +397,12 @@ def save_corpus(corpus: Corpus, out_dir: Path | str) -> None:
 def load_corpus(path: Path | str) -> Corpus:
     """Load a corpus directory; sorts events, applies the cohort filter.
 
-    Non-monotone timestamps are sorted, not rejected.  Rows failing the
-    declared column type, itemized codes missing from the definitions file,
-    and definitions rows without exactly one tab or repeating a code are load
-    errors naming the offending row.
+    Non-monotone timestamps are sorted, not rejected.  A schema naming a
+    table or column twice, or with a blank name, is refused before any table
+    file is read.  Rows failing the declared column type, itemized codes
+    missing from the definitions file, and definitions rows without exactly
+    one tab or repeating a code are load errors naming the offending row.
+    Every other invariant of `Corpus.validate` holds by construction.
     """
     root = Path(path)
     schema_path = root / "schema.json"
@@ -417,6 +419,7 @@ def load_corpus(path: Path | str) -> Corpus:
         raise CorpusError(f"{schema_path}: missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise CorpusError(f"{schema_path}: {exc}") from exc
+    _check_schema(schema)
 
     definitions: dict[str, str] = {}
     defs_path = root / "definitions.tsv"
@@ -478,7 +481,5 @@ def load_corpus(path: Path | str) -> Corpus:
         if len(events) < MIN_EVENTS:
             continue
         patients.append(PatientRecord(pid, events, labels.get(pid, {})))
-    corpus = Corpus(patients, definitions, schema)
-    corpus.validate()
-    return corpus
+    return Corpus(patients, definitions, schema)
 

@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -104,6 +104,21 @@ class TokenStream:
         for channel in (self.type_labels, self.dpe_labels):
             if channel is not None and channel.shape != self.tokens.shape:
                 raise SerializeError("label channel shape does not match token channel")
+        if self.event_boundaries is not None:
+            self.event_boundaries = _checked_bounds(self.event_boundaries,
+                                                    self.tokens.shape[-1])
+
+
+def _checked_bounds(bounds, length: int) -> list[tuple[int, int]]:
+    """Event boundaries as [start, end] integer pairs, 0 <= start <= end <= length."""
+    if not isinstance(bounds, list):
+        raise SerializeError("event_boundaries must be a list")
+    for b in bounds:
+        if not (isinstance(b, (list, tuple)) and len(b) == 2
+                and all(type(x) is int for x in b) and 0 <= b[0] <= b[1] <= length):
+            raise SerializeError(f"event boundary {b!r} is not [start, end] with "
+                                 f"0 <= start <= end <= {length}")
+    return [tuple(b) for b in bounds]
 
 
 def textualize_cell(cell: CellValue, definitions: dict[str, str]) -> str:
@@ -383,21 +398,25 @@ def detokenize_events(stream: TokenStream, vocab: Vocabulary) -> list[Reconstruc
 # omitted from "lengths".  A flat stream counts as one row.  Records without
 # "shape" are dense: every channel is the full nested list.
 
-def save_streams(streams: list[TokenStream], path: Path | str) -> None:
+def stream_record(stream: TokenStream) -> str:
+    """One stream as its de-padded JSON line, newline included."""
+    lengths = np.trim_zeros(_stored_lengths(stream), "b")
+    mask = _prefix_mask(stream.tokens.shape, lengths)
+    record = {
+        "patient_id": stream.patient_id,
+        "layout": stream.layout,
+        "shape": list(stream.tokens.shape),
+        "lengths": lengths.tolist(),
+    }
+    for name, channel in zip(_CHANNELS, _channels(stream)):
+        record[name] = None if channel is None else _payload(channel, mask).tolist()
+    record["event_boundaries"] = stream.event_boundaries
+    return json.dumps(record) + "\n"
+
+
+def save_streams(streams: Iterable[TokenStream], path: Path | str) -> None:
     with open(path, "w") as fh:
-        for s in streams:
-            lengths = np.trim_zeros(_stored_lengths(s), "b")
-            mask = _prefix_mask(s.tokens.shape, lengths)
-            record = {
-                "patient_id": s.patient_id,
-                "layout": s.layout,
-                "shape": list(s.tokens.shape),
-                "lengths": lengths.tolist(),
-            }
-            for name, channel in zip(_CHANNELS, _channels(s)):
-                record[name] = None if channel is None else _payload(channel, mask).tolist()
-            record["event_boundaries"] = s.event_boundaries
-            fh.write(json.dumps(record) + "\n")
+        fh.writelines(map(stream_record, streams))
 
 
 def _not_an_integer(text: str):
@@ -461,13 +480,12 @@ def _stream_from_record(r) -> TokenStream:
 
     tokens, types, dpes = (None if r.get(name) is None else channel(name, fill)
                            for name, fill in zip(_CHANNELS, _FILLS))
-    bounds = r.get("event_boundaries")
     return TokenStream(
         layout=r["layout"],
         tokens=tokens,
         type_labels=types,
         dpe_labels=dpes,
-        event_boundaries=None if bounds is None else [tuple(b) for b in bounds],
+        event_boundaries=r.get("event_boundaries"),
         patient_id=r.get("patient_id", ""),
     )
 

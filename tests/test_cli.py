@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 import ehrseq
 from ehrseq.cli import main
+from ehrseq.serializer import SerializerConfig
 from ehrseq.vq import Codebook
 
 
@@ -79,6 +81,48 @@ def test_serialize_writes_streams_and_vocab(runner, tmp_path):
     assert len((out / "streams_flat.jsonl").read_text().splitlines()) == 6
 
 
+@pytest.mark.parametrize("dims, hier_sha, flat_sha", [
+    ([], "06e732433a9832485a5a6614d26b0cbe99e0ca1e0393dc21ab60f99d67511324",
+     "6bedbd802210290d252872a6a23b688d15e9a356146cad0f0e171c7bc6a37e05"),
+    (["--n-e", "16", "--n-tpe", "16", "--n-t", "128"],
+     "e693237c879c3dc4b2f3f5eb4db76d39e7f2e239df0a082d56fef61f36f21b16",
+     "cfc589b7d64eb13ad34d7553f27dc25db90b98223cb3828a958e2a63de1c95bb"),
+])
+def test_serialize_bytes_are_pinned(runner, tmp_path, dims, hier_sha, flat_sha):
+    """The stream files of a fixed corpus, at the default dimensions and at
+    dimensions that cut events, rows and the flat stream, never change."""
+    runner.invoke(main, ["gen", "--seed", "7", "--n-patients", "40",
+                         "--out", str(tmp_path / "corpus")])
+    result = runner.invoke(main, ["serialize", "--in", str(tmp_path / "corpus"),
+                                  "--out", str(tmp_path / "out"), *dims])
+    assert result.exit_code == 0, result.output
+    digest = lambda name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+    assert (digest("streams_hier.jsonl"), digest("streams_flat.jsonl")) == (hier_sha, flat_sha)
+
+
+def test_serialize_memory_does_not_grow_with_the_patient_count(runner, tmp_path):
+    config = SerializerConfig()
+    one_patient = 3 * 4 * (config.n_e * config.n_tpe + config.n_t)  # int32 grid + flat stream
+    peaks, texts = {}, {}
+    for n in (8, 32):
+        corpus_dir, out = tmp_path / f"corpus{n}", tmp_path / f"streams{n}"
+        runner.invoke(main, ["gen", "--seed", "3", "--n-patients", str(n),
+                             "--out", str(corpus_dir)])
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["serialize", "--in", str(corpus_dir),
+                                          "--out", str(out)])
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        texts[n] = sum((out / name).stat().st_size
+                       for name in ("streams_hier.jsonl", "streams_flat.jsonl"))
+        # holding every patient's dense streams would take n * one_patient
+        assert peaks[n] < 3 * one_patient + 4 * texts[n]
+    assert peaks[32] - peaks[8] < one_patient
+
+
 def test_audit_of_own_serialization_is_perfect(runner, tmp_path):
     corpus_dir, out = serialize_corpus(runner, tmp_path)
     report_dir = tmp_path / "audit"
@@ -108,6 +152,24 @@ def test_audit_rejects_bad_stream_line(runner, tmp_path, corrupt, reason):
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert f"{streams}, line 2:" in result.output and reason in result.output
+
+
+def test_audit_refuses_bad_event_boundaries(runner, tmp_path):
+    corpus_dir, out = serialize_corpus(runner, tmp_path)
+    streams = out / "streams_flat.jsonl"
+    lines = streams.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["event_boundaries"][0] = ["0", "5"]
+    lines[2] = json.dumps(record)
+    streams.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, [
+        "audit", "--real", str(corpus_dir), "--generated", str(streams),
+        "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "audit")])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output == (f"error: {streams}, line 3: event boundary ['0', '5'] is not "
+                             "[start, end] with 0 <= start <= end <= 8192\n")
+    assert not (tmp_path / "audit").exists()
 
 
 @pytest.mark.parametrize("bad", [5000, -1])

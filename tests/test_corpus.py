@@ -235,6 +235,21 @@ def test_column_named_twice_is_refused(tmp_path):
         C.corpus_files(dataclasses.replace(corpus, schema=[doubled] + corpus.schema[1:]))
 
 
+_UNIT = {"name": "unit", "type": "text"}
+
+
+@pytest.mark.parametrize("tables, reason", [
+    ([{"name": "lab", "columns": [_UNIT]}] * 2, "table 'lab': named twice"),
+    ([{"name": "lab", "columns": [_UNIT] * 2}], "table 'lab', column 'unit': named twice"),
+    ([{"name": " ", "columns": [_UNIT]}], "table ' ': blank name"),
+])
+def test_load_refuses_a_bad_schema_before_reading_any_table(tmp_path, tables, reason):
+    """The directory holds no table file: the schema error comes first."""
+    (tmp_path / "schema.json").write_text(json.dumps({"tables": tables}))
+    with pytest.raises(C.CorpusError, match=f"^{re.escape(reason)} in the schema$"):
+        C.load_corpus(tmp_path)
+
+
 @pytest.mark.parametrize("blank", ["", " ", "\u00a0"])
 def test_blank_names_are_refused(tmp_path, blank):
     config = C.default_config(seed=3, n_patients=5)

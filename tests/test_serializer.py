@@ -261,8 +261,8 @@ def token_streams(draw):
         else (draw(st.integers(0, 12)),)
     channel = hnp.arrays(np.int32, shape, elements=cells)
     label = st.none() | channel
-    bounds = st.none() | st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
-                                  max_size=3)
+    ends = st.integers(0, shape[-1])
+    bounds = st.none() | st.lists(st.tuples(ends, ends).map(sorted).map(tuple), max_size=3)
     return S.TokenStream(layout, draw(channel), draw(label), draw(label),
                          draw(bounds), draw(st.text(max_size=5)))
 
@@ -315,6 +315,7 @@ def test_load_accepts_dense_records(tmp_path):
 
 GOOD = {"patient_id": "p", "layout": "hierarchical", "shape": [2, 3], "lengths": [2, 1],
         "tokens": [4, 5, 6], "type_labels": None, "dpe_labels": None, "event_boundaries": None}
+FLAT = {**GOOD, "layout": "flattened", "shape": [8], "lengths": [3], "event_boundaries": [[0, 3]]}
 
 
 @pytest.mark.parametrize("line, reason", [
@@ -341,6 +342,16 @@ GOOD = {"patient_id": "p", "layout": "hierarchical", "shape": [2, 3], "lengths":
     (json.dumps({"layout": "hierarchical", "tokens": [[[4]]]}), "'list' object"),
     (json.dumps({"layout": "flattened", "tokens": [4, 2 ** 40]}), "greater than maximum"),
     (json.dumps({"layout": "flattened", "tokens": "45"}), "tokens: arg must be list"),
+    (json.dumps({**FLAT, "event_boundaries": [["0", "5"]]}), "event boundary ['0', '5'] is not"),
+    (json.dumps({**FLAT, "event_boundaries": [[9000, 2]]}), "0 <= start <= end <= 8"),
+    (json.dumps({**FLAT, "event_boundaries": [[0, 3], [3, 1]]}), "boundary [3, 1] is not"),
+    (json.dumps({**FLAT, "event_boundaries": [[0, 9]]}), "boundary [0, 9] is not"),
+    (json.dumps({**FLAT, "event_boundaries": [[-1, 2]]}), "boundary [-1, 2] is not"),
+    (json.dumps({**FLAT, "event_boundaries": [[0]]}), "boundary [0] is not"),
+    (json.dumps({**FLAT, "event_boundaries": [[True, 1]]}), "boundary [True, 1] is not"),
+    (json.dumps({**FLAT, "event_boundaries": [[0, 1.0]]}), "value 1.0 is not an integer"),
+    (json.dumps({**FLAT, "event_boundaries": [3]}), "boundary 3 is not"),
+    (json.dumps({**FLAT, "event_boundaries": {"0": 3}}), "event_boundaries must be a list"),
 ])
 def test_load_rejects_bad_line_naming_file_and_line(tmp_path, line, reason):
     path = tmp_path / "bad.jsonl"
@@ -349,6 +360,11 @@ def test_load_rejects_bad_line_naming_file_and_line(tmp_path, line, reason):
         S.load_streams(path)
     assert str(err.value).startswith(f"{path}, line 3: ")
     assert reason in str(err.value)
+
+
+def test_stream_refuses_bounds_it_could_not_read_back():
+    with pytest.raises(S.SerializeError, match=r"boundary \(2, 5\) is not .* <= 4$"):
+        S.TokenStream("flattened", np.zeros(4, dtype=np.int32), event_boundaries=[(0, 2), (2, 5)])
 
 
 def flatten_by_rows(tokens, labels, n_t):
