@@ -92,20 +92,15 @@ def count_flops(plan: LayerPlan, cost_model: CostModel = CostModel()) -> int:
     return sum(flops for _, flops in layer_costs(plan, cost_model))
 
 
-@dataclass
-class PlanDefect:
-    message: str
-
-
-def validate_plan(plan: LayerPlan) -> list[PlanDefect]:
-    """Empty list iff shapes propagate and land on the declared output."""
+def validate_plan(plan: LayerPlan) -> list[str]:
+    """The plan's defect messages: empty iff shapes propagate and land on the
+    declared output."""
     try:
         trace = propagate_shapes(plan)
     except PlanError as exc:
-        return [PlanDefect(str(exc))]
+        return [str(exc)]
     if trace.output_shape != tuple(plan.output_shape):
-        return [PlanDefect(
-            f"terminal shape {trace.output_shape} != declared {tuple(plan.output_shape)}")]
+        return [f"terminal shape {trace.output_shape} != declared {tuple(plan.output_shape)}"]
     return []
 
 

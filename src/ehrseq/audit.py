@@ -116,16 +116,6 @@ def build_triples(real: Corpus, vocab: Vocabulary) -> TripleSet:
     return TripleSet(tables, columns, content)
 
 
-@dataclass
-class EventVerdict:
-    correct: bool
-    defect: Optional[str] = None
-
-    def __post_init__(self):
-        if self.correct == (self.defect is not None):
-            raise AuditError("verdict must be correct xor defect-marked")
-
-
 def _structure_raw_event(event: ReconstructedEvent, triples: TripleSet) -> ReconstructedEvent:
     """Infer (table, (column, content) pairs) from a raw word list.
 
@@ -168,38 +158,36 @@ def _structure_raw_event(event: ReconstructedEvent, triples: TripleSet) -> Recon
 
 
 def check_event(event: ReconstructedEvent, triples: TripleSet,
-                vocab: Vocabulary) -> EventVerdict:
-    """Syntax then semantics check of one reconstructed event."""
-    if event.defect is not None:
-        return EventVerdict(False, event.defect)
-
-    if event.words is not None:
+                vocab: Vocabulary) -> Optional[str]:
+    """Syntax then semantics check of one reconstructed event: its first
+    defect, or None when the event is correct."""
+    if event.words is not None and event.defect is None:
         event = _structure_raw_event(event, triples)
-        if event.defect is not None:
-            return EventVerdict(False, event.defect)
+    if event.defect is not None:
+        return event.defect
 
     if event.table is None:
-        return EventVerdict(False, NOT_TABLE_FIRST)
+        return NOT_TABLE_FIRST
     table = event.table.casefold()
     if table not in triples.tables:
-        return EventVerdict(False, UNKNOWN_TABLE_COLUMN)
+        return UNKNOWN_TABLE_COLUMN
     if not event.pairs:
-        return EventVerdict(False, UNPAIRED_COLUMN)
+        return UNPAIRED_COLUMN
     for col_name, content in event.pairs:
         col = col_name.casefold()
         key = (table, col)
         if col not in triples.columns.get(table, set()) or key not in triples.content:
-            return EventVerdict(False, UNKNOWN_TABLE_COLUMN)
+            return UNKNOWN_TABLE_COLUMN
         admissible = triples.content[key]
         if isinstance(admissible, NumericRange):
             value = _parse_decimal(content)
             if value is None or not (admissible.low <= value <= admissible.high):
-                return EventVerdict(False, NUMERIC_OUT_OF_RANGE)
+                return NUMERIC_OUT_OF_RANGE
         else:
             units = tokenize(content, vocab)
             if any(u not in admissible.units for u in units):
-                return EventVerdict(False, UNKNOWN_SUBWORD)
-    return EventVerdict(True)
+                return UNKNOWN_SUBWORD
+    return None
 
 
 @dataclass
@@ -229,14 +217,14 @@ def score(generated: list[list[ReconstructedEvent]], triples: TripleSet,
     for sample in generated:
         sample_ok = bool(sample)
         for event in sample:
-            verdict = check_event(event, triples, vocab)
+            defect = check_event(event, triples, vocab)
             total_events += 1
-            if verdict.correct:
+            if defect is None:
                 correct_events += 1
             else:
-                defect_counts[verdict.defect] += 1
+                defect_counts[defect] += 1
                 sample_ok = False
-            unique.setdefault(event.key(), verdict.correct)
+            unique.setdefault(event.key(), defect is None)
         if sample_ok:
             correct_samples += 1
 

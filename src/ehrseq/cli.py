@@ -20,7 +20,8 @@ from . import audit as audit_mod
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import planner, privacy, serializer, vq
-from .analyzer import CostModel, analysis_report, validate_plan
+from .analyzer import (FULL_ATTENTION, LINEAR_ATTENTION, CostModel, analysis_report,
+                       validate_plan)
 from .manifest import write_manifest
 from .vocab import Vocabulary, build_vocabulary
 
@@ -118,9 +119,9 @@ def load(in_dir):
 @click.option("--vocab", "vocab_path", type=click.Path(), default=None,
               help="Existing vocabulary; built from the corpus when omitted.")
 @click.option("--min-count", type=int, default=1)
-@click.option("--n-e", type=int, default=256)
-@click.option("--n-tpe", type=int, default=128)
-@click.option("--n-t", type=int, default=8192)
+@click.option("--n-e", type=int, default=serializer.SerializerConfig.n_e)
+@click.option("--n-tpe", type=int, default=serializer.SerializerConfig.n_tpe)
+@click.option("--n-t", type=int, default=serializer.SerializerConfig.n_t)
 @_run
 def serialize(in_dir, out_dir, vocab_path, min_count, n_e, n_tpe, n_t):
     """Serialize a corpus into hierarchical and flattened token streams."""
@@ -152,14 +153,13 @@ def serialize(in_dir, out_dir, vocab_path, min_count, n_e, n_tpe, n_t):
 @click.option("--layers", "n_l", type=int, default=4,
               help="Transformer layer count (ignored for CNN).")
 @click.option("--grid", default=None, help="LMIN:LMAX latent sweep instead of one plan.")
-@click.option("--kernel", type=int, default=5)
+@click.option("--kernel", type=int, default=CostModel.kernel)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_run
 def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
     """Emit a layer plan (or a latent-grid sweep) with its analysis report."""
     n, d = _parse_pair(input_shape, "x", "NxD shape")
-    cost = CostModel(kernel=kernel,
-                     attention_variant="linear" if backbone == planner.TRANSFORMER else "full")
+    cost = CostModel(kernel=kernel, attention_variant=LINEAR_ATTENTION)  # a CNN has no attention
     if grid:
         l_min, l_max = _parse_pair(grid, ":", "LMIN:LMAX")
         rows = ["l\tt\tc\tbackbone\trate\tparams\tflops"]
@@ -178,7 +178,7 @@ def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
     p = planner.encoder_plan(backbone, n, d, n_out, d_out, n_l)
     defects = validate_plan(p)
     if defects:
-        raise planner.PlanError("; ".join(d.message for d in defects))
+        raise planner.PlanError("; ".join(defects))
     report = analysis_report(p, cost)
     _save(out_dir, "plan", {"backbone": backbone, "input": input_shape,
                             "output": output_shape, "layers": n_l}, [],
@@ -192,8 +192,9 @@ def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
 
 @main.command()
 @click.option("--plan", "plan_path", type=click.Path(), required=True)
-@click.option("--kernel", type=int, default=5)
-@click.option("--attention", type=click.Choice(["full", "linear"]), default="full")
+@click.option("--kernel", type=int, default=CostModel.kernel)
+@click.option("--attention", type=click.Choice([FULL_ATTENTION, LINEAR_ATTENTION]),
+              default=LINEAR_ATTENTION, help="Attention cost; the default is plan's.")
 @_run
 def analyze(plan_path, kernel, attention):
     """Analyze an existing plan document: shapes and per-layer params and FLOPs."""
@@ -213,9 +214,12 @@ def analyze(plan_path, kernel, attention):
 @_run
 def quantize(latent_path, codebook_path, beta, out_path):
     """Nearest-code quantization of a latent array."""
-    z = np.asarray(json.loads(Path(latent_path).read_text()), dtype=np.float64)
     codebook = vq.Codebook.load(codebook_path)
-    result = vq.quantize(z, codebook)
+    try:
+        z = np.asarray(json.loads(Path(latent_path).read_text()), dtype=np.float64)
+        result = vq.quantize(z, codebook)
+    except (TypeError, ValueError) as exc:
+        raise vq.VQError(f"{latent_path}: {exc}") from None
     doc = {
         "indices": result.indices.tolist(),
         "z_q": result.z_q.tolist(),

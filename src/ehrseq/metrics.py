@@ -48,18 +48,8 @@ def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUROC needs at least one example of each class")
 
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    ranks[order] = np.arange(1, len(scores) + 1, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
-
+    # a group of tied scores takes the mean of its ranks, a half-integer
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     u = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -9,6 +9,7 @@ and the latent search grid.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -117,7 +118,11 @@ class LatentSpec:
 class HierarchicalPlan:
     text_plan: LayerPlan    # per-event stage
     event_plan: LayerPlan   # cross-event stage
-    intermediate_width: int  # flattened per-event width d'
+
+    @property
+    def intermediate_width(self) -> int:
+        """Flattened per-event width d': the text stage's output volume."""
+        return math.prod(self.text_plan.output_shape)
 
 
 def _require_pow2(**dims: int) -> None:
@@ -243,8 +248,7 @@ def hierarchical_plan(n_e: int, n_tpe: int, d: int, latent: LatentSpec,
     if not _is_pow2(width):
         raise PlanError(f"intermediate width {width} must be a power of two")
     return HierarchicalPlan(encoder_plan(backbone, n_tpe, d, *intermediate, n_l),
-                            encoder_plan(backbone, n_e, width, latent.t, latent.c, n_l),
-                            width)
+                            encoder_plan(backbone, n_e, width, latent.t, latent.c, n_l))
 
 
 def compression_rate_hier(n_e: int, n_tpe: int, d: int, l: int) -> int:

@@ -86,12 +86,15 @@ class SerializerConfig:
 _CHANNELS = ("tokens", "type_labels", "dpe_labels")
 _FILLS = (PAD_ID, int(TokenType.PAD), DPE_NON_DIGIT)
 
+# Layout names by the rank of the token channel: 1-D, then 2-D.
+_LAYOUTS = ("flattened", "hierarchical")
+
 
 @dataclass
 class TokenStream:
-    """Token ids with parallel label channels; hierarchical grid or flat sequence."""
+    """Token ids with parallel label channels: a 2-D grid of events, one per
+    row, or a 1-D flat sequence.  The rank of `tokens` is the layout."""
 
-    layout: str  # "hierarchical" | "flattened"
     tokens: np.ndarray
     type_labels: Optional[np.ndarray] = None
     dpe_labels: Optional[np.ndarray] = None
@@ -99,14 +102,18 @@ class TokenStream:
     patient_id: str = ""
 
     def __post_init__(self):
-        if self.layout not in ("hierarchical", "flattened"):
-            raise SerializeError(f"unknown layout {self.layout!r}")
+        if self.tokens.ndim not in (1, 2):
+            raise SerializeError(f"tokens must be 1-D or 2-D, not {self.tokens.ndim}-D")
         for channel in (self.type_labels, self.dpe_labels):
             if channel is not None and channel.shape != self.tokens.shape:
                 raise SerializeError("label channel shape does not match token channel")
         if self.event_boundaries is not None:
             self.event_boundaries = _checked_bounds(self.event_boundaries,
                                                     self.tokens.shape[-1])
+
+    @property
+    def layout(self) -> str:
+        return _LAYOUTS[self.tokens.ndim - 1]
 
 
 def _checked_bounds(bounds, length: int) -> list[tuple[int, int]]:
@@ -218,7 +225,7 @@ def build_hierarchical(patient: PatientRecord, vocab: Vocabulary,
         tokens[row, :length] = ids[:length]
         types[row, :length] = tl[:length]
         dpes[row, :length] = dl[:length]
-    return TokenStream("hierarchical", tokens, types, dpes, patient_id=patient.patient_id)
+    return TokenStream(tokens, types, dpes, patient_id=patient.patient_id)
 
 
 # --- dense <-> de-padded views -----------------------------------------------
@@ -270,7 +277,7 @@ def _dense(payload: np.ndarray, mask: np.ndarray, shape, fill: int) -> np.ndarra
     return out.reshape(shape)
 
 
-def flatten(hier: TokenStream, n_t: int = 8192) -> TokenStream:
+def flatten(hier: TokenStream, n_t: int = SerializerConfig.n_t) -> TokenStream:
     """Concatenate de-padded rows chronologically, recording event boundaries.
 
     Row i contributes its first c_i cells, c_i being its count of non-pad
@@ -292,7 +299,7 @@ def flatten(hier: TokenStream, n_t: int = 8192) -> TokenStream:
         return _dense(_payload(channel, row_mask)[:n_t], flat_mask, (n_t,), fill)
 
     tokens, types, dpes = (assemble(c, fill) for c, fill in zip(_channels(hier), _FILLS))
-    return TokenStream("flattened", tokens, types, dpes, boundaries, hier.patient_id)
+    return TokenStream(tokens, types, dpes, boundaries, hier.patient_id)
 
 
 DEFECT_NOT_TABLE_FIRST = "not_table_first"
@@ -396,7 +403,8 @@ def detokenize_events(stream: TokenStream, vocab: Vocabulary) -> list[Reconstruc
 # last cell where any channel differs from its fill value.  Each channel holds
 # its cells inside those lengths as one flat list; trailing empty rows are
 # omitted from "lengths".  A flat stream counts as one row.  Records without
-# "shape" are dense: every channel is the full nested list.
+# "shape" are dense: every channel is the full nested list.  The "layout"
+# name fixes the rank a record's shape or dense lists must have.
 
 def stream_record(stream: TokenStream) -> str:
     """One stream as its de-padded JSON line, newline included."""
@@ -427,12 +435,12 @@ def _not_an_integer(text: str):
 _RECORD_DECODER = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
 
 
-def _int32s(values, name: str) -> np.ndarray:
-    """A channel's JSON list of integers, or of equal-length lists of them, as
-    int32.  Strings, nulls and values past 32 bits are refused; JSON true and
-    false pass as 1 and 0, since catching them would take a step per value."""
-    nested = isinstance(values, list) and bool(values) and isinstance(values[0], list)
-    rows, cells = values if nested else [values], array("i")
+def _int32s(values, name: str, rank: int = 1) -> np.ndarray:
+    """A channel's JSON list of integers (rank 1), or of equal-length lists of
+    them (rank 2), as int32.  Strings, nulls and values past 32 bits are
+    refused; JSON true and false pass as 1 and 0, since catching them would
+    take a step per value."""
+    rows, cells = values if rank == 2 else [values], array("i")
     try:
         for row in rows:
             cells.fromlist(row)
@@ -441,7 +449,7 @@ def _int32s(values, name: str) -> np.ndarray:
     if len(set(map(len, rows))) > 1:
         raise SerializeError(f"{name}: rows of inhomogeneous length")
     out = np.frombuffer(cells, dtype=np.intc)  # typecode "i": a C int, 32 bits wide
-    return out.reshape(len(rows), len(rows[0])) if nested else out
+    return out.reshape(len(rows), len(rows[0]) if rows else 0) if rank == 2 else out
 
 
 def load_streams(path: Path | str) -> list[TokenStream]:
@@ -468,35 +476,32 @@ def _stream_from_record(r) -> TokenStream:
         raise SerializeError("record is not a JSON object")
     if r["tokens"] is None:
         raise SerializeError("record has no tokens")
+    layout = r["layout"]
+    if layout not in _LAYOUTS:
+        raise SerializeError(f"unknown layout {layout!r}")
+    rank = _LAYOUTS.index(layout) + 1  # of the shape, or of a dense record's lists
     if "shape" in r:
-        shape = _checked_shape(r)
+        shape = _checked_shape(r, rank)
         mask = _prefix_mask(shape, r["lengths"])
 
         def channel(name, fill):
             return _dense(_int32s(r[name], name), mask, shape, fill)
     else:
         def channel(name, fill):
-            return _int32s(r[name], name)
+            return _int32s(r[name], name, rank)
 
     tokens, types, dpes = (None if r.get(name) is None else channel(name, fill)
                            for name, fill in zip(_CHANNELS, _FILLS))
-    return TokenStream(
-        layout=r["layout"],
-        tokens=tokens,
-        type_labels=types,
-        dpe_labels=dpes,
-        event_boundaries=r.get("event_boundaries"),
-        patient_id=r.get("patient_id", ""),
-    )
+    return TokenStream(tokens, types, dpes, r.get("event_boundaries"), r.get("patient_id", ""))
 
 
-def _checked_shape(r: dict) -> tuple[int, ...]:
-    """Shape of a de-padded record, its row lengths checked against it and
-    against the payloads."""
+def _checked_shape(r: dict, rank: int) -> tuple[int, ...]:
+    """Shape of a de-padded record, of the layout's rank, its row lengths
+    checked against it and against the payloads."""
     shape = r["shape"]
-    if (not isinstance(shape, list) or len(shape) not in (1, 2)
+    if (not isinstance(shape, list) or len(shape) != rank
             or not all(type(n) is int and n >= 0 for n in shape)):
-        raise SerializeError(f"bad shape {shape!r}")
+        raise SerializeError(f"bad shape {shape!r} for layout {r['layout']!r}")
     lengths = r["lengths"]
     if not isinstance(lengths, list) or not all(type(n) is int for n in lengths):
         raise SerializeError("lengths must be a list of integers")

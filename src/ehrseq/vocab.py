@@ -80,8 +80,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: Path | str) -> "Vocabulary":
-        units = [line for line in Path(path).read_text().splitlines() if line]
-        return cls(units)
+        """Read a saved vocabulary; a malformed one fails naming the file."""
+        try:
+            return cls([line for line in Path(path).read_text().splitlines() if line])
+        except ValueError as exc:
+            raise VocabError(f"{path}: {exc}") from None
 
 
 def build_vocabulary(texts: Iterable[str], min_count: int = 1) -> Vocabulary:
@@ -114,9 +117,11 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[str]:
     """Greedy longest-match over the vocabulary within a single word.
 
     Continuation units apply only at non-initial positions and win ties
-    against plain units of the same length.  Characters absent from the
+    against plain units of the same length.  Reserved units never match text,
+    so "[pad]" in a word is its characters.  Characters absent from the
     vocabulary consume one position as [unk].
     """
+    index, first_plain = vocab._index, len(RESERVED)  # reserved units hold the lowest ids
     out: list[str] = []
     pos = 0
     while pos < len(word):
@@ -127,7 +132,7 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[str]:
             if pos > 0 and CONTINUATION + piece in vocab:
                 match = CONTINUATION + piece
                 break
-            if piece in vocab and not piece.startswith(CONTINUATION):
+            if index.get(piece, 0) >= first_plain and not piece.startswith(CONTINUATION):
                 match = piece
                 break
         if match is None:

@@ -38,6 +38,8 @@ class Codebook:
         self.ema_sums = np.asarray(self.ema_sums, dtype=np.float64)
         if self.ema_counts.shape != (self.size,) or self.ema_sums.shape != self.entries.shape:
             raise VQError("EMA accumulator shapes do not match entries")
+        if not all(np.isfinite(a).all() for a in (self.entries, self.ema_counts, self.ema_sums)):
+            raise VQError("codebook holds non-finite values")
 
     @property
     def size(self) -> int:
@@ -48,7 +50,7 @@ class Codebook:
         return self.entries.shape[1]
 
     @classmethod
-    def new(cls, entries: np.ndarray, decay: float = 0.99) -> "Codebook":
+    def new(cls, entries: np.ndarray, decay: float = decay) -> "Codebook":  # the field default
         entries = np.asarray(entries, dtype=np.float64)
         # accumulators start at N_k = 1, m_k = e_k so the first update is defined
         return cls(entries, np.ones(entries.shape[0]), entries.copy(), decay)

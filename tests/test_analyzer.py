@@ -83,7 +83,7 @@ def test_validate_flags_terminal_mismatch():
     plan = P.cnn_plan(8192, 256, 64, 8)
     broken = P.LayerPlan(plan.backbone, plan.direction, plan.ops, (8192, 256), (64, 16))
     defects = validate_plan(broken)
-    assert defects and "terminal shape" in defects[0].message
+    assert defects and "terminal shape" in defects[0]
 
 
 def test_grid_plans_all_validate():

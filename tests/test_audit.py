@@ -61,77 +61,69 @@ def test_build_triples_empty_corpus():
 
 def test_check_correct_numeric(triples_fixture):
     triples, vocab = triples_fixture
-    verdict = A.check_event(event("lab", [("value", "5 . 5")]), triples, vocab)
-    assert verdict.correct and verdict.defect is None
+    assert A.check_event(event("lab", [("value", "5 . 5")]), triples, vocab) is None
 
 
 def test_check_numeric_out_of_range(triples_fixture):
     triples, vocab = triples_fixture
-    verdict = A.check_event(event("lab", [("value", "9 . 9")]), triples, vocab)
-    assert verdict.defect == A.NUMERIC_OUT_OF_RANGE
+    defect = A.check_event(event("lab", [("value", "9 . 9")]), triples, vocab)
+    assert defect == A.NUMERIC_OUT_OF_RANGE
 
 
 def test_check_range_endpoints_inclusive(triples_fixture):
     triples, vocab = triples_fixture
     for content in ("3 . 1", "7 . 4"):
-        assert A.check_event(event("lab", [("value", content)]), triples, vocab).correct
+        assert A.check_event(event("lab", [("value", content)]), triples, vocab) is None
 
 
 def test_check_correct_text(triples_fixture):
     triples, vocab = triples_fixture
-    verdict = A.check_event(
+    defect = A.check_event(
         event("prescription", [("drug", "saline saline")]), triples, vocab)
-    assert verdict.correct
+    assert defect is None
 
 
 def test_check_unknown_subword(triples_fixture):
     triples, vocab = triples_fixture
-    verdict = A.check_event(
+    defect = A.check_event(
         event("prescription", [("drug", "heparin")]), triples, vocab)
-    assert verdict.defect == A.UNKNOWN_SUBWORD
+    assert defect == A.UNKNOWN_SUBWORD
 
 
 def test_check_unknown_table(triples_fixture):
     triples, vocab = triples_fixture
-    verdict = A.check_event(event("surgery", [("value", "5")]), triples, vocab)
-    assert verdict.defect == A.UNKNOWN_TABLE_COLUMN
+    defect = A.check_event(event("surgery", [("value", "5")]), triples, vocab)
+    assert defect == A.UNKNOWN_TABLE_COLUMN
 
 
 def test_check_unknown_column(triples_fixture):
     triples, vocab = triples_fixture
-    verdict = A.check_event(event("lab", [("drug", "saline")]), triples, vocab)
-    assert verdict.defect == A.UNKNOWN_TABLE_COLUMN
+    defect = A.check_event(event("lab", [("drug", "saline")]), triples, vocab)
+    assert defect == A.UNKNOWN_TABLE_COLUMN
 
 
 def test_check_carries_serializer_defects(triples_fixture):
     triples, vocab = triples_fixture
     bad = event(defect=S.DEFECT_NOT_TABLE_FIRST)
-    assert A.check_event(bad, triples, vocab).defect == A.NOT_TABLE_FIRST
+    assert A.check_event(bad, triples, vocab) == A.NOT_TABLE_FIRST
     cut = event("lab", defect=S.DEFECT_UNPAIRED_COLUMN)
-    assert A.check_event(cut, triples, vocab).defect == A.UNPAIRED_COLUMN
+    assert A.check_event(cut, triples, vocab) == A.UNPAIRED_COLUMN
 
 
 def test_raw_words_structured_and_checked(triples_fixture):
     triples, vocab = triples_fixture
     ok = event(words=["lab", "value", "6", ".", "0"])
-    assert A.check_event(ok, triples, vocab).correct
+    assert A.check_event(ok, triples, vocab) is None
     bad_start = event(words=["value", "6"])
-    assert A.check_event(bad_start, triples, vocab).defect == A.NOT_TABLE_FIRST
+    assert A.check_event(bad_start, triples, vocab) == A.NOT_TABLE_FIRST
     dangling = event(words=["lab", "value"])
-    assert A.check_event(dangling, triples, vocab).defect == A.UNPAIRED_COLUMN
+    assert A.check_event(dangling, triples, vocab) == A.UNPAIRED_COLUMN
 
 
 def test_raw_words_multiword_content(triples_fixture):
     triples, vocab = triples_fixture
     raw = event(words=["prescription", "drug", "normal", "saline"])
-    assert A.check_event(raw, triples, vocab).correct
-
-
-def test_verdict_must_be_exclusive():
-    with pytest.raises(A.AuditError):
-        A.EventVerdict(True, A.UNKNOWN_SUBWORD)
-    with pytest.raises(A.AuditError):
-        A.EventVerdict(False)
+    assert A.check_event(raw, triples, vocab) is None
 
 
 def test_score_event_and_sample_rates(triples_fixture):

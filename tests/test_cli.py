@@ -9,7 +9,8 @@ from click.testing import CliRunner
 
 import ehrseq
 from ehrseq.cli import main
-from ehrseq.serializer import SerializerConfig
+from ehrseq.serializer import SerializerConfig, load_streams
+from ehrseq.vocab import is_timegap_id
 from ehrseq.vq import Codebook
 
 
@@ -172,6 +173,55 @@ def test_audit_refuses_bad_event_boundaries(runner, tmp_path):
     assert not (tmp_path / "audit").exists()
 
 
+@pytest.mark.parametrize("name, layout", [("streams_hier.jsonl", "flattened"),
+                                          ("streams_flat.jsonl", "hierarchical")])
+def test_audit_refuses_a_layout_that_disagrees_with_the_shape(runner, tmp_path, name, layout):
+    corpus_dir, out = serialize_corpus(runner, tmp_path)
+    streams = out / name
+    lines = streams.read_text().splitlines()
+    record = json.loads(lines[1])
+    lines[1] = json.dumps({**record, "layout": layout})
+    streams.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, [
+        "audit", "--real", str(corpus_dir), "--generated", str(streams),
+        "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "audit")])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output == (f"error: {streams}, line 2: bad shape {record['shape']} "
+                             f"for layout {layout!r}\n")
+    assert not (tmp_path / "audit").exists()
+
+
+def test_text_that_reads_as_reserved_units_keeps_every_time_gap(runner, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0, "n_patients": 3, "tables": [
+        {"name": "note", "columns": [
+            {"name": "text", "type": "text", "choices": ["[pad] x", "[tg3] y"]}]}]}))
+    corpus_dir, out = tmp_path / "corpus", tmp_path / "streams"
+    assert runner.invoke(main, ["gen", "--config", str(config),
+                                "--out", str(corpus_dir)]).exit_code == 0
+    result = runner.invoke(main, ["serialize", "--in", str(corpus_dir), "--out", str(out),
+                                  "--n-e", "16", "--n-tpe", "16", "--n-t", "128"])
+    assert result.exit_code == 0, result.output
+    flat = out / "streams_flat.jsonl"
+    streams = load_streams(flat)
+    for stream in streams:
+        tokens = stream.tokens.tolist()
+        assert stream.event_boundaries
+        assert all(is_timegap_id(tokens[end - 1]) for _, end in stream.event_boundaries)
+    label_less = tmp_path / "label_less.jsonl"
+    label_less.write_text("".join(
+        json.dumps({**json.loads(line), "type_labels": None, "dpe_labels": None,
+                    "event_boundaries": None}) + "\n" for line in flat.read_text().splitlines()))
+    result = runner.invoke(main, [
+        "audit", "--real", str(corpus_dir), "--generated", str(label_less),
+        "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "audit")])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["rce"] == report["rue"] == report["rcs"] == 1.0
+    assert report["total_events"] == sum(len(s.event_boundaries) for s in streams)
+
+
 @pytest.mark.parametrize("bad", [5000, -1])
 def test_audit_refuses_token_ids_outside_the_vocabulary(runner, tmp_path, bad):
     corpus_dir, out = serialize_corpus(runner, tmp_path)
@@ -219,6 +269,18 @@ def test_plan_grid_sweep(runner, tmp_path):
     assert lines[0] == "l\tt\tc\tbackbone\trate\tparams\tflops"
     # three l values (256, 512, 1024), five latents each
     assert len(lines) == 1 + 15
+
+
+@pytest.mark.parametrize("backbone, flops", [("cnn", None), ("transformer", 16265510912)])
+def test_analyze_reproduces_the_plan_report(runner, tmp_path, backbone, flops):
+    result = runner.invoke(main, ["plan", "--backbone", backbone, "--input", "8192x256",
+                                  "--output", "64x8", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["analyze", "--plan", str(tmp_path / "plan.json")])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "analysis.json").read_text())
+    assert json.loads(result.output) == report
+    assert flops is None or report["flops"] == flops
 
 
 def test_analyze_existing_plan(runner, tmp_path):
@@ -407,6 +469,46 @@ def test_bad_input_is_one_error_line(runner, tmp_path, make_args):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("error: ") and result.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["serialize", "audit"])
+def test_bad_vocab_names_its_file(runner, tmp_path, command):
+    corpus = tmp_path / "corpus"
+    runner.invoke(main, ["gen", "--seed", "1", "--n-patients", "2", "--out", str(corpus)])
+    vocab = _bad_vocab(tmp_path)
+    args = {"serialize": ["--in", str(corpus)],
+            "audit": ["--real", str(corpus), "--generated", str(tmp_path / "none.jsonl")]}
+    result = runner.invoke(main, [command, *args[command], "--vocab", str(vocab),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == (f"error: {vocab}: reserved entries must occupy "
+                             "the lowest indices\n")
+
+
+@pytest.mark.parametrize("latent", ["[[0, 0", "[[0, 0, 0, 0], [0]]", '[["a", 0, 0, 0]]',
+                                    "[0, 0, 0, 0]", '{"z": 1}', "[[0, NaN, 0, 0]]"],
+                         ids=["malformed", "ragged", "non-number", "1-d", "object",
+                              "non-finite"])
+def test_bad_latent_names_its_file(runner, tmp_path, latent):
+    path = _a_file(tmp_path, latent)
+    Codebook.new(np.zeros((2, 1))).save(tmp_path / "codebook.json")
+    result = runner.invoke(main, ["quantize", "--latent", str(path), "--codebook",
+                                  str(tmp_path / "codebook.json"), "--out", str(tmp_path / "q.json")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"error: {path}: ") and result.output.count("\n") == 1
+    assert not (tmp_path / "q.json").exists()
+
+
+def test_quantize_refuses_a_codebook_holding_nan(runner, tmp_path):
+    path = tmp_path / "codebook.json"
+    Codebook.new(np.zeros((2, 1))).save(path)
+    path.write_text(path.read_text().replace("0.0", "NaN", 1))
+    latent = _a_file(tmp_path, "[[1, 1, 1, 1]]")
+    result = runner.invoke(main, ["quantize", "--latent", str(latent), "--codebook", str(path),
+                                  "--out", str(tmp_path / "q.json")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"error: {path}: codebook holds non-finite values\n"
+    assert not (tmp_path / "q.json").exists()
 
 
 def test_analyze_names_plan_file_missing_a_field(runner, tmp_path):

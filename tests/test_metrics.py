@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 from ehrseq.cli import main
 from ehrseq.metrics import MetricError, auroc, token_accuracy
@@ -11,7 +12,7 @@ from ehrseq.vocab import PAD_ID
 
 
 def stream(tokens):
-    return TokenStream("flattened", np.asarray(tokens, dtype=np.int32))
+    return TokenStream(np.asarray(tokens, dtype=np.int32))
 
 
 def test_accuracy_perfect():
@@ -112,6 +113,13 @@ def test_auroc_matches_pairwise_oracle():
         # coarse grid of score values forces plenty of ties
         scores = [rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]) for _ in range(n)]
         assert abs(auroc(scores, labels) - brute_force_auroc(scores, labels)) <= 1e-12
+
+
+@given(st.lists(st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), st.integers(0, 1)),
+                min_size=2, max_size=40).filter(lambda rows: len({y for _, y in rows}) == 2))
+def test_auroc_with_heavy_ties_equals_the_pairwise_count_exactly(rows):
+    scores, labels = zip(*rows)
+    assert auroc(scores, labels) == brute_force_auroc(scores, labels)
 
 
 def test_auroc_invariant_under_monotone_transform():

@@ -122,7 +122,7 @@ def test_flatten_boundaries_and_padding():
 
 def test_flatten_all_pad_grid():
     tokens = np.full((4, 8), PAD_ID, dtype=np.int32)
-    stream = S.TokenStream("hierarchical", tokens)
+    stream = S.TokenStream(tokens)
     flat = S.flatten(stream, 16)
     assert np.count_nonzero(flat.tokens != PAD_ID) == 0
     assert flat.event_boundaries == []
@@ -177,7 +177,7 @@ def test_detokenize_label_less_splits_on_timegap(small_corpus, small_vocab):
     patient = small_corpus.patients[0]
     hier = S.build_hierarchical(patient, small_vocab, small_corpus.definitions)
     flat = S.flatten(hier)
-    bare = S.TokenStream("flattened", flat.tokens, patient_id=patient.patient_id)
+    bare = S.TokenStream(flat.tokens, patient_id=patient.patient_id)
     events = S.detokenize_events(bare, small_vocab)
     assert len(events) == len(patient.events)
     first = events[0]
@@ -193,7 +193,7 @@ def test_detokenize_refuses_ids_outside_the_vocabulary(bad, labeled):
     tokens = np.array([vocab.units.index("lab"), bad, RESERVED.index("[tg0]"), PAD_ID],
                       dtype=np.int32)
     labels = np.array([1, 3, 4, 0], dtype=np.int32) if labeled else None
-    stream = S.TokenStream("flattened", tokens, labels, patient_id="p9")
+    stream = S.TokenStream(tokens, labels, patient_id="p9")
     with pytest.raises(S.SerializeError) as err:
         S.detokenize_events(stream, vocab)
     assert str(err.value) == f"patient 'p9': token id {bad} is outside the vocabulary of 24 units"
@@ -263,7 +263,7 @@ def token_streams(draw):
     label = st.none() | channel
     ends = st.integers(0, shape[-1])
     bounds = st.none() | st.lists(st.tuples(ends, ends).map(sorted).map(tuple), max_size=3)
-    return S.TokenStream(layout, draw(channel), draw(label), draw(label),
+    return S.TokenStream(draw(channel), draw(label), draw(label),
                          draw(bounds), draw(st.text(max_size=5)))
 
 
@@ -285,7 +285,7 @@ def test_save_writes_cells_up_to_last_non_fill(tmp_path):
     tokens = np.array([[5, PAD_ID, 6, PAD_ID], [PAD_ID] * 4, [PAD_ID] * 4], dtype=np.int32)
     types = np.zeros_like(tokens)
     types[1, 1] = int(S.TokenType.TABLE_NAME)  # a label under a pad token
-    stream = S.TokenStream("hierarchical", tokens, types, None, patient_id="p")
+    stream = S.TokenStream(tokens, types, None, patient_id="p")
     S.save_streams([stream], tmp_path / "s.jsonl")
     record = json.loads((tmp_path / "s.jsonl").read_text())
     assert record == {"patient_id": "p", "layout": "hierarchical", "shape": [3, 4],
@@ -313,6 +313,23 @@ def test_load_accepts_dense_records(tmp_path):
     assert flat.event_boundaries == [(0, 2)]
 
 
+def test_layout_is_the_rank_of_the_tokens():
+    assert S.TokenStream(np.zeros((2, 3), dtype=np.int32)).layout == "hierarchical"
+    assert S.TokenStream(np.zeros(3, dtype=np.int32)).layout == "flattened"
+    for shape in ((), (2, 2, 2)):
+        with pytest.raises(S.SerializeError, match=f"1-D or 2-D, not {len(shape)}-D"):
+            S.TokenStream(np.zeros(shape, dtype=np.int32))
+
+
+def test_load_reads_an_empty_dense_grid_as_no_events(tmp_path, small_vocab):
+    path = tmp_path / "empty.jsonl"
+    path.write_text(json.dumps({"layout": "hierarchical", "tokens": [], "type_labels": []}) + "\n")
+    (stream,) = S.load_streams(path)
+    assert stream.layout == "hierarchical" and stream.tokens.shape == (0, 0)
+    assert stream.type_labels.shape == (0, 0)
+    assert S.detokenize_events(stream, small_vocab) == []
+
+
 GOOD = {"patient_id": "p", "layout": "hierarchical", "shape": [2, 3], "lengths": [2, 1],
         "tokens": [4, 5, 6], "type_labels": None, "dpe_labels": None, "event_boundaries": None}
 FLAT = {**GOOD, "layout": "flattened", "shape": [8], "lengths": [3], "event_boundaries": [[0, 3]]}
@@ -329,6 +346,12 @@ FLAT = {**GOOD, "layout": "flattened", "shape": [8], "lengths": [3], "event_boun
     (json.dumps({**GOOD, "lengths": [-1, 4]}), "row length outside"),
     (json.dumps({**GOOD, "lengths": [1, 1, 1]}), "3 row lengths for 2 rows"),
     (json.dumps({**GOOD, "shape": [2, 3, 1]}), "bad shape"),
+    (json.dumps({**GOOD, "layout": "flattened"}), "bad shape [2, 3] for layout 'flattened'"),
+    (json.dumps({**FLAT, "layout": "hierarchical"}), "bad shape [8] for layout 'hierarchical'"),
+    (json.dumps({**GOOD, "shape": [3], "lengths": [3]}),
+     "bad shape [3] for layout 'hierarchical'"),
+    (json.dumps({"layout": "flattened", "tokens": [[4, 5], [6, 7]]}), "tokens: 'list' object"),
+    (json.dumps({"layout": "hierarchical", "tokens": [4, 5]}), "tokens: arg must be list"),
     (json.dumps({k: v for k, v in GOOD.items() if k != "lengths"}), "missing field 'lengths'"),
     (json.dumps({**GOOD, "tokens": None}), "no tokens"),
     (json.dumps({**GOOD, "tokens": [4, 4.7, 6]}), "value 4.7 is not an integer"),
@@ -364,7 +387,7 @@ def test_load_rejects_bad_line_naming_file_and_line(tmp_path, line, reason):
 
 def test_stream_refuses_bounds_it_could_not_read_back():
     with pytest.raises(S.SerializeError, match=r"boundary \(2, 5\) is not .* <= 4$"):
-        S.TokenStream("flattened", np.zeros(4, dtype=np.int32), event_boundaries=[(0, 2), (2, 5)])
+        S.TokenStream(np.zeros(4, dtype=np.int32), event_boundaries=[(0, 2), (2, 5)])
 
 
 def flatten_by_rows(tokens, labels, n_t):
@@ -394,7 +417,7 @@ def flatten_by_rows(tokens, labels, n_t):
        st.sampled_from([1, 4, 8, 64]))
 def test_flatten_and_segments_match_row_loop(tokens, n_t):
     labels = tokens[::-1, ::-1].copy()
-    hier = S.TokenStream("hierarchical", tokens, labels, None)
+    hier = S.TokenStream(tokens, labels, None)
     flat = S.flatten(hier, n_t)
     want_tokens, want_labels, boundaries, pieces = flatten_by_rows(tokens, labels, n_t)
     assert np.array_equal(flat.tokens, want_tokens)
@@ -417,7 +440,7 @@ def segments_by_token_loop(tokens):
 
 @given(hnp.arrays(np.int32, st.integers(0, 40), elements=st.integers(0, 16)))
 def test_label_less_segments_match_the_token_loop(tokens):
-    stream = S.TokenStream("flattened", tokens)
+    stream = S.TokenStream(tokens)
     assert [t.tolist() for t, _ in S._event_segments(stream)] == segments_by_token_loop(tokens)
 
 

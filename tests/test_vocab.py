@@ -106,3 +106,12 @@ def test_detokenize_matches_the_unit_loop(units):
 def test_units_holding_whitespace_are_refused(unit):
     with pytest.raises(VocabError, match="empty or holds whitespace"):
         fixture_vocab(["a", unit])
+
+
+@pytest.mark.parametrize("word", RESERVED)
+def test_reserved_units_never_come_from_text(word):
+    vocab = build_vocabulary([word])
+    units = tokenize(word, vocab)
+    assert not set(units) & set(RESERVED)
+    assert detokenize(units) == word
+    assert vocab.encode([word]) == [RESERVED.index(word)]

@@ -186,6 +186,12 @@ def test_ema_rejects_code_outside_codebook(code):
     ({}, "missing field 'entries'"),
     ([], "list indices"),
     ({"entries": [[0.0]], "ema_counts": [1.0], "ema_sums": [[0.0]], "decay": 2.0}, "decay"),
+    ({"entries": [[np.nan]], "ema_counts": [1.0], "ema_sums": [[0.0]], "decay": 0.9},
+     "non-finite"),
+    ({"entries": [[0.0]], "ema_counts": [np.inf], "ema_sums": [[0.0]], "decay": 0.9},
+     "non-finite"),
+    ({"entries": [[0.0]], "ema_counts": [1.0], "ema_sums": [[-np.inf]], "decay": 0.9},
+     "non-finite"),
 ])
 def test_codebook_load_names_file(tmp_path, doc, reason):
     path = tmp_path / "codebook.json"
@@ -193,6 +199,14 @@ def test_codebook_load_names_file(tmp_path, doc, reason):
     with pytest.raises(VQError, match=reason) as info:
         Codebook.load(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("field", ["entries", "ema_counts", "ema_sums"])
+def test_codebook_refuses_non_finite_values(field):
+    arrays = {"entries": np.zeros((2, 1)), "ema_counts": np.ones(2), "ema_sums": np.zeros((2, 1))}
+    arrays[field].flat[1] = np.nan
+    with pytest.raises(VQError, match="non-finite"):
+        Codebook(**arrays)
 
 
 def test_codebook_save_load(tmp_path):
