@@ -40,7 +40,7 @@ def _run(command):
 
 
 def _json(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _save(out_dir, command: str, config: dict, inputs: list, files: dict,

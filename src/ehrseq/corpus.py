@@ -311,12 +311,24 @@ def _from_json(cls, raw):
                   for key, value in raw.items()})
 
 
+def _json_list(key: str, what: str, kind: type, length: int | None = None):
+    """Converter of a JSON list of `kind` values (exactly `length` of them) to a tuple."""
+    def convert(value):
+        if (not isinstance(value, list) or any(type(v) is not kind for v in value)
+                or length not in (None, len(value))):
+            raise CorpusError(f"{key} must be a JSON list of {what}")
+        return tuple(value)
+    return convert
+
+
 _JSON_KEYS = {
     ColumnSpec: {"name": str, "type": str, "low": float, "high": float, "decimals": int,
-                 "choices": tuple, "codes": lambda codes: tuple(str(c) for c in codes)},
+                 "choices": _json_list("choices", "strings", str),
+                 "codes": _json_list("codes", "strings", str)},
     TableSpec: {"name": str,
                 "columns": lambda cols: tuple(_from_json(ColumnSpec, c) for c in cols)},
-    GeneratorConfig: {"seed": int, "n_patients": int, "events_per_patient": tuple,
+    GeneratorConfig: {"seed": int, "n_patients": int, "events_per_patient":
+                      _json_list("events_per_patient", "two integers", int, 2),
                       "tables": lambda tables: tuple(_from_json(TableSpec, t) for t in tables),
                       "definitions": lambda defs: {str(k): v for k, v in defs.items()}},
 }
@@ -382,7 +394,7 @@ def corpus_files(corpus: Corpus) -> dict[str, str]:
         ],
         "patients": [{"id": p.patient_id, "labels": p.labels} for p in corpus.patients],
     }
-    files["schema.json"] = json.dumps(schema, indent=2) + "\n"
+    files["schema.json"] = json.dumps(schema, indent=2, allow_nan=False) + "\n"
     return files
 
 

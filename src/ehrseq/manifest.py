@@ -31,6 +31,6 @@ def write_manifest(out_dir: Path | str, command: str, config: dict,
     }
     path = Path(out_dir) / "manifest.json"
     tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     tmp.rename(path)
     return path

@@ -287,7 +287,7 @@ def search_grid(l_min: int, l_max: int) -> list[tuple[int, list[LatentSpec]]]:
 # --- plan document exchange format -----------------------------------------
 
 def save_plan(plan: LayerPlan, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2) + "\n")
+    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2, allow_nan=False) + "\n")
 
 
 def plan_to_dict(plan: LayerPlan) -> dict:

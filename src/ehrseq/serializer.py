@@ -419,7 +419,7 @@ def stream_record(stream: TokenStream) -> str:
     for name, channel in zip(_CHANNELS, _channels(stream)):
         record[name] = None if channel is None else _payload(channel, mask).tolist()
     record["event_boundaries"] = stream.event_boundaries
-    return json.dumps(record) + "\n"
+    return json.dumps(record, allow_nan=False) + "\n"
 
 
 def save_streams(streams: Iterable[TokenStream], path: Path | str) -> None:
@@ -441,6 +441,9 @@ def _int32s(values, name: str, rank: int = 1) -> np.ndarray:
     refused; JSON true and false pass as 1 and 0, since catching them would
     take a step per value."""
     rows, cells = values if rank == 2 else [values], array("i")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise SerializeError(f"{name}: a {_LAYOUTS[rank - 1]} record needs a list of "
+                             + ("rows" if rank == 2 else "integers"))
     try:
         for row in rows:
             cells.fromlist(row)

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 
-# Bytes one chunk of the nearest-code search may spend on its float64
-# (pieces, K, width) difference array; `quantize` holds at most about twice it.
+# Bytes of float64 one step of the nearest-code search may spend: a chunk's
+# (pieces, K) distance matrix, or one slice of its near-tie rechecks.
 ASSIGN_BUDGET_BYTES = 32 * 2**20
 
 
@@ -64,7 +64,7 @@ class Codebook:
             "ema_counts": self.ema_counts.tolist(),
             "ema_sums": self.ema_sums.tolist(),
         }
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+        Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path: Path | str) -> "Codebook":
@@ -93,9 +93,9 @@ class QuantizationResult:
 def quantize(z: np.ndarray, codebook: Codebook) -> QuantizationResult:
     """Quarter each fiber and replace each piece by its nearest code.
 
-    Ties break to the lowest code index.  The search takes
-    `max(1, ASSIGN_BUDGET_BYTES // (8 * K * width))` pieces at a time, so its memory
-    stays bounded; where one piece's K x width row exceeds the budget, it takes one.
+    Nearest means the least explicit sum((p - e)**2), ties to the lowest code index.
+    A matrix product gives norm-expanded distances, and only the codes within their
+    rounding bound of a piece's minimum are rechecked by explicit differences.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
@@ -108,15 +108,37 @@ def quantize(z: np.ndarray, codebook: Codebook) -> QuantizationResult:
     if not np.isfinite(z).all():
         raise VQError("latent holds non-finite values")
 
-    pieces = z.reshape(t * 4, codebook.width)
-    step = max(1, ASSIGN_BUDGET_BYTES // (8 * codebook.size * codebook.width))
+    pieces, entries, k, w = z.reshape(t * 4, c // 4), codebook.entries, codebook.size, c // 4
+    with np.errstate(over="ignore"):
+        p_sq, e_sq = (np.einsum("ij,ij->i", a, a) for a in (pieces, entries))
+        reach = (np.sqrt(p_sq) + np.sqrt(e_sq.max())) ** 2  # bounds each piece's distances
+        if not np.isfinite(2 * reach.sum()):  # so the commitment distance is finite too
+            raise VQError("squared distances between latent pieces and codes overflow float64")
+    # p_sq - 2 p.e + e_sq and the explicit sum((p - e)**2) each lie within gamma_{w+2}
+    # (|p| + |e|)^2 of the exact distance (FMA only lowers that), so they differ by under
+    # tol / 2 (tiny covers underflow): a code at the explicit row minimum is within tol
+    # of d2's row minimum.
+    tol = 4 * (w + 4) * np.finfo(np.float64).eps * reach + np.finfo(np.float64).tiny
+    # pieces per chunk of (pieces, K) distances; candidate pairs (<= 3 rows, 8 ints) per slice
+    step, span = (max(1, ASSIGN_BUDGET_BYTES // (8 * n)) for n in (k, 3 * w + 8))
     indices = np.empty(t * 4, dtype=np.intp)
-    for start in range(0, t * 4, step):
-        # squared distances via explicit differences so exact ties stay exact;
-        # argmin takes the lowest code index on ties
-        d2 = np.sum((pieces[start:start + step, None, :] - codebook.entries[None]) ** 2, axis=2)
-        indices[start:start + step] = np.argmin(d2, axis=1)
-    z_q = codebook.entries[indices].reshape(t, c)
+    for lo in range(0, t * 4, step):
+        d2 = pieces[lo:lo + step] @ (-2 * entries.T)
+        d2 += p_sq[lo:lo + step, None]
+        d2 += e_sq
+        near = (d2 <= (d2.min(axis=1) + tol[lo:lo + step])[:, None]).ravel()
+        del d2
+        best = np.full(near.size // k, np.inf)
+        # explicit rechecks in row-major slices: a row's lower codes come first
+        for a in range(0, near.size, span):
+            rows, cols = np.divmod(np.flatnonzero(near[a:a + span]) + a, k)
+            exact = np.sum((pieces[lo + rows] - entries[cols]) ** 2, axis=1)
+            order = np.lexsort((cols, exact, rows))
+            first = order[np.diff(rows[order], prepend=-1) != 0]
+            win = first[exact[first] < best[rows[first]]]
+            best[rows[win]] = exact[win]
+            indices[lo + rows[win]] = cols[win]
+    z_q = entries[indices].reshape(t, c)
     commitment = float(np.sum((z - z_q) ** 2))
     return QuantizationResult(indices.reshape(t, 4), z_q, commitment)
 

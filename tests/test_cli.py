@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +509,22 @@ def test_quantize_refuses_a_codebook_holding_nan(runner, tmp_path):
                                   "--out", str(tmp_path / "q.json")])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output == f"error: {path}: codebook holds non-finite values\n"
+    assert not (tmp_path / "q.json").exists()
+
+
+@pytest.mark.parametrize("latent_scale, code_scale", [(1e200, 1.0), (1.0, 1e200)],
+                         ids=["latent", "codebook"])
+def test_quantize_refuses_overflowing_distances(runner, tmp_path, latent_scale, code_scale):
+    Codebook.new(np.eye(2, 4) * code_scale).save(tmp_path / "codebook.json")
+    latent = _a_file(tmp_path, json.dumps([[latent_scale] + [0.0] * 15]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would end the run unhandled
+        result = runner.invoke(main, ["quantize", "--latent", str(latent), "--codebook",
+                                      str(tmp_path / "codebook.json"),
+                                      "--out", str(tmp_path / "q.json")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == (f"error: {latent}: squared distances between latent pieces "
+                             "and codes overflow float64\n")
     assert not (tmp_path / "q.json").exists()
 
 

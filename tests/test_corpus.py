@@ -383,6 +383,19 @@ def test_generator_config_defaults_come_from_the_dataclass(tmp_path):
     (lambda doc: doc.pop("n_patients"), "n_patients"),
     (lambda doc: doc.update(events_per_patient=[2, 8]), "minimum is 5"),
     (lambda doc: doc["tables"][0]["columns"][0].update(type="foo"), "unknown type 'foo'"),
+    # a string is not split into one-character cells
+    (lambda doc: doc["tables"][1]["columns"][2].update(choices="oral"),
+     "choices must be a JSON list of strings"),
+    (lambda doc: doc["tables"][0]["columns"][0].update(codes="50001"),
+     "codes must be a JSON list of strings"),
+    (lambda doc: doc["tables"][0]["columns"][0].update(codes=[50001]),
+     "codes must be a JSON list of strings"),
+    (lambda doc: doc.update(events_per_patient="58"),
+     "events_per_patient must be a JSON list of two integers"),
+    (lambda doc: doc.update(events_per_patient=[5, 8, 12]),
+     "events_per_patient must be a JSON list of two integers"),
+    (lambda doc: doc.update(events_per_patient=[5.0, 8]),
+     "events_per_patient must be a JSON list of two integers"),
 ])
 def test_generator_config_faults_name_the_file(tmp_path, edit, reason):
     doc = _config_json(C.default_config())

@@ -351,7 +351,8 @@ FLAT = {**GOOD, "layout": "flattened", "shape": [8], "lengths": [3], "event_boun
     (json.dumps({**GOOD, "shape": [3], "lengths": [3]}),
      "bad shape [3] for layout 'hierarchical'"),
     (json.dumps({"layout": "flattened", "tokens": [[4, 5], [6, 7]]}), "tokens: 'list' object"),
-    (json.dumps({"layout": "hierarchical", "tokens": [4, 5]}), "tokens: arg must be list"),
+    (json.dumps({"layout": "hierarchical", "tokens": [4, 5]}),
+     "tokens: a hierarchical record needs a list of rows"),
     (json.dumps({k: v for k, v in GOOD.items() if k != "lengths"}), "missing field 'lengths'"),
     (json.dumps({**GOOD, "tokens": None}), "no tokens"),
     (json.dumps({**GOOD, "tokens": [4, 4.7, 6]}), "value 4.7 is not an integer"),
@@ -364,7 +365,8 @@ FLAT = {**GOOD, "layout": "flattened", "shape": [8], "lengths": [3], "event_boun
     (json.dumps({"layout": "hierarchical", "tokens": [[4, 5], [6, "7"]]}), "'str' object"),
     (json.dumps({"layout": "hierarchical", "tokens": [[[4]]]}), "'list' object"),
     (json.dumps({"layout": "flattened", "tokens": [4, 2 ** 40]}), "greater than maximum"),
-    (json.dumps({"layout": "flattened", "tokens": "45"}), "tokens: arg must be list"),
+    (json.dumps({"layout": "flattened", "tokens": "45"}),
+     "tokens: a flattened record needs a list of integers"),
     (json.dumps({**FLAT, "event_boundaries": [["0", "5"]]}), "event boundary ['0', '5'] is not"),
     (json.dumps({**FLAT, "event_boundaries": [[9000, 2]]}), "0 <= start <= end <= 8"),
     (json.dumps({**FLAT, "event_boundaries": [[0, 3], [3, 1]]}), "boundary [3, 1] is not"),

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehrseq import vq
 from ehrseq.vq import Codebook, VQError, ema_update, quantize
@@ -75,8 +76,8 @@ _TIED_AT = {0: 4, 2: 5, 3: 4, 6: 5, 7: 4, 13: 4, 14: 5, 17: 5, 18: 4, 19: 5}
 
 
 @pytest.mark.parametrize("budget", [
-    8 * 6 * 3, 3 * 8 * 6 * 3, 7 * 8 * 6 * 3,  # 1, 3 and 7 pieces per chunk
-    8 * 6 * 3 - 1, 1,                         # less than one piece's K x width row
+    8 * 6, 3 * 8 * 6, 7 * 8 * 6,  # 1, 3 and 7 pieces per chunk of (pieces, K) distances
+    8 * 6 - 1, 1,                 # less than one piece's K distances
 ])
 def test_chunked_search_matches_brute_force(monkeypatch, budget):
     rng = np.random.default_rng(13)
@@ -101,16 +102,87 @@ def test_chunked_search_matches_brute_force(monkeypatch, budget):
 
 def test_search_memory_stays_within_the_budget():
     rng = np.random.default_rng(17)
-    book = Codebook.new(rng.normal(size=(1024, 64)))
     z = rng.normal(size=(256, 256))
-    tracemalloc.start()
-    try:
+    # explicit differences of all (1024 pieces, 1024 codes, 64) would be 512 MB; with
+    # all codes equal, every code is a candidate of every piece
+    for entries in rng.normal(size=(1024, 64)), np.full((1024, 64), 0.5):
+        book = Codebook.new(entries)
+        tracemalloc.start()
+        try:
+            result = quantize(z, book)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * vq.ASSIGN_BUDGET_BYTES + 4 * (z.nbytes + book.entries.nbytes)
+    assert not result.indices.any()  # equal codes tie, and the lowest index wins
+
+
+def _assert_brute_force(z, book):
+    result = quantize(z, book)
+    expected = _brute_force_indices(z, book)
+    np.testing.assert_array_equal(result.indices, expected)
+    z_q = book.entries[expected].reshape(z.shape)
+    np.testing.assert_array_equal(result.z_q, z_q)
+    assert result.commitment_distance == float(np.sum((z - z_q) ** 2))
+
+
+_MANTISSAS = st.one_of(st.integers(-3, 3).map(float), st.floats(-4, 4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_search_matches_brute_force_at_any_scale(data):
+    """Duplicated codes and pieces that copy the higher duplicate make exact
+    ties; scales down to 1e-170 let squared distances underflow."""
+    k, w, t = (data.draw(st.integers(1, n)) for n in (8, 5, 3))
+
+    def array(rows):
+        cells = data.draw(st.lists(_MANTISSAS, min_size=rows * w, max_size=rows * w))
+        return np.reshape(cells, (rows, w)) * 10.0 ** data.draw(st.integers(-170, 100))
+
+    entries, pieces = array(k), array(4 * t)
+    codes = st.integers(0, k - 1)
+    pairs = data.draw(st.lists(st.tuples(codes, codes), max_size=3))
+    for low, high in pairs:
+        entries[max(low, high)] = entries[min(low, high)]
+    for i in data.draw(st.lists(st.integers(0, 4 * t - 1), max_size=4)) if pairs else ():
+        pieces[i] = entries[max(data.draw(st.sampled_from(pairs)))]
+    _assert_brute_force(pieces.reshape(t, 4 * w), Codebook.new(entries))
+
+
+def test_all_equal_codebook_picks_code_zero():
+    rng = np.random.default_rng(19)
+    book = Codebook.new(np.full((16, 3), 0.25))
+    z = rng.normal(size=(5, 12))
+    assert quantize(z, book).indices.tolist() == [[0] * 4] * 5
+    _assert_brute_force(z, book)
+
+
+@pytest.mark.parametrize("offset", [1.0, -1.0])
+def test_piece_exactly_between_two_codes(offset):
+    # the explicit distances tie at 1; their norm expansions round apart, and for
+    # one of the two code orders the expansion alone would pick the higher code
+    piece = 1e8 + 0.5
+    book = Codebook.new(np.array([[piece - offset], [piece + offset], [piece + 3.0]]))
+    z = np.full((1, 4), piece)
+    assert quantize(z, book).indices.tolist() == [[0, 0, 0, 0]]
+    _assert_brute_force(z, book)
+
+
+def test_underflowing_distances_still_break_ties_to_the_lowest_index():
+    # (3e-162 - 2e-162)**2 underflows to 0, so both codes are at distance 0
+    book = Codebook.new(np.array([[2e-162], [3e-162]]))
+    z = np.array([[3e-162, 3e-162, 0.0, -2e-162]])
+    assert quantize(z, book).indices.tolist() == [[0, 0, 0, 0]]
+    _assert_brute_force(z, book)
+
+
+@pytest.mark.parametrize("scale_latent, scale_codes", [(1e200, 1.0), (1.0, 1e200), (1e154, 1e154)])
+def test_quantize_refuses_overflowing_distances(scale_latent, scale_codes):
+    book = Codebook.new(np.array([[0.0, 1.0], [1.0, 0.0]]) * scale_codes)
+    z = np.ones((1, 8)) * scale_latent
+    with pytest.raises(VQError, match="overflow"):
         quantize(z, book)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # without chunks the (1024 pieces, 1024 codes, 64) differences alone are 512 MB
-    assert peak < 2 * vq.ASSIGN_BUDGET_BYTES + 4 * (z.nbytes + book.entries.nbytes)
 
 
 def test_codebook_refuses_zero_width_entries():
