@@ -131,14 +131,14 @@ def serialize(in_dir, out_dir, vocab_path, min_count, n_e, n_tpe, n_t):
         vocab = Vocabulary.load(vocab_path)
     else:
         vocab = build_vocabulary(serializer.corpus_texts(corpus), min_count=min_count)
-    # one patient's dense grid and flat stream at a time; only record text is kept
+    # one patient's grid and flat stream at a time; only record text is kept
     hier, flat = [], []
     for p in corpus.patients:
         grid = serializer.build_hierarchical(p, vocab, corpus.definitions, config)
         hier.append(serializer.stream_record(grid))
         flat.append(serializer.stream_record(serializer.flatten(grid, n_t=config.n_t)))
     _save(out_dir, "serialize", {"n_e": n_e, "n_tpe": n_tpe, "n_t": n_t},
-          sorted(str(p) for p in Path(in_dir).glob("*.tsv")),
+          [Path(in_dir) / "schema.json", *sorted(Path(in_dir).glob("*.tsv"))],
           {"vocab.txt": vocab.save,
            "streams_hier.jsonl": "".join(hier),
            "streams_flat.jsonl": "".join(flat)})
@@ -214,6 +214,8 @@ def analyze(plan_path, kernel, attention):
 @_run
 def quantize(latent_path, codebook_path, beta, out_path):
     """Nearest-code quantization of a latent array."""
+    if beta is not None and not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"--beta must be a finite weight >= 0, got {beta}")
     codebook = vq.Codebook.load(codebook_path)
     try:
         z = np.asarray(json.loads(Path(latent_path).read_text()), dtype=np.float64)

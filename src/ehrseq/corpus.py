@@ -298,22 +298,31 @@ def generate_corpus(config: GeneratorConfig) -> Corpus:
 
 
 def _from_json(cls, raw):
-    """`cls` from a JSON object, each key converted as `_JSON_KEYS` says; an
-    absent key takes the field's default, and any other key is an error.
-    The JSON key "type" is the field `kind`."""
+    """`cls` from a JSON object, each value converted by `_JSON_KEYS[cls][key](key,
+    value)`; an absent key takes the field's default, and any other key is an
+    error.  The JSON key "type" is the field `kind`."""
     if not isinstance(raw, dict):
         raise CorpusError(f"expected a JSON object, got {raw!r}")
     keys = _JSON_KEYS[cls]
     unknown = [key for key in raw if key not in keys]
     if unknown:
         raise CorpusError(f"unknown key {unknown[0]!r}")
-    return cls(**{"kind" if key == "type" else key: keys[key](value)
+    return cls(**{"kind" if key == "type" else key: keys[key](key, value)
                   for key, value in raw.items()})
 
 
-def _json_list(key: str, what: str, kind: type, length: int | None = None):
+def _json_value(what: str, *kinds: type):
+    """Converter of a JSON value of one of `kinds` (a bool is no int) to the first."""
+    def convert(key, value):
+        if type(value) not in kinds:
+            raise CorpusError(f"{key} must be a JSON {what}")
+        return kinds[0](value)
+    return convert
+
+
+def _json_list(what: str, kind: type, length: int | None = None):
     """Converter of a JSON list of `kind` values (exactly `length` of them) to a tuple."""
-    def convert(value):
+    def convert(key, value):
         if (not isinstance(value, list) or any(type(v) is not kind for v in value)
                 or length not in (None, len(value))):
             raise CorpusError(f"{key} must be a JSON list of {what}")
@@ -321,16 +330,19 @@ def _json_list(key: str, what: str, kind: type, length: int | None = None):
     return convert
 
 
+_STRING, _INTEGER, _NUMBER = (_json_value("string", str), _json_value("integer", int),
+                              _json_value("number", float, int))
+_STRINGS = _json_list("strings", str)
 _JSON_KEYS = {
-    ColumnSpec: {"name": str, "type": str, "low": float, "high": float, "decimals": int,
-                 "choices": _json_list("choices", "strings", str),
-                 "codes": _json_list("codes", "strings", str)},
-    TableSpec: {"name": str,
-                "columns": lambda cols: tuple(_from_json(ColumnSpec, c) for c in cols)},
-    GeneratorConfig: {"seed": int, "n_patients": int, "events_per_patient":
-                      _json_list("events_per_patient", "two integers", int, 2),
-                      "tables": lambda tables: tuple(_from_json(TableSpec, t) for t in tables),
-                      "definitions": lambda defs: {str(k): v for k, v in defs.items()}},
+    ColumnSpec: {"name": _STRING, "type": _STRING, "low": _NUMBER, "high": _NUMBER,
+                 "decimals": _INTEGER, "choices": _STRINGS, "codes": _STRINGS},
+    TableSpec: {"name": _STRING,
+                "columns": lambda _, cols: tuple(_from_json(ColumnSpec, c) for c in cols)},
+    GeneratorConfig: {"seed": _INTEGER, "n_patients": _INTEGER,
+                      "events_per_patient": _json_list("two integers", int, 2),
+                      "tables": lambda _, tables: tuple(_from_json(TableSpec, t) for t in tables),
+                      "definitions": lambda key, defs: {code: _STRING(f"{key} {code!r}", text)
+                                                        for code, text in defs.items()}},
 }
 
 

@@ -20,16 +20,14 @@ def token_accuracy(reference: TokenStream, hypothesis: TokenStream,
 
     Returns None when no positions are considered.
     """
-    if reference.tokens.shape != hypothesis.tokens.shape:
-        raise MetricError(
-            f"shape mismatch: {reference.tokens.shape} vs {hypothesis.tokens.shape}"
-        )
-    mask = np.ones(reference.tokens.shape, dtype=bool) if include_pads \
-        else reference.tokens != PAD_ID
+    ref, hyp = reference.tokens, hypothesis.tokens
+    if ref.shape != hyp.shape:
+        raise MetricError(f"shape mismatch: {ref.shape} vs {hyp.shape}")
+    mask = np.ones(ref.shape, dtype=bool) if include_pads else ref != PAD_ID
     considered = int(mask.sum())
     if considered == 0:
         return None
-    matches = int(np.count_nonzero((reference.tokens == hypothesis.tokens) & mask))
+    matches = int(np.count_nonzero((ref == hyp) & mask))
     return matches / considered
 
 

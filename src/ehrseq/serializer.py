@@ -86,34 +86,85 @@ class SerializerConfig:
 _CHANNELS = ("tokens", "type_labels", "dpe_labels")
 _FILLS = (PAD_ID, int(TokenType.PAD), DPE_NON_DIGIT)
 
-# Layout names by the rank of the token channel: 1-D, then 2-D.
+# Layout names by the rank of the stream's shape: 1-D, then 2-D.
 _LAYOUTS = ("flattened", "hierarchical")
 
 
 @dataclass
 class TokenStream:
     """Token ids with parallel label channels: a 2-D grid of events, one per
-    row, or a 1-D flat sequence.  The rank of `tokens` is the layout."""
+    row, or a 1-D flat sequence, one row.  The rank of `shape` is the layout.
 
-    tokens: np.ndarray
-    type_labels: Optional[np.ndarray] = None
-    dpe_labels: Optional[np.ndarray] = None
+    `cells` holds the tokens, type labels and dpe labels (either label channel
+    may be None), each as the first lengths[i] cells of each row i, row after
+    row; all other cells are the channel's fill.  The dense channels are
+    read-only views of `shape`, built on each access."""
+
+    shape: tuple[int, ...]
+    lengths: np.ndarray
+    cells: tuple[Optional[np.ndarray], ...]
     event_boundaries: Optional[list[tuple[int, int]]] = None
     patient_id: str = ""
 
     def __post_init__(self):
-        if self.tokens.ndim not in (1, 2):
-            raise SerializeError(f"tokens must be 1-D or 2-D, not {self.tokens.ndim}-D")
-        for channel in (self.type_labels, self.dpe_labels):
-            if channel is not None and channel.shape != self.tokens.shape:
-                raise SerializeError("label channel shape does not match token channel")
+        n_rows, width = _rows_shape(self.shape)
+        self.lengths = lengths = np.asarray(self.lengths, dtype=np.int64)
+        if lengths.ndim != 1 or len(lengths) > n_rows:
+            raise SerializeError(f"{len(lengths)} row lengths for {n_rows} rows")
+        if lengths.size and not 0 <= lengths.min() <= lengths.max() <= width:
+            raise SerializeError(f"row length outside 0..{width}")
+        total = int(lengths.sum())
+        for name, payload in zip(_CHANNELS, self.cells):
+            if payload is not None and payload.shape != (total,):
+                raise SerializeError(f"{name} payload does not hold sum(lengths) = {total} cells")
         if self.event_boundaries is not None:
-            self.event_boundaries = _checked_bounds(self.event_boundaries,
-                                                    self.tokens.shape[-1])
+            self.event_boundaries = _checked_bounds(self.event_boundaries, width)
 
     @property
     def layout(self) -> str:
-        return _LAYOUTS[self.tokens.ndim - 1]
+        return _LAYOUTS[len(self.shape) - 1]
+
+    tokens = property(lambda self: self._dense(0))
+    type_labels = property(lambda self: self._dense(1))
+    dpe_labels = property(lambda self: self._dense(2))
+
+    def _dense(self, channel: int) -> Optional[np.ndarray]:
+        """One channel as a read-only array of `shape`, fill outside the rows' lengths."""
+        cells = self.cells[channel]
+        if cells is None:
+            return None
+        n_rows, width = _rows_shape(self.shape)
+        out = np.full((n_rows, width), _FILLS[channel], dtype=np.int32)
+        out[: len(self.lengths)][np.arange(width) < self.lengths[:, None]] = cells
+        out.flags.writeable = False
+        return out.reshape(self.shape)
+
+
+def _rows_shape(shape) -> tuple[int, int]:
+    """A stream's shape as (rows, width); a flat stream is one row."""
+    if len(shape) not in (1, 2):
+        raise SerializeError(f"a stream must be 1-D or 2-D, not {len(shape)}-D")
+    return (1, shape[0]) if len(shape) == 1 else tuple(shape)
+
+
+def dense_stream(tokens, type_labels=None, dpe_labels=None,
+                 event_boundaries=None, patient_id: str = "") -> TokenStream:
+    """A stream from dense channels of one shape, 1-D or 2-D.  Each row keeps
+    its cells up to the last where any channel differs from its fill."""
+    dense = [None if c is None else np.asarray(c, dtype=np.int32)
+             for c in (tokens, type_labels, dpe_labels)]
+    shape = dense[0].shape
+    n_rows, width = _rows_shape(shape)
+    differs = np.zeros((n_rows, width), dtype=bool)
+    for channel, fill in zip(dense, _FILLS):
+        if channel is not None:
+            if channel.shape != shape:
+                raise SerializeError("label channel shape does not match token channel")
+            differs |= channel.reshape(n_rows, width) != fill
+    lengths = np.max(np.where(differs, np.arange(1, width + 1), 0), axis=1, initial=0)
+    kept = np.arange(width) < lengths[:, None]
+    cells = tuple(None if c is None else c.reshape(n_rows, width)[kept] for c in dense)
+    return TokenStream(shape, lengths, cells, event_boundaries, patient_id)
 
 
 def _checked_bounds(bounds, length: int) -> list[tuple[int, int]]:
@@ -213,68 +264,26 @@ def build_hierarchical(patient: PatientRecord, vocab: Vocabulary,
     """
     if not patient.events:
         raise SerializeError(f"patient {patient.patient_id} has no events")
-    tokens = np.full((config.n_e, config.n_tpe), PAD_ID, dtype=np.int32)
-    types = np.full_like(tokens, int(TokenType.PAD))
-    dpes = np.full_like(tokens, DPE_NON_DIGIT)
-
+    lengths, cells = [], ([], [], [])
     prev_ts = 0  # first gap measured from admission
-    for row, event in enumerate(patient.events[: config.n_e]):
-        ids, tl, dl = serialize_event(event, prev_ts, vocab, definitions)
+    for event in patient.events[: config.n_e]:
+        channels = serialize_event(event, prev_ts, vocab, definitions)
         prev_ts = event.timestamp
-        length = min(len(ids), config.n_tpe)
-        tokens[row, :length] = ids[:length]
-        types[row, :length] = tl[:length]
-        dpes[row, :length] = dl[:length]
-    return TokenStream(tokens, types, dpes, patient_id=patient.patient_id)
+        lengths.append(min(len(channels[0]), config.n_tpe))
+        for kept, values in zip(cells, channels):
+            kept.extend(values[: config.n_tpe])
+    return TokenStream((config.n_e, config.n_tpe), lengths,
+                       tuple(np.array(c, dtype=np.int32) for c in cells),
+                       patient_id=patient.patient_id)
 
 
-# --- dense <-> de-padded views -----------------------------------------------
-#
-# A 2-D channel is a stack of rows; a 1-D channel is one row.  A row's
-# payload is a prefix of it, given by a length per row.
-
-def _channels(stream: TokenStream) -> tuple:
-    return stream.tokens, stream.type_labels, stream.dpe_labels
-
-
-def _rows_shape(shape) -> tuple[int, int]:
-    return (1, shape[0]) if len(shape) == 1 else tuple(shape)
-
-
-def _token_counts(tokens: np.ndarray) -> np.ndarray:
-    """Non-pad tokens per row: flatten and detokenize keep that prefix of a row."""
-    return np.count_nonzero(tokens != PAD_ID, axis=-1)
-
-
-def _stored_lengths(stream: TokenStream) -> np.ndarray:
-    """Per row, one past the last cell where any channel differs from its fill."""
-    shape = _rows_shape(stream.tokens.shape)
-    differs = np.zeros(shape, dtype=bool)
-    for channel, fill in zip(_channels(stream), _FILLS):
-        if channel is not None:
-            differs |= channel.reshape(shape) != fill
-    return np.max(np.where(differs, np.arange(1, shape[1] + 1), 0), axis=1, initial=0)
-
-
-def _prefix_mask(shape, lengths) -> np.ndarray:
-    """Rows of `shape` as a 2-D mask of the first lengths[i] cells of row i;
-    rows past len(lengths) are empty."""
-    n_rows, width = _rows_shape(shape)
-    per_row = np.zeros(n_rows, dtype=np.int64)
-    per_row[: len(lengths)] = lengths
-    return np.arange(width) < per_row[:, None]
-
-
-def _payload(channel: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Dense channel -> its cells inside the prefix mask, row after row."""
-    return channel.reshape(mask.shape)[mask]
-
-
-def _dense(payload: np.ndarray, mask: np.ndarray, shape, fill: int) -> np.ndarray:
-    """Payload -> the dense channel of `shape`, fill outside the prefix mask."""
-    out = np.full(mask.shape, fill, dtype=np.int32)
-    out[mask] = payload
-    return out.reshape(shape)
+def _kept_rows(hier: TokenStream) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a hierarchical stream, where its cells start and its count c
+    of non-pad tokens: flatten and detokenize keep the row's first c cells."""
+    ends = np.cumsum(hier.lengths)
+    non_pad = np.concatenate(([0], np.cumsum(hier.cells[0] != PAD_ID)))
+    starts = ends - hier.lengths
+    return starts, non_pad[ends] - non_pad[starts]
 
 
 def flatten(hier: TokenStream, n_t: int = SerializerConfig.n_t) -> TokenStream:
@@ -285,21 +294,15 @@ def flatten(hier: TokenStream, n_t: int = SerializerConfig.n_t) -> TokenStream:
     """
     if hier.layout != "hierarchical":
         raise SerializeError("flatten expects a hierarchical stream")
-    counts = _token_counts(hier.tokens)
+    starts, counts = _kept_rows(hier)
+    in_row = np.arange(len(hier.cells[0])) - np.repeat(starts, hier.lengths)
+    keep = in_row < np.repeat(counts, hier.lengths)
     kept = counts[counts > 0]
-    starts = np.cumsum(kept) - kept
-    boundaries = [(s, min(s + n, n_t)) for s, n in zip(starts.tolist(), kept.tolist())
+    offsets = np.cumsum(kept) - kept
+    boundaries = [(s, min(s + n, n_t)) for s, n in zip(offsets.tolist(), kept.tolist())
                   if s < n_t]
-    row_mask = _prefix_mask(hier.tokens.shape, counts)
-    flat_mask = _prefix_mask((n_t,), [min(int(kept.sum()), n_t)])
-
-    def assemble(channel, fill):
-        if channel is None:
-            return None
-        return _dense(_payload(channel, row_mask)[:n_t], flat_mask, (n_t,), fill)
-
-    tokens, types, dpes = (assemble(c, fill) for c, fill in zip(_channels(hier), _FILLS))
-    return TokenStream(tokens, types, dpes, boundaries, hier.patient_id)
+    cells = tuple(None if c is None else c[keep][:n_t] for c in hier.cells)
+    return TokenStream((n_t,), [len(cells[0])], cells, boundaries, hier.patient_id)
 
 
 DEFECT_NOT_TABLE_FIRST = "not_table_first"
@@ -327,13 +330,14 @@ class ReconstructedEvent:
 
 
 def _event_segments(stream: TokenStream):
-    tokens, labels = stream.tokens, stream.type_labels
+    tokens, labels = stream.cells[:2]
     if stream.layout == "hierarchical":
-        counts = _token_counts(tokens)
-        for row in np.flatnonzero(counts):
-            n = counts[row]
-            yield tokens[row, :n], None if labels is None else labels[row, :n]
+        starts, counts = _kept_rows(stream)
+        for s, n in zip(starts[counts > 0].tolist(), counts[counts > 0].tolist()):
+            yield tokens[s:s + n], None if labels is None else labels[s:s + n]
     elif stream.event_boundaries is not None:
+        # a boundary may reach past the cells into the padding
+        tokens, labels = stream.tokens, stream.type_labels
         for s, e in stream.event_boundaries:
             yield tokens[s:e], None if labels is None else labels[s:e]
     else:
@@ -379,7 +383,8 @@ def detokenize_events(stream: TokenStream, vocab: Vocabulary) -> list[Reconstruc
     to structure against its triple set.  A token id outside the vocabulary
     is refused, naming the patient.
     """
-    tokens, unit_of, n_units = stream.tokens, vocab.units, len(vocab)
+    # the cells hold every token but the padding, and PAD_ID is in the vocabulary
+    tokens, unit_of, n_units = stream.cells[0], vocab.units, len(vocab)
     if tokens.size and not 0 <= tokens.min() <= tokens.max() < n_units:
         bad = tokens[(tokens < 0) | (tokens >= n_units)].flat[0]
         raise SerializeError(f"patient {stream.patient_id!r}: token id {bad} is outside "
@@ -399,25 +404,22 @@ def detokenize_events(stream: TokenStream, vocab: Vocabulary) -> list[Reconstruc
 
 # --- persistence: one patient per JSON line --------------------------------
 #
-# A record stores the dense "shape" and, per row, its "lengths": one past the
-# last cell where any channel differs from its fill value.  Each channel holds
-# its cells inside those lengths as one flat list; trailing empty rows are
-# omitted from "lengths".  A flat stream counts as one row.  Records without
-# "shape" are dense: every channel is the full nested list.  The "layout"
-# name fixes the rank a record's shape or dense lists must have.
+# A record stores a stream as it is held: its "shape", its row "lengths" with
+# trailing zeros omitted, and each channel's cells as one flat list.  Records
+# without "shape" are dense: every channel is the full nested list, de-padded
+# on reading.  The "layout" name fixes the rank a record's shape or dense
+# lists must have.
 
 def stream_record(stream: TokenStream) -> str:
     """One stream as its de-padded JSON line, newline included."""
-    lengths = np.trim_zeros(_stored_lengths(stream), "b")
-    mask = _prefix_mask(stream.tokens.shape, lengths)
     record = {
         "patient_id": stream.patient_id,
         "layout": stream.layout,
-        "shape": list(stream.tokens.shape),
-        "lengths": lengths.tolist(),
+        "shape": list(stream.shape),
+        "lengths": np.trim_zeros(stream.lengths, "b").tolist(),
     }
-    for name, channel in zip(_CHANNELS, _channels(stream)):
-        record[name] = None if channel is None else _payload(channel, mask).tolist()
+    for name, cells in zip(_CHANNELS, stream.cells):
+        record[name] = None if cells is None else cells.tolist()
     record["event_boundaries"] = stream.event_boundaries
     return json.dumps(record, allow_nan=False) + "\n"
 
@@ -435,14 +437,14 @@ def _not_an_integer(text: str):
 _RECORD_DECODER = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
 
 
-def _int32s(values, name: str, rank: int = 1) -> np.ndarray:
+def _int32s(values, name: str, layout: str, rank: int = 1) -> np.ndarray:
     """A channel's JSON list of integers (rank 1), or of equal-length lists of
     them (rank 2), as int32.  Strings, nulls and values past 32 bits are
     refused; JSON true and false pass as 1 and 0, since catching them would
     take a step per value."""
     rows, cells = values if rank == 2 else [values], array("i")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise SerializeError(f"{name}: a {_LAYOUTS[rank - 1]} record needs a list of "
+        raise SerializeError(f"{name}: a {layout} record needs a list of "
                              + ("rows" if rank == 2 else "integers"))
     try:
         for row in rows:
@@ -483,24 +485,19 @@ def _stream_from_record(r) -> TokenStream:
     if layout not in _LAYOUTS:
         raise SerializeError(f"unknown layout {layout!r}")
     rank = _LAYOUTS.index(layout) + 1  # of the shape, or of a dense record's lists
+    bounds, patient_id = r.get("event_boundaries"), r.get("patient_id", "")
     if "shape" in r:
         shape = _checked_shape(r, rank)
-        mask = _prefix_mask(shape, r["lengths"])
-
-        def channel(name, fill):
-            return _dense(_int32s(r[name], name), mask, shape, fill)
-    else:
-        def channel(name, fill):
-            return _int32s(r[name], name, rank)
-
-    tokens, types, dpes = (None if r.get(name) is None else channel(name, fill)
-                           for name, fill in zip(_CHANNELS, _FILLS))
-    return TokenStream(tokens, types, dpes, r.get("event_boundaries"), r.get("patient_id", ""))
+        cells = tuple(None if r.get(name) is None else _int32s(r[name], name, layout)
+                      for name in _CHANNELS)
+        return TokenStream(shape, r["lengths"], cells, bounds, patient_id)
+    dense = (None if r.get(name) is None else _int32s(r[name], name, layout, rank)
+             for name in _CHANNELS)
+    return dense_stream(*dense, bounds, patient_id)
 
 
 def _checked_shape(r: dict, rank: int) -> tuple[int, ...]:
-    """Shape of a de-padded record, of the layout's rank, its row lengths
-    checked against it and against the payloads."""
+    """A de-padded record's shape, of the layout's rank; its lengths a list of integers."""
     shape = r["shape"]
     if (not isinstance(shape, list) or len(shape) != rank
             or not all(type(n) is int and n >= 0 for n in shape)):
@@ -508,14 +505,4 @@ def _checked_shape(r: dict, rank: int) -> tuple[int, ...]:
     lengths = r["lengths"]
     if not isinstance(lengths, list) or not all(type(n) is int for n in lengths):
         raise SerializeError("lengths must be a list of integers")
-    n_rows, width = _rows_shape(shape)
-    if len(lengths) > n_rows:
-        raise SerializeError(f"{len(lengths)} row lengths for {n_rows} rows")
-    if lengths and not 0 <= min(lengths) <= max(lengths) <= width:
-        raise SerializeError(f"row length outside 0..{width}")
-    total = sum(lengths)
-    for name in _CHANNELS:
-        payload = r.get(name)
-        if payload is not None and (not isinstance(payload, list) or len(payload) != total):
-            raise SerializeError(f"{name} payload does not hold sum(lengths) = {total} cells")
     return tuple(shape)

@@ -420,6 +420,14 @@ def test_manifest_contents(runner, tmp_path):
     assert manifest["outputs"] and all(isinstance(p, str) for p in manifest["outputs"])
 
 
+def test_serialize_manifest_digests_every_corpus_file_it_reads(runner, tmp_path):
+    corpus_dir, out = serialize_corpus(runner, tmp_path)
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    read = [p for p in sorted(corpus_dir.iterdir()) if p.name != "manifest.json"]
+    assert "schema.json" in [p.name for p in read]
+    assert inputs == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in read}
+
+
 def _bad_vocab(tmp_path):
     path = tmp_path / "bad_vocab.txt"
     path.write_text("not\na\nvocabulary\n")
@@ -510,6 +518,19 @@ def test_quantize_refuses_a_codebook_holding_nan(runner, tmp_path):
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output == f"error: {path}: codebook holds non-finite values\n"
     assert not (tmp_path / "q.json").exists()
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+def test_quantize_refuses_a_bad_beta(runner, tmp_path, beta):
+    Codebook.new(np.zeros((2, 2))).save(tmp_path / "codebook.json")
+    latent = _a_file(tmp_path, "[[0, 0, 0, 0]]")
+    out = tmp_path / "q" / "q.json"
+    result = runner.invoke(main, ["quantize", "--latent", str(latent), "--codebook",
+                                  str(tmp_path / "codebook.json"), "--beta", beta,
+                                  "--out", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"error: --beta must be a finite weight >= 0, got {float(beta)}\n"
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("latent_scale, code_scale", [(1e200, 1.0), (1.0, 1e200)],

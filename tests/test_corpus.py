@@ -396,6 +396,17 @@ def test_generator_config_defaults_come_from_the_dataclass(tmp_path):
      "events_per_patient must be a JSON list of two integers"),
     (lambda doc: doc.update(events_per_patient=[5.0, 8]),
      "events_per_patient must be a JSON list of two integers"),
+    (lambda doc: doc.update(n_patients=2.9), "n_patients must be a JSON integer"),
+    (lambda doc: doc.update(n_patients=True), "n_patients must be a JSON integer"),
+    (lambda doc: doc.update(seed="7"), "seed must be a JSON integer"),
+    (lambda doc: doc["tables"][0]["columns"][1].update(decimals=1.5),
+     "decimals must be a JSON integer"),
+    (lambda doc: doc["tables"][0]["columns"][1].update(low=True), "low must be a JSON number"),
+    (lambda doc: doc["tables"][0]["columns"][1].update(high="9"), "high must be a JSON number"),
+    (lambda doc: doc["tables"][0]["columns"][1].update(type=3), "type must be a JSON string"),
+    (lambda doc: doc["tables"][0]["columns"][0].update(name=5), "name must be a JSON string"),
+    (lambda doc: doc["tables"][0].update(name=5), "name must be a JSON string"),
+    (lambda doc: doc.update(definitions={"1": 5}), "definitions '1' must be a JSON string"),
 ])
 def test_generator_config_faults_name_the_file(tmp_path, edit, reason):
     doc = _config_json(C.default_config())

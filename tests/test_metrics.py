@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 
 from ehrseq.cli import main
 from ehrseq.metrics import MetricError, auroc, token_accuracy
-from ehrseq.serializer import TokenStream
+from ehrseq.serializer import dense_stream
 from ehrseq.vocab import PAD_ID
 
 
 def stream(tokens):
-    return TokenStream(np.asarray(tokens, dtype=np.int32))
+    return dense_stream(np.asarray(tokens, dtype=np.int32))
 
 
 def test_accuracy_perfect():

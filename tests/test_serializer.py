@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,30 @@ def test_build_hierarchical_truncates_long_event():
     assert list(stream.tokens[0]) == full[:8]
 
 
+def test_serialize_path_allocates_no_dense_grid():
+    vocab = simple_vocab()
+    events = [C.EventRecord("t", (("c", C.text("v v")), ("value", C.numeric("7.4"))),
+                            timestamp=60 * i) for i in range(5)]
+    config = S.SerializerConfig()
+    tracemalloc.start()
+    try:
+        hier = S.build_hierarchical(C.PatientRecord("p", events), vocab, {}, config)
+        S.stream_record(hier)
+        S.stream_record(S.flatten(hier, config.n_t))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < config.n_e * config.n_tpe * np.dtype(np.int32).itemsize
+
+
+def test_dense_views_are_read_only():
+    vocab, patient, config = grid_fixture()
+    hier = S.build_hierarchical(patient, vocab, {}, config)
+    for stream in (hier, S.flatten(hier, config.n_t)):
+        with pytest.raises(ValueError, match="read-only"):
+            stream.tokens[0] = 5
+
+
 def test_build_hierarchical_empty_patient_rejected():
     vocab, _, config = grid_fixture()
     with pytest.raises(S.SerializeError):
@@ -122,7 +147,7 @@ def test_flatten_boundaries_and_padding():
 
 def test_flatten_all_pad_grid():
     tokens = np.full((4, 8), PAD_ID, dtype=np.int32)
-    stream = S.TokenStream(tokens)
+    stream = S.dense_stream(tokens)
     flat = S.flatten(stream, 16)
     assert np.count_nonzero(flat.tokens != PAD_ID) == 0
     assert flat.event_boundaries == []
@@ -156,8 +181,10 @@ def test_roundtrip_on_untruncated_patients(small_corpus, small_vocab):
 
 def test_detokenize_flags_not_table_first():
     vocab, patient, config = grid_fixture()
-    hier = S.build_hierarchical(patient, vocab, {}, config)
-    hier.type_labels[0, 0] = int(S.TokenType.COLUMN_NAME)
+    built = S.build_hierarchical(patient, vocab, {}, config)
+    types = built.type_labels.copy()
+    types[0, 0] = int(S.TokenType.COLUMN_NAME)
+    hier = S.dense_stream(built.tokens, types, built.dpe_labels)
     events = S.detokenize_events(hier, vocab)
     assert events[0].defect == S.DEFECT_NOT_TABLE_FIRST
 
@@ -177,7 +204,7 @@ def test_detokenize_label_less_splits_on_timegap(small_corpus, small_vocab):
     patient = small_corpus.patients[0]
     hier = S.build_hierarchical(patient, small_vocab, small_corpus.definitions)
     flat = S.flatten(hier)
-    bare = S.TokenStream(flat.tokens, patient_id=patient.patient_id)
+    bare = S.dense_stream(flat.tokens, patient_id=patient.patient_id)
     events = S.detokenize_events(bare, small_vocab)
     assert len(events) == len(patient.events)
     first = events[0]
@@ -193,11 +220,12 @@ def test_detokenize_refuses_ids_outside_the_vocabulary(bad, labeled):
     tokens = np.array([vocab.units.index("lab"), bad, RESERVED.index("[tg0]"), PAD_ID],
                       dtype=np.int32)
     labels = np.array([1, 3, 4, 0], dtype=np.int32) if labeled else None
-    stream = S.TokenStream(tokens, labels, patient_id="p9")
+    stream = S.dense_stream(tokens, labels, patient_id="p9")
     with pytest.raises(S.SerializeError) as err:
         S.detokenize_events(stream, vocab)
     assert str(err.value) == f"patient 'p9': token id {bad} is outside the vocabulary of 24 units"
     tokens[1] = len(vocab) - 1
+    stream = S.dense_stream(tokens, labels, patient_id="p9")
     assert len(S.detokenize_events(stream, vocab)) == 1
 
 
@@ -263,8 +291,8 @@ def token_streams(draw):
     label = st.none() | channel
     ends = st.integers(0, shape[-1])
     bounds = st.none() | st.lists(st.tuples(ends, ends).map(sorted).map(tuple), max_size=3)
-    return S.TokenStream(draw(channel), draw(label), draw(label),
-                         draw(bounds), draw(st.text(max_size=5)))
+    return S.dense_stream(draw(channel), draw(label), draw(label),
+                          draw(bounds), draw(st.text(max_size=5)))
 
 
 @settings(deadline=None)
@@ -277,15 +305,19 @@ def test_save_load_restores_streams(tmp_path_factory, streams):
     for a, b in zip(streams, loaded):
         assert (a.layout, a.patient_id, a.event_boundaries) == \
             (b.layout, b.patient_id, b.event_boundaries)
-        for x, y in zip(S._channels(a), S._channels(b)):
+        for x, y in zip((a.tokens, a.type_labels, a.dpe_labels),
+                        (b.tokens, b.type_labels, b.dpe_labels)):
             assert (x is None and y is None) or (y.dtype == np.int32 and np.array_equal(x, y))
+        again = S.dense_stream(a.tokens, a.type_labels, a.dpe_labels)
+        assert np.array_equal(again.lengths, a.lengths) and all(
+            (x is None and y is None) or np.array_equal(x, y) for x, y in zip(again.cells, a.cells))
 
 
 def test_save_writes_cells_up_to_last_non_fill(tmp_path):
     tokens = np.array([[5, PAD_ID, 6, PAD_ID], [PAD_ID] * 4, [PAD_ID] * 4], dtype=np.int32)
     types = np.zeros_like(tokens)
     types[1, 1] = int(S.TokenType.TABLE_NAME)  # a label under a pad token
-    stream = S.TokenStream(tokens, types, None, patient_id="p")
+    stream = S.dense_stream(tokens, types, None, patient_id="p")
     S.save_streams([stream], tmp_path / "s.jsonl")
     record = json.loads((tmp_path / "s.jsonl").read_text())
     assert record == {"patient_id": "p", "layout": "hierarchical", "shape": [3, 4],
@@ -314,11 +346,11 @@ def test_load_accepts_dense_records(tmp_path):
 
 
 def test_layout_is_the_rank_of_the_tokens():
-    assert S.TokenStream(np.zeros((2, 3), dtype=np.int32)).layout == "hierarchical"
-    assert S.TokenStream(np.zeros(3, dtype=np.int32)).layout == "flattened"
+    assert S.dense_stream(np.zeros((2, 3), dtype=np.int32)).layout == "hierarchical"
+    assert S.dense_stream(np.zeros(3, dtype=np.int32)).layout == "flattened"
     for shape in ((), (2, 2, 2)):
         with pytest.raises(S.SerializeError, match=f"1-D or 2-D, not {len(shape)}-D"):
-            S.TokenStream(np.zeros(shape, dtype=np.int32))
+            S.dense_stream(np.zeros(shape, dtype=np.int32))
 
 
 def test_load_reads_an_empty_dense_grid_as_no_events(tmp_path, small_vocab):
@@ -389,7 +421,7 @@ def test_load_rejects_bad_line_naming_file_and_line(tmp_path, line, reason):
 
 def test_stream_refuses_bounds_it_could_not_read_back():
     with pytest.raises(S.SerializeError, match=r"boundary \(2, 5\) is not .* <= 4$"):
-        S.TokenStream(np.zeros(4, dtype=np.int32), event_boundaries=[(0, 2), (2, 5)])
+        S.dense_stream(np.zeros(4, dtype=np.int32), event_boundaries=[(0, 2), (2, 5)])
 
 
 def flatten_by_rows(tokens, labels, n_t):
@@ -419,7 +451,7 @@ def flatten_by_rows(tokens, labels, n_t):
        st.sampled_from([1, 4, 8, 64]))
 def test_flatten_and_segments_match_row_loop(tokens, n_t):
     labels = tokens[::-1, ::-1].copy()
-    hier = S.TokenStream(tokens, labels, None)
+    hier = S.dense_stream(tokens, labels, None)
     flat = S.flatten(hier, n_t)
     want_tokens, want_labels, boundaries, pieces = flatten_by_rows(tokens, labels, n_t)
     assert np.array_equal(flat.tokens, want_tokens)
@@ -442,7 +474,7 @@ def segments_by_token_loop(tokens):
 
 @given(hnp.arrays(np.int32, st.integers(0, 40), elements=st.integers(0, 16)))
 def test_label_less_segments_match_the_token_loop(tokens):
-    stream = S.TokenStream(tokens)
+    stream = S.dense_stream(tokens)
     assert [t.tolist() for t, _ in S._event_segments(stream)] == segments_by_token_loop(tokens)
 
 
