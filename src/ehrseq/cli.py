@@ -14,7 +14,6 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import audit as audit_mod
 from . import corpus as corpus_mod
@@ -22,7 +21,7 @@ from . import metrics as metrics_mod
 from . import planner, privacy, serializer, vq
 from .analyzer import (FULL_ATTENTION, LINEAR_ATTENTION, CostModel, analysis_report,
                        validate_plan)
-from .manifest import write_manifest
+from .manifest import json_text, write_manifest
 from .vocab import Vocabulary, build_vocabulary
 
 
@@ -37,10 +36,6 @@ def _run(command):
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
     return run
-
-
-def _json(doc) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _save(out_dir, command: str, config: dict, inputs: list, files: dict,
@@ -183,7 +178,7 @@ def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
     _save(out_dir, "plan", {"backbone": backbone, "input": input_shape,
                             "output": output_shape, "layers": n_l}, [],
           {"plan.json": lambda path: planner.save_plan(p, path),
-           "analysis.json": _json(report)})
+           "analysis.json": json_text(report)})
     for step in report["trace"]:
         click.echo(f"layer {step['layer'] + 1}: {step['op']} -> "
                    f"({step['shape'][0]},{step['shape'][1]})")
@@ -200,7 +195,7 @@ def analyze(plan_path, kernel, attention):
     """Analyze an existing plan document: shapes and per-layer params and FLOPs."""
     p = planner.load_plan(plan_path)
     report = analysis_report(p, CostModel(kernel=kernel, attention_variant=attention))
-    click.echo(_json(report), nl=False)
+    click.echo(json_text(report), nl=False)
 
 
 @main.command()
@@ -218,7 +213,7 @@ def quantize(latent_path, codebook_path, beta, out_path):
         raise ValueError(f"--beta must be a finite weight >= 0, got {beta}")
     codebook = vq.Codebook.load(codebook_path)
     try:
-        z = np.asarray(json.loads(Path(latent_path).read_text()), dtype=np.float64)
+        z = vq.numeric_array(json.loads(Path(latent_path).read_text()), "latent")
         result = vq.quantize(z, codebook)
     except (TypeError, ValueError) as exc:
         raise vq.VQError(f"{latent_path}: {exc}") from None
@@ -231,7 +226,7 @@ def quantize(latent_path, codebook_path, beta, out_path):
         doc["commitment_term"] = beta * result.commitment_distance
     out = Path(out_path)
     _save(out.parent, "quantize", {"beta": beta}, [latent_path, codebook_path],
-          {out.name: _json(doc)})
+          {out.name: json_text(doc)})
     click.echo(f"quantized {z.shape[0]}x{z.shape[1]} latent -> {out_path}")
 
 
@@ -249,7 +244,7 @@ def audit_cmd(real_dir, generated_path, vocab_path, out_dir):
     triples = audit_mod.build_triples(corpus, vocab)
     streams = serializer.load_streams(generated_path)
     samples = [serializer.detokenize_events(s, vocab) for s in streams]
-    text = _json(asdict(audit_mod.score(samples, triples, vocab)))
+    text = json_text(asdict(audit_mod.score(samples, triples, vocab)))
     _save(out_dir, "audit", {}, [generated_path, vocab_path], {"audit_report.json": text})
     click.echo(text, nl=False)
 
@@ -276,7 +271,7 @@ def privacy_cmd(train_path, heldout_path, synthetic_path, n_r, thresholds, seed,
         f"{t}\t{'' if p is None else p}\t{'' if r is None else r}\n" for t, p, r in report.rows())
     _save(out_dir, "privacy", {"n_r": n_r, "thresholds": thresholds},
           [train_path, heldout_path, synthetic_path],
-          {"privacy_curve.tsv": curve, "privacy_report.json": _json(asdict(report))},
+          {"privacy_curve.tsv": curve, "privacy_report.json": json_text(asdict(report))},
           seed=seed)
     click.echo(curve, nl=False)
 

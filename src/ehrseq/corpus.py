@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .manifest import json_text
+
 NUMERIC = "numeric"
 TEXT = "text"
 ITEMIZED = "itemized"
@@ -330,19 +332,23 @@ def _json_list(what: str, kind: type, length: int | None = None):
     return convert
 
 
-_STRING, _INTEGER, _NUMBER = (_json_value("string", str), _json_value("integer", int),
-                              _json_value("number", float, int))
-_STRINGS = _json_list("strings", str)
+_STRING, _INTEGER, _NUMBER, _OBJECT = (
+    _json_value("string", str), _json_value("integer", int), _json_value("number", float, int),
+    _json_value("object", dict))
+_STRINGS, _OBJECTS = _json_list("strings", str), _json_list("objects", dict)
 _JSON_KEYS = {
     ColumnSpec: {"name": _STRING, "type": _STRING, "low": _NUMBER, "high": _NUMBER,
                  "decimals": _INTEGER, "choices": _STRINGS, "codes": _STRINGS},
     TableSpec: {"name": _STRING,
-                "columns": lambda _, cols: tuple(_from_json(ColumnSpec, c) for c in cols)},
+                "columns": lambda key, cols: tuple(_from_json(ColumnSpec, c)
+                                                   for c in _OBJECTS(key, cols))},
     GeneratorConfig: {"seed": _INTEGER, "n_patients": _INTEGER,
                       "events_per_patient": _json_list("two integers", int, 2),
-                      "tables": lambda _, tables: tuple(_from_json(TableSpec, t) for t in tables),
-                      "definitions": lambda key, defs: {code: _STRING(f"{key} {code!r}", text)
-                                                        for code, text in defs.items()}},
+                      "tables": lambda key, tables: tuple(_from_json(TableSpec, t)
+                                                          for t in _OBJECTS(key, tables)),
+                      "definitions": lambda key, defs: {
+                          code: _STRING(f"{key} {code!r}", text)
+                          for code, text in _OBJECT(key, defs).items()}},
 }
 
 
@@ -406,7 +412,7 @@ def corpus_files(corpus: Corpus) -> dict[str, str]:
         ],
         "patients": [{"id": p.patient_id, "labels": p.labels} for p in corpus.patients],
     }
-    files["schema.json"] = json.dumps(schema, indent=2, allow_nan=False) + "\n"
+    files["schema.json"] = json_text(schema)
     return files
 
 

@@ -18,6 +18,11 @@ def file_digest(path: Path | str) -> str:
     return h.hexdigest()
 
 
+def json_text(doc) -> str:
+    """The one JSON writer: `doc` as one compact line of strict JSON, newline included."""
+    return json.dumps(doc, allow_nan=False) + "\n"
+
+
 def write_manifest(out_dir: Path | str, command: str, config: dict,
                    inputs: list[Path | str], outputs: list[Path | str],
                    seed: Optional[int] = None) -> Path:
@@ -31,6 +36,6 @@ def write_manifest(out_dir: Path | str, command: str, config: dict,
     }
     path = Path(out_dir) / "manifest.json"
     tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    tmp.write_text(json_text(manifest))
     tmp.rename(path)
     return path

@@ -14,6 +14,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from .manifest import json_text
+
 # layer op kinds
 LN = "Ln"
 LD = "Ld"
@@ -287,7 +289,7 @@ def search_grid(l_min: int, l_max: int) -> list[tuple[int, list[LatentSpec]]]:
 # --- plan document exchange format -----------------------------------------
 
 def save_plan(plan: LayerPlan, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2, allow_nan=False) + "\n")
+    Path(path).write_text(json_text(plan_to_dict(plan)))
 
 
 def plan_to_dict(plan: LayerPlan) -> dict:

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .corpus import NUMERIC, CellValue, Corpus, EventRecord, PatientRecord, is_decimal
+from .manifest import json_text
 from .vocab import (
     PAD_ID,
     TIMEGAP_BOUNDARIES_MIN,
@@ -421,7 +422,7 @@ def stream_record(stream: TokenStream) -> str:
     for name, cells in zip(_CHANNELS, stream.cells):
         record[name] = None if cells is None else cells.tolist()
     record["event_boundaries"] = stream.event_boundaries
-    return json.dumps(record, allow_nan=False) + "\n"
+    return json_text(record)
 
 
 def save_streams(streams: Iterable[TokenStream], path: Path | str) -> None:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .manifest import json_text
+
 
 # Bytes of float64 one step of the nearest-code search may spend: a chunk's
 # (pieces, K) distance matrix, or one slice of its near-tie rechecks.
@@ -17,6 +19,15 @@ ASSIGN_BUDGET_BYTES = 32 * 2**20
 
 class VQError(ValueError):
     pass
+
+
+def numeric_array(value, what: str) -> np.ndarray:
+    """A parsed JSON value as an array of numbers.  Strings, nulls and arrays of
+    booleans alone are refused, never parsed; booleans among numbers read as 0 and 1."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise VQError(f"{what} must be an array of JSON numbers")
+    return array
 
 
 @dataclass
@@ -64,19 +75,22 @@ class Codebook:
             "ema_counts": self.ema_counts.tolist(),
             "ema_sums": self.ema_sums.tolist(),
         }
-        Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        Path(path).write_text(json_text(doc))
 
     @classmethod
     def load(cls, path: Path | str) -> "Codebook":
         """Read a saved codebook; malformed content fails naming the file."""
         try:
             doc = json.loads(Path(path).read_text())
-            return cls(
-                np.asarray(doc["entries"]),
-                np.asarray(doc["ema_counts"]),
-                np.asarray(doc["ema_sums"]),
-                float(doc["decay"]),
-            )
+            arrays = [numeric_array(doc[key], key) for key in ("entries", "ema_counts", "ema_sums")]
+            if type(doc["decay"]) not in (int, float):
+                raise VQError("decay must be a JSON number")
+            book = cls(*arrays, doc["decay"])
+            for key in ("size", "width"):
+                if key in doc and (type(doc[key]) is not int or doc[key] != getattr(book, key)):
+                    raise VQError(f"{key} {doc[key]!r} does not match entries of shape "
+                                  f"{book.entries.shape}")
+            return book
         except KeyError as exc:
             raise VQError(f"{path}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -495,9 +495,11 @@ def test_bad_vocab_names_its_file(runner, tmp_path, command):
 
 
 @pytest.mark.parametrize("latent", ["[[0, 0", "[[0, 0, 0, 0], [0]]", '[["a", 0, 0, 0]]',
-                                    "[0, 0, 0, 0]", '{"z": 1}', "[[0, NaN, 0, 0]]"],
+                                    "[0, 0, 0, 0]", '{"z": 1}', "[[0, NaN, 0, 0]]",
+                                    '[["0.1", true, 2, "3"]]', "[[0, null, 0, 0]]",
+                                    "[[true, false, true, false]]"],
                          ids=["malformed", "ragged", "non-number", "1-d", "object",
-                              "non-finite"])
+                              "non-finite", "number-strings", "null", "booleans"])
 def test_bad_latent_names_its_file(runner, tmp_path, latent):
     path = _a_file(tmp_path, latent)
     Codebook.new(np.zeros((2, 1))).save(tmp_path / "codebook.json")
@@ -505,6 +507,41 @@ def test_bad_latent_names_its_file(runner, tmp_path, latent):
                                   str(tmp_path / "codebook.json"), "--out", str(tmp_path / "q.json")])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output.startswith(f"error: {path}: ") and result.output.count("\n") == 1
+    assert not (tmp_path / "q.json").exists()
+
+
+def test_quantize_reads_booleans_among_numbers_as_0_and_1(runner, tmp_path):
+    Codebook.new([[0.0], [1.0]]).save(tmp_path / "codebook.json")
+    latent = _a_file(tmp_path, "[[true, 0, false, 1]]")
+    result = runner.invoke(main, ["quantize", "--latent", str(latent), "--codebook",
+                                  str(tmp_path / "codebook.json"), "--out", str(tmp_path / "q.json")])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "q.json").read_text())["indices"] == [[1, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda doc: doc.update(entries=[["1.5"], ["0"]]), "entries must be an array of JSON numbers"),
+    (lambda doc: doc.update(ema_counts=[1, None]), "ema_counts must be an array of JSON numbers"),
+    (lambda doc: doc.update(ema_sums=[[True], [False]]),
+     "ema_sums must be an array of JSON numbers"),
+    (lambda doc: doc.update(decay="0.99"), "decay must be a JSON number"),
+    (lambda doc: doc.update(decay=True), "decay must be a JSON number"),
+    (lambda doc: doc.update(size=3), "size 3 does not match entries of shape (2, 1)"),
+    (lambda doc: doc.update(width=1.0), "width 1.0 does not match entries of shape (2, 1)"),
+    (lambda doc: doc.update(width=True), "width True does not match entries of shape (2, 1)"),
+], ids=["number-strings", "null", "booleans", "decay-string", "decay-bool", "size", "width-float",
+        "width-bool"])
+def test_bad_codebook_names_its_file(runner, tmp_path, edit, reason):
+    path = tmp_path / "codebook.json"
+    Codebook.new(np.zeros((2, 1))).save(path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    latent = _a_file(tmp_path, "[[1, 1, 1, 1]]")
+    result = runner.invoke(main, ["quantize", "--latent", str(latent), "--codebook", str(path),
+                                  "--out", str(tmp_path / "q.json")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"error: {path}: {reason}\n"
     assert not (tmp_path / "q.json").exists()
 
 
@@ -587,6 +624,10 @@ def test_manifest_lists_exactly_the_files_written(runner, tmp_path, args, writte
     assert sorted(p.name for p in out.iterdir()) == sorted(written + ["manifest.json"])
     mtimes = [(out / name).stat().st_mtime_ns for name in written + ["manifest.json"]]
     assert mtimes == sorted(mtimes)
+    for name in [n for n in written if n.endswith(".json")] + ["manifest.json"]:
+        text = (out / name).read_text()  # one compact line of JSON
+        assert text.count("\n") == 1 and text.endswith("\n"), name
+        json.loads(text)
 
 
 @pytest.mark.parametrize("args", [

@@ -407,6 +407,12 @@ def test_generator_config_defaults_come_from_the_dataclass(tmp_path):
     (lambda doc: doc["tables"][0]["columns"][0].update(name=5), "name must be a JSON string"),
     (lambda doc: doc["tables"][0].update(name=5), "name must be a JSON string"),
     (lambda doc: doc.update(definitions={"1": 5}), "definitions '1' must be a JSON string"),
+    # a container of the wrong JSON type names its key
+    (lambda doc: doc.update(definitions=["50001"]), "definitions must be a JSON object"),
+    (lambda doc: doc.update(tables=5), "tables must be a JSON list of objects"),
+    (lambda doc: doc.update(tables=["lab"]), "tables must be a JSON list of objects"),
+    (lambda doc: doc["tables"][0].update(columns={"a": 1}),
+     "columns must be a JSON list of objects"),
 ])
 def test_generator_config_faults_name_the_file(tmp_path, edit, reason):
     doc = _config_json(C.default_config())

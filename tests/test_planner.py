@@ -180,6 +180,8 @@ def test_plan_save_load(tmp_path):
     plan = P.transformer_plan(8192, 256, 64, 8, n_l=4)
     path = tmp_path / "plan.json"
     P.save_plan(plan, path)
+    text = path.read_text()  # one compact line of JSON
+    assert text.count("\n") == 1 and text.endswith("\n")
     loaded = P.load_plan(path)
     assert loaded == plan
 

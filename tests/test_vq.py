@@ -287,6 +287,8 @@ def test_codebook_save_load(tmp_path):
     ema_update(book, [(2, rng.normal(size=3))])
     path = tmp_path / "codebook.json"
     book.save(path)
+    text = path.read_text()  # one compact line of JSON
+    assert text.count("\n") == 1 and text.endswith("\n")
     loaded = Codebook.load(path)
     np.testing.assert_allclose(loaded.entries, book.entries)
     np.testing.assert_allclose(loaded.ema_counts, book.ema_counts)
