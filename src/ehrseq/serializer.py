@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import re
 from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -437,36 +438,28 @@ def _not_an_integer(text: str):
 # floats, NaN and Infinity are refused while parsing; integers keep the fast path
 _RECORD_DECODER = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
 
-
-def _int32s(values, name: str, layout: str, rank: int = 1) -> np.ndarray:
-    """A channel's JSON list of integers (rank 1), or of equal-length lists of
-    them (rank 2), as int32.  Strings, nulls and values past 32 bits are
-    refused; JSON true and false pass as 1 and 0, since catching them would
-    take a step per value."""
-    rows, cells = values if rank == 2 else [values], array("i")
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise SerializeError(f"{name}: a {layout} record needs a list of "
-                             + ("rows" if rank == 2 else "integers"))
-    try:
-        for row in rows:
-            cells.fromlist(row)
-    except (TypeError, OverflowError) as exc:
-        raise SerializeError(f"{name}: {exc}") from None
-    if len(set(map(len, rows))) > 1:
-        raise SerializeError(f"{name}: rows of inhomogeneous length")
-    out = np.frombuffer(cells, dtype=np.intc)  # typecode "i": a C int, 32 bits wide
-    return out.reshape(len(rows), len(rows[0]) if rows else 0) if rank == 2 else out
+# A record line's lexemes: each JSON string, with the colon that makes it a
+# key, and each brace; so a channel's array is cut out only at a key of the
+# top-level object, never from inside a string.  The text of an integer
+# array holds only _ARRAY_BYTES.
+_LEXEME = re.compile(rb'("(?:[^"\\]|\\.)*")([ \t\n\r]*:[ \t\n\r]*)?|[{}]', re.DOTALL)
+_JSON_WS = b" \t\n\r"
+_ARRAY_BYTES = b"0123456789-,[]" + _JSON_WS
+_KEYS = {json.dumps(name).encode(): name for name in _CHANNELS}
 
 
 def load_streams(path: Path | str) -> list[TokenStream]:
     """Read stream records, de-padded or dense; bad input names file and line."""
     streams = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                streams.append(_stream_from_record(_RECORD_DECODER.decode(line)))
+                streams.append(_stream_from_line(line))
+            except UnicodeDecodeError as exc:
+                raise SerializeError(f"{path}, line {lineno}: not UTF-8 ({exc.reason} "
+                                     f"at byte {exc.start + 1})") from exc
             except json.JSONDecodeError as exc:
                 raise SerializeError(f"{path}, line {lineno}: malformed JSON "
                                      f"({exc.msg} at column {exc.pos + 1})") from exc
@@ -477,24 +470,126 @@ def load_streams(path: Path | str) -> list[TokenStream]:
     return streams
 
 
-def _stream_from_record(r) -> TokenStream:
+def _stream_from_line(line: bytes) -> TokenStream:
+    """One record line: each channel's integer array is read from the line's
+    bytes by `_int_array`, the rest of the record by the JSON decoder."""
+    rest, arrays = _cut_arrays(line)
+    try:
+        r = _RECORD_DECODER.decode(rest.decode())
+    except ValueError:
+        _RECORD_DECODER.decode(line.decode())  # raises the fault where the line has it
+        raise
     if not isinstance(r, dict):
         raise SerializeError("record is not a JSON object")
-    if r["tokens"] is None:
+    if r["tokens"] is None and "tokens" not in arrays:
         raise SerializeError("record has no tokens")
     layout = r["layout"]
     if layout not in _LAYOUTS:
         raise SerializeError(f"unknown layout {layout!r}")
     rank = _LAYOUTS.index(layout) + 1  # of the shape, or of a dense record's lists
+    shape = _checked_shape(r, rank) if "shape" in r else None
+    if shape is not None:
+        rank = 1  # a de-padded record holds each channel as one flat list
+    cells = []
+    for name in _CHANNELS:
+        cells.append(_int_array(arrays[name], rank) if name in arrays else None)
+        if cells[-1] is None and (name in arrays or r.get(name) is not None):
+            _refuse_channel(_RECORD_DECODER.decode(line.decode())[name], name, layout, rank)
     bounds, patient_id = r.get("event_boundaries"), r.get("patient_id", "")
-    if "shape" in r:
-        shape = _checked_shape(r, rank)
-        cells = tuple(None if r.get(name) is None else _int32s(r[name], name, layout)
-                      for name in _CHANNELS)
-        return TokenStream(shape, r["lengths"], cells, bounds, patient_id)
-    dense = (None if r.get(name) is None else _int32s(r[name], name, layout, rank)
-             for name in _CHANNELS)
-    return dense_stream(*dense, bounds, patient_id)
+    if shape is not None:
+        return TokenStream(shape, r["lengths"], tuple(cells), bounds, patient_id)
+    return dense_stream(*cells, bounds, patient_id)
+
+
+def _cut_arrays(line: bytes) -> tuple[bytes, dict[str, bytes]]:
+    """Cut each channel's value out of a record line where it is a bracketed
+    run of array bytes.  Returns the line with each cut value replaced by
+    null, and the cut text by channel.  Any other value, and a channel key
+    not of the top-level object, stays for the JSON decoder."""
+    arrays, kept, depth, pos, start = {}, [], 0, 0, 0
+    while m := _LEXEME.search(line, pos):
+        pos = m.end()
+        if m[1] is None:
+            depth += 1 if m[0] == b"{" else -1
+            continue
+        if depth != 1 or m[2] is None:
+            continue
+        try:
+            name = _KEYS.get(m[1]) if b"\\" not in m[1] else json.loads(m[1])
+        except ValueError:
+            continue  # a bad escape: the decoder names it
+        if name not in _CHANNELS:
+            continue
+        end = line.find(b'"', pos)
+        end = len(line) if end < 0 else end
+        brace = line.find(b"}", pos, end)
+        value = line[pos:end if brace < 0 else brace].rstrip(b"," + _JSON_WS)
+        if value[:1] == b"[" and value[-1:] == b"]" and not value.translate(None, _ARRAY_BYTES):
+            arrays[name] = value
+            kept += [line[start:pos], b"null"]
+            pos = start = pos + len(value)
+        else:
+            arrays.pop(name, None)  # JSON keeps the last value of a key
+    return b"".join(kept) + line[start:], arrays
+
+
+def _int_array(text: bytes, rank: int) -> Optional[np.ndarray]:
+    """A JSON array of integers (rank 1), or of equal-length arrays of them
+    (rank 2), as int32, from its text of array bytes; None if the text is not
+    one.  Each check runs on the whole text at once and one numpy parse reads
+    every value, so no Python object is made per value."""
+    compact = text.translate(None, _JSON_WS)
+    c = np.frombuffer(compact, np.uint8)
+    opens, closes = np.flatnonzero(c == ord("[")), np.flatnonzero(c == ord("]"))
+    n_rows = len(opens) - 1 if rank == 2 else 1
+    if len(closes) != len(opens) or (rank == 1 and len(opens) > 1):
+        return None
+    if rank == 2 and not (compact == b"[]" if n_rows == 0 else
+                          opens[1] == 1 and closes[-2] == len(c) - 2  # "[[" ... "]]"
+                          and np.array_equal(opens[2:], closes[:-2] + 2)  # rows split by "],["
+                          and (c[closes[:-2] + 1] == ord(",")).all()):
+        return None
+    comma = c == ord(",")
+    n_values = np.count_nonzero(comma) + 1
+    num = (c >= ord("-")) & (c <= ord("9"))  # a digit or "-": no array byte lies between
+    if not num.any():  # no values: "[]", or rows that are all "[]"
+        return np.zeros((n_rows, 0) if rank == 2 else 0, np.int32) \
+            if n_values == max(n_rows, 1) else None
+    digit = num & (c != ord("-"))
+    minus = np.flatnonzero(c == ord("-"))
+    raw = np.frombuffer(text, np.uint8)
+    raw_num = (raw >= ord("-")) & (raw <= ord("9"))
+    width = n_values // n_rows
+    if (np.count_nonzero(~num[:-1] & ~num[1:]) != (2 * n_rows if rank == 2 else 0)  # empty value
+            or not (~num[minus - 1] & digit[minus + 1]).all()  # "-" starts a number, before a digit
+            or ((c[1:-1] == ord("0")) & ~digit[:-2] & digit[2:]).any()  # leading zero
+            or np.count_nonzero(raw_num[1:] & ~raw_num[:-1]) != n_values  # whitespace in a number
+            or width * n_rows != n_values
+            or (rank == 2 and  # each row but the last holds width - 1 commas and the one after it
+                (np.add.reduceat(comma, opens[1:], dtype=np.intp)[:-1] != width).any())):
+        return None
+    values = np.fromstring(compact.translate(None, b"[]"), dtype=np.int64, sep=",")
+    if len(values) != n_values or values.min() < -2**31 or values.max() >= 2**31:
+        return None
+    values = values.astype(np.int32)
+    return values.reshape(n_rows, width) if rank == 2 else values
+
+
+def _refuse_channel(values, name: str, layout: str, rank: int):
+    """Raise the fault of a channel value that `_int_array` refused or could
+    not read, named as its JSON reads."""
+    rows = values if rank == 2 else [values]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise SerializeError(f"{name}: a {layout} record needs a list of "
+                             + ("rows" if rank == 2 else "integers"))
+    try:
+        for row in rows:
+            array("i", row)
+    except (TypeError, OverflowError) as exc:
+        raise SerializeError(f"{name}: {exc}") from None
+    if len(set(map(len, rows))) > 1:
+        raise SerializeError(f"{name}: rows of inhomogeneous length")
+    raise SerializeError(f"{name}: JSON true and false are not integers")
 
 
 def _checked_shape(r: dict, rank: int) -> tuple[int, ...]:

@@ -141,13 +141,15 @@ def test_audit_of_own_serialization_is_perfect(runner, tmp_path):
     (lambda line: line[: len(line) // 2], "malformed JSON"),
     (lambda line: json.dumps({"patient_id": "p", "layout": "hierarchical",
                               "tokens": [[4, 5], [6]]}), "inhomogeneous"),
+    (lambda line: line.replace('": "', '": "\udcff', 1),
+     "not UTF-8 (invalid start byte at byte 17)"),
 ])
 def test_audit_rejects_bad_stream_line(runner, tmp_path, corrupt, reason):
     corpus_dir, out = serialize_corpus(runner, tmp_path)
     streams = out / "streams_hier.jsonl"
     lines = streams.read_text().splitlines()
     lines[1] = corrupt(lines[1])
-    streams.write_text("\n".join(lines) + "\n")
+    streams.write_text("\n".join(lines) + "\n", errors="surrogateescape")  # \udcff: byte 0xff
     result = runner.invoke(main, [
         "audit", "--real", str(corpus_dir), "--generated", str(streams),
         "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "audit")])

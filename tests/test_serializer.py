@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ehrseq import corpus as C
@@ -409,14 +409,166 @@ FLAT = {**GOOD, "layout": "flattened", "shape": [8], "lengths": [3], "event_boun
     (json.dumps({**FLAT, "event_boundaries": [[0, 1.0]]}), "value 1.0 is not an integer"),
     (json.dumps({**FLAT, "event_boundaries": [3]}), "boundary 3 is not"),
     (json.dumps({**FLAT, "event_boundaries": {"0": 3}}), "event_boundaries must be a list"),
+    (json.dumps({**FLAT, "tokens": [4, True, 6]}), "tokens: JSON true and false are not integers"),
+    (json.dumps({**GOOD, "type_labels": [1, False, 0]}), "type_labels: JSON true and false"),
+    (json.dumps({"layout": "hierarchical", "tokens": [[4, 5], [True, 7]]}),
+     "tokens: JSON true and false are not integers"),
+    (json.dumps(GOOD).replace('"p"', '"p\udcff"'), "not UTF-8 (invalid start byte at byte 18)"),
 ])
 def test_load_rejects_bad_line_naming_file_and_line(tmp_path, line, reason):
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(GOOD) + "\n\n" + line + "\n")
+    path.write_text(json.dumps(GOOD) + "\n\n" + line + "\n",
+                    errors="surrogateescape")  # "\udcff" is written as the byte 0xff
     with pytest.raises(S.SerializeError) as err:
         S.load_streams(path)
     assert str(err.value).startswith(f"{path}, line 3: ")
     assert reason in str(err.value)
+
+
+def test_load_reads_channel_keys_as_json_does(tmp_path):
+    """A key may be spelled with escapes, and a repeated key keeps its last
+    value, whichever of its values are integer arrays."""
+    path = tmp_path / "keys.jsonl"
+    path.write_text('{"layout": "flattened", "tok\\u0065ns": [4, 5], "type_labels": [1, 2], '
+                    '"type_labels": null, "dpe_labels": null, "dpe_labels": [0, 9]}\n'
+                    '{"layout": "flattened", "tokens": [7], "nested": {"tokens": [8, 9]}}\n')
+    first, second = S.load_streams(path)
+    assert first.tokens.tolist() == [4, 5] and first.type_labels is None
+    assert first.dpe_labels.tolist() == [0, 9]
+    assert second.tokens.tolist() == [7]
+
+
+# The record grammar.  A record is rendered with random JSON whitespace (space,
+# tab, LF, CR) between all its tokens and read by `_stream_from_line`, the
+# reader of one file line: only there may an LF stand inside a record.  Channel
+# values are kept as text, so that one can be spoilt.
+
+class Raw(str):
+    """A channel value's text, rendered as it is."""
+
+
+INT32_TEXT = st.one_of(st.sampled_from(["0", "-0", str(-2**31), str(2**31 - 1)]),
+                       st.integers(-2**31, 2**31 - 1).map(str)).map(Raw)
+
+
+def render(value, pad) -> str:
+    """JSON text of a value, with pad() between every two tokens."""
+    if isinstance(value, Raw):
+        return value
+    if isinstance(value, dict):
+        items = (json.dumps(k) + pad() + ":" + pad() + render(v, pad) for k, v in value.items())
+        return "{" + pad() + ("," + pad()).join(i + pad() for i in items) + "}"
+    if isinstance(value, list):
+        return "[" + pad() + ("," + pad()).join(render(v, pad) + pad() for v in value) + "]"
+    return json.dumps(value)
+
+
+@st.composite
+def records(draw):
+    """(record, pad): a valid stream record, de-padded or dense, of either
+    layout, and a whitespace source."""
+    layout = draw(st.sampled_from(["hierarchical", "flattened"]))
+    rows, width = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    if draw(st.booleans()):  # de-padded
+        shape = [rows, width] if layout == "hierarchical" else [width]
+        lengths = draw(st.lists(st.integers(0, width),
+                                max_size=rows if layout == "hierarchical" else 1))
+        channel = st.lists(INT32_TEXT, min_size=sum(lengths), max_size=sum(lengths))
+        record = {"layout": layout, "shape": shape, "lengths": lengths}
+    elif layout == "hierarchical":
+        row = st.lists(INT32_TEXT, min_size=width if rows else 0, max_size=width if rows else 0)
+        channel = st.lists(row, min_size=rows, max_size=rows)
+        record = {"layout": layout}
+    else:
+        channel = st.lists(INT32_TEXT, min_size=width, max_size=width)
+        record = {"layout": layout}
+    # an id that holds what the line's lexer looks for
+    pid = st.sampled_from(['"tokens": [1]', "{", "}]", "\\"]) | st.text(max_size=4)
+    record.update(tokens=draw(channel), type_labels=draw(st.none() | channel),
+                  dpe_labels=draw(st.none() | channel), event_boundaries=None,
+                  patient_id=draw(pid))
+    order = draw(st.permutations(list(record)))
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def pad():
+        return "".join(rnd.choices(" \t\n\r", k=rnd.choice((0, 0, 1, 2))))
+
+    return {k: record[k] for k in order}, pad
+
+
+def json_oracle(text: str) -> S.TokenStream:
+    """The stream a record means, read with json.loads."""
+    r = json.loads(text)
+    rank = 1 if "shape" in r or r["layout"] == "flattened" else 2
+    cells = [None if r[n] is None else np.array(r[n], dtype=np.int32).reshape(
+        len(r[n]), len(r[n][0]) if r[n] else 0) if rank == 2 else np.array(r[n], dtype=np.int32)
+        for n in ("tokens", "type_labels", "dpe_labels")]
+    if "shape" in r:
+        return S.TokenStream(tuple(r["shape"]), r["lengths"], tuple(cells), None, r["patient_id"])
+    return S.dense_stream(*cells, patient_id=r["patient_id"])
+
+
+@settings(deadline=None)
+@given(records())
+def test_record_grammar_reads_as_json_does(drawn):
+    record, pad = drawn
+    text = render(record, pad)
+    expect, got = json_oracle(text), S._stream_from_line(text.encode())
+    assert (got.shape, got.patient_id, got.event_boundaries) == \
+        (expect.shape, expect.patient_id, expect.event_boundaries)
+    assert got.lengths.tolist() == expect.lengths.tolist()
+    for x, y in zip(expect.cells, got.cells):
+        assert (x is None and y is None) or (y.dtype == np.int32 and np.array_equal(x, y))
+
+
+SPOILS = {
+    "leading zero": lambda v: ("-0" if v.startswith("-") else "0") + v.lstrip("-"),
+    "plus sign": lambda v: "+" + v,
+    "exponent": lambda v: v + "e3",
+    "fraction": lambda v: v + ".0",
+    "lone minus": lambda v: "-",
+    "space after minus": lambda v: "- " + v.lstrip("-"),
+    "space inside a number": lambda v: v + "\t1",
+    "double minus": lambda v: "--" + v.lstrip("-"),
+    "form feed": lambda v: "\f" + v,
+    "vertical tab": lambda v: "\v" + v,
+    "2**31": lambda v: str(2**31),
+    "-2**31-1": lambda v: str(-2**31 - 1),
+    "true": lambda v: "true",
+}
+
+
+@settings(deadline=None)
+@given(records(), st.sampled_from([*SPOILS, "empty value", "trailing comma", "unequal rows"]),
+       st.data())
+def test_record_grammar_refuses_spoilt_payloads(drawn, spoil, data):
+    record, pad = drawn
+    names = [n for n in ("tokens", "type_labels", "dpe_labels") if record[n]]
+    assume(names)
+    name = data.draw(st.sampled_from(names))
+    nested = record["layout"] == "hierarchical" and "shape" not in record
+    rows = record[name] if nested else [record[name]]
+    j = data.draw(st.integers(0, len(rows) - 1))
+    row = rows[j]
+    if spoil == "unequal rows":  # one value moves to another row
+        assume(nested and len(rows) > 1 and row)
+        rows[j - 1].append(row.pop())
+    else:
+        assume(row)
+        i = data.draw(st.integers(0, len(row) - 1))
+        if spoil == "empty value":
+            row.insert(i, Raw(""))
+        elif spoil == "trailing comma":
+            row.append(Raw(""))
+        else:
+            row[i] = Raw(SPOILS[spoil](row[i]))
+    text = render(record, pad)
+    with pytest.raises((S.SerializeError, json.JSONDecodeError)) as err:
+        S._stream_from_line(text.encode())
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:  # a fault of JSON is placed where JSON places it
+        assert (err.value.msg, err.value.pos) == (exc.msg, exc.pos)
 
 
 def test_stream_refuses_bounds_it_could_not_read_back():
