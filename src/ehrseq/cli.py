@@ -249,6 +249,13 @@ def audit_cmd(real_dir, generated_path, vocab_path, out_dir):
     click.echo(text, nl=False)
 
 
+def _forms_and_tokens(path) -> tuple[list, list]:
+    """A stream file's distinct (layout, shape) pairs and its dense token
+    arrays; its streams are dropped before the next file is read."""
+    streams = serializer.load_streams(path)
+    return sorted({(s.layout, s.shape) for s in streams}), [s.tokens for s in streams]
+
+
 @main.command("privacy")
 @click.option("--train", "train_path", type=click.Path(), required=True)
 @click.option("--heldout", "heldout_path", type=click.Path(), required=True)
@@ -263,10 +270,13 @@ def privacy_cmd(train_path, heldout_path, synthetic_path, n_r, thresholds, seed,
     config = privacy.AttackConfig(
         n_r=n_r, thresholds=tuple(float(t) for t in thresholds.split(",")), seed=seed
     )
-    tokens = lambda path: [s.tokens for s in serializer.load_streams(path)]
-    report = privacy.membership_attack(
-        tokens(train_path), tokens(heldout_path), tokens(synthetic_path), config
-    )
+    paths = (train_path, heldout_path, synthetic_path)
+    forms, tokens = zip(*map(_forms_and_tokens, paths))
+    if len(set().union(*forms)) > 1:
+        raise privacy.PrivacyError("streams differ in layout or shape: " + "; ".join(
+            f"{path}: " + ", ".join(f"{layout} {shape}" for layout, shape in form)
+            for path, form in zip(paths, forms)))
+    report = privacy.membership_attack(*tokens, config)
     curve = "threshold\tprecision\trecall\n" + "".join(
         f"{t}\t{'' if p is None else p}\t{'' if r is None else r}\n" for t, p, r in report.rows())
     _save(out_dir, "privacy", {"n_r": n_r, "thresholds": thresholds},
@@ -291,8 +301,13 @@ def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
         hyps = serializer.load_streams(hypothesis_path)
         if len(refs) != len(hyps):
             raise metrics_mod.MetricError("reference and hypothesis stream counts differ")
-        values = [metrics_mod.token_accuracy(r, h, include_pads)
-                  for r, h in zip(refs, hyps)]
+        values = []
+        for r, h in zip(refs, hyps):
+            try:
+                values.append(metrics_mod.token_accuracy(r, h, include_pads))
+            except metrics_mod.MetricError as exc:
+                raise metrics_mod.MetricError(f"{reference_path} vs {hypothesis_path}, patient "
+                                              f"{r.patient_id!r}: {exc}") from None
         defined = [v for v in values if v is not None]
         mean = sum(defined) / len(defined) if defined else None
         click.echo(f"token_accuracy\t{mean}")

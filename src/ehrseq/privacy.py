@@ -49,11 +49,12 @@ class PrivacyReport:
         return [(r.threshold, r.precision, r.recall) for r in self.results]
 
 
-def _as_matrix(streams: Sequence[np.ndarray]) -> np.ndarray:
-    mat = np.asarray([np.asarray(s).ravel() for s in streams])
-    if mat.ndim != 2:
-        raise PrivacyError("streams must share a fixed padded length")
-    return mat
+def _as_matrix(streams: Sequence[np.ndarray], name: str) -> np.ndarray:
+    """One set's streams, which must share one shape, stacked: (records, *shape)."""
+    shapes = sorted({np.shape(s) for s in streams})
+    if len(shapes) > 1:
+        raise PrivacyError(f"the {name} streams differ in shape: {shapes}")
+    return np.asarray(streams)
 
 
 def membership_attack(train: Sequence[np.ndarray], heldout: Sequence[np.ndarray],
@@ -65,12 +66,13 @@ def membership_attack(train: Sequence[np.ndarray], heldout: Sequence[np.ndarray]
     record counts as an inferred member iff its minimum normalized Hamming
     distance over all synthetic records is <= the threshold.
     """
-    for name, streams in (("train", train), ("held-out", heldout), ("synthetic", synthetic)):
+    sets = (("train", train), ("held-out", heldout), ("synthetic", synthetic))
+    for name, streams in sets:
         if len(streams) == 0:
             raise PrivacyError(f"the {name} set is empty")
-    train_m, heldout_m, synth_m = map(_as_matrix, (train, heldout, synthetic))
-    if train_m.shape[1] != heldout_m.shape[1] or train_m.shape[1] != synth_m.shape[1]:
-        raise PrivacyError("train/held-out/synthetic streams must share a length")
+    train_m, heldout_m, synth_m = (_as_matrix(streams, name) for name, streams in sets)
+    if not train_m.shape[1:] == heldout_m.shape[1:] == synth_m.shape[1:]:
+        raise PrivacyError("train/held-out/synthetic streams must share a shape")
     if len(train_m) < config.n_r or len(heldout_m) < config.n_r:
         raise PrivacyError(f"need at least n_r={config.n_r} records in train and held-out")
 
@@ -80,10 +82,10 @@ def membership_attack(train: Sequence[np.ndarray], heldout: Sequence[np.ndarray]
     pool = np.concatenate([train_m[train_idx], heldout_m[heldout_idx]])
     is_member = np.arange(len(pool)) < config.n_r
 
-    length = pool.shape[1]
+    length = pool[0].size
     min_dist = np.empty(len(pool))
     for i, record in enumerate(pool):
-        diffs = np.count_nonzero(synth_m != record, axis=1)
+        diffs = np.count_nonzero((synth_m != record).reshape(len(synth_m), -1), axis=1)
         min_dist[i] = diffs.min() / length
 
     results = []

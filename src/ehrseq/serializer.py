@@ -218,11 +218,21 @@ def _numeric_dpe_labels(value: str) -> list[int]:
         raise SerializeError(f"{value!r} is not a decimal")
     digits = value.removeprefix("-")
     int_part, point, frac_part = digits.partition(".")
-    n = len(int_part)
     return ([DPE_NON_DIGIT] * (len(value) - len(digits))
-            + [dpe_place(n - 1 - i) for i in range(n)]
+            + list(range(DPE_PLACE_ZERO + len(int_part) - 1, DPE_PLACE_ZERO - 1, -1))
             + [DPE_DECIMAL_POINT] * len(point)
-            + [dpe_place(-k) for k in range(1, len(frac_part) + 1)])
+            + list(range(DPE_PLACE_ZERO - 1, dpe_place(-len(frac_part)) - 1, -1)))
+
+
+def _text_segment(text: str, label: TokenType, vocab: Vocabulary) -> tuple[list[int], ...]:
+    """A non-numeric text's ids, type labels and dpe labels, made once per vocabulary;
+    keyed by the text, never the cell, as an itemized cell's text depends on definitions."""
+    segment = vocab._segments.get((label, text))
+    if segment is None:
+        ids = vocab.encode(tokenize(text, vocab))
+        segment = vocab._segments[label, text] = (ids, [int(label)] * len(ids),
+                                                  [DPE_NON_DIGIT] * len(ids))
+    return segment
 
 
 def serialize_event(event: EventRecord, prev_timestamp: int, vocab: Vocabulary,
@@ -231,28 +241,23 @@ def serialize_event(event: EventRecord, prev_timestamp: int, vocab: Vocabulary,
     delta = event.timestamp - prev_timestamp
     if delta < 0:
         raise SerializeError("events not in chronological order")
-
-    ids: list[int] = []
-    types: list[int] = []
-    dpes: list[int] = []
-
-    def emit(units: list[str], label: TokenType, dpe: Optional[list[int]] = None):
-        token_ids = vocab.encode(units)
-        ids.extend(token_ids)
-        types.extend([int(label)] * len(token_ids))
-        dpes.extend(dpe if dpe is not None else [DPE_NON_DIGIT] * len(token_ids))
-
-    emit(tokenize(event.table_name, vocab), TokenType.TABLE_NAME)
+    segments = [_text_segment(event.table_name, TokenType.TABLE_NAME, vocab)]
     for col_name, cell in event.columns:
-        emit(tokenize(col_name, vocab), TokenType.COLUMN_NAME)
+        segments.append(_text_segment(col_name, TokenType.COLUMN_NAME, vocab))
         cell_text = textualize_cell(cell, definitions)
-        units = tokenize(cell_text, vocab)
-        if cell.kind == NUMERIC:
-            # one unit per character of the decimal string
-            emit(units, TokenType.COLUMN_VALUE, _numeric_dpe_labels(cell.value))
-        else:
-            emit(units, TokenType.COLUMN_VALUE)
-    emit([quantize_timegap(delta)], TokenType.TIMEGAP)
+        if cell.kind != NUMERIC:
+            segments.append(_text_segment(cell_text, TokenType.COLUMN_VALUE, vocab))
+        else:  # one unit per character, made per occurrence so no memo grows with values
+            ids = vocab.encode(tokenize(cell_text, vocab))
+            segments.append((ids, [int(TokenType.COLUMN_VALUE)] * len(ids),
+                             _numeric_dpe_labels(cell.value)))
+    segments.append((vocab.encode([quantize_timegap(delta)]), [int(TokenType.TIMEGAP)],
+                     [DPE_NON_DIGIT]))
+    ids, types, dpes = [], [], []
+    for segment_ids, segment_types, segment_dpes in segments:
+        ids += segment_ids
+        types += segment_types
+        dpes += segment_dpes
     return ids, types, dpes
 
 

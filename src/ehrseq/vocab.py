@@ -61,6 +61,7 @@ class Vocabulary:
         self._index = {u: i for i, u in enumerate(self.units)}
         self._max_len = max((len(u.removeprefix(CONTINUATION)) for u in self.units), default=1)
         self._word_units: dict[str, list[str]] = {}  # tokenize's memo of tokenize_word
+        self._segments: dict = {}  # the serializer's memo of per-text event segments
 
     def __len__(self) -> int:
         return len(self.units)
@@ -92,13 +93,14 @@ def build_vocabulary(texts: Iterable[str], min_count: int = 1) -> Vocabulary:
 
     Every character observed anywhere is added both as a plain unit and as a
     "##" continuation unit, so tokenization is total and word-internal pieces
-    stay distinguishable from word starts.
+    stay distinguishable from word starts.  Each distinct text is split once
+    and counts for each of its occurrences.
     """
     word_counts: Counter[str] = Counter()
     chars: set[str] = set()
-    for t in texts:
+    for t, n in Counter(texts).items():
         for word in t.casefold().split():
-            word_counts[word] += 1
+            word_counts[word] += n
             chars.update(word)
 
     words = [w for w, c in sorted(word_counts.items(), key=lambda kv: (-kv[1], kv[0]))

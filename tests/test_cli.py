@@ -2,6 +2,7 @@ import hashlib
 import json
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from click.testing import CliRunner
 
 import ehrseq
+from ehrseq import corpus as corpus_mod
+from ehrseq import serializer
 from ehrseq.cli import main
-from ehrseq.serializer import SerializerConfig, load_streams
+from ehrseq.serializer import SerializerConfig, dense_stream, load_streams, save_streams
 from ehrseq.vocab import is_timegap_id
 from ehrseq.vq import Codebook
 
@@ -100,6 +103,38 @@ def test_serialize_bytes_are_pinned(runner, tmp_path, dims, hier_sha, flat_sha):
     assert result.exit_code == 0, result.output
     digest = lambda name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
     assert (digest("streams_hier.jsonl"), digest("streams_flat.jsonl")) == (hier_sha, flat_sha)
+
+
+def test_serialize_tokenizes_each_distinct_text_once(runner, tmp_path, monkeypatch):
+    """Table names, column names and non-numeric cell texts are tokenized once
+    per role they take in the corpus, not once per occurrence; numeric cells
+    are tokenized per occurrence."""
+    corpus_dir = tmp_path / "corpus"
+    runner.invoke(main, ["gen", "--seed", "4", "--n-patients", "30", "--out", str(corpus_dir)])
+    corpus = corpus_mod.load_corpus(corpus_dir)
+    roles, numeric = set(), Counter()
+    for patient in corpus.patients:
+        for event in patient.events:
+            roles.add(("table", event.table_name))
+            for col, cell in event.columns:
+                roles.add(("column", col))
+                text = serializer.textualize_cell(cell, corpus.definitions)
+                if cell.kind == corpus_mod.NUMERIC:
+                    numeric[text] += 1
+                else:
+                    roles.add(("value", text))
+    calls = []
+    tokenize = serializer.tokenize
+
+    def counted(text, vocab):
+        calls.append(text)
+        return tokenize(text, vocab)
+
+    monkeypatch.setattr(serializer, "tokenize", counted)
+    result = runner.invoke(main, ["serialize", "--in", str(corpus_dir),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert Counter(calls) == Counter(text for _, text in roles) + numeric
 
 
 def test_serialize_memory_does_not_grow_with_the_patient_count(runner, tmp_path):
@@ -383,6 +418,38 @@ def test_privacy_copied_synthetic_detected(runner, tmp_path):
     report = json.loads((out / "privacy_report.json").read_text())
     assert report["results"][0]["recall"] == 1.0
     assert report["results"][0]["precision"] == 1.0
+
+
+def write_streams(path, grids):
+    save_streams([dense_stream(np.asarray(g), patient_id=f"p{i}") for i, g in enumerate(grids)],
+                 path)
+    return str(path)
+
+
+@pytest.mark.parametrize("synthetic, forms", [
+    ([[[5, 6], [7, 8]]], "hierarchical (2, 2)"),
+    ([[5, 6, 7, 8], [[5, 6], [7, 8]]], "flattened (4,), hierarchical (2, 2)"),
+], ids=["across files", "within a file"])
+def test_privacy_refuses_mixed_layouts(runner, tmp_path, synthetic, forms):
+    train = write_streams(tmp_path / "train.jsonl", [[4, 5, 6, 7], [8, 9, 10, 11]])
+    heldout = write_streams(tmp_path / "heldout.jsonl", [[5, 6, 7, 8], [9, 10, 11, 12]])
+    synth = write_streams(tmp_path / "synth.jsonl", synthetic)
+    result = runner.invoke(main, ["privacy", "--train", train, "--heldout", heldout,
+                                  "--synthetic", synth, "--nr", "1",
+                                  "--out", str(tmp_path / "privacy")])
+    assert result.exit_code == 1
+    assert result.output == (f"error: streams differ in layout or shape: {train}: flattened "
+                             f"(4,); {heldout}: flattened (4,); {synth}: {forms}\n")
+    assert not (tmp_path / "privacy").exists()
+
+
+def test_metrics_names_files_and_patient_of_a_shape_mismatch(runner, tmp_path):
+    ref = write_streams(tmp_path / "ref.jsonl", [[4, 5, 6, 7], [4, 5, 6, 7]])
+    hyp = write_streams(tmp_path / "hyp.jsonl", [[4, 5, 6, 7], [4, 5, 6, 7, 8, 0, 0, 0]])
+    result = runner.invoke(main, ["metrics", "--reference", ref, "--hypothesis", hyp])
+    assert result.exit_code == 1
+    assert result.output == (f"error: {ref} vs {hyp}, patient 'p1': "
+                             f"shape mismatch: (4,) vs (8,)\n")
 
 
 def test_metrics_accuracy_and_auroc(runner, tmp_path):

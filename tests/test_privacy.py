@@ -147,6 +147,16 @@ def test_rejects_length_mismatch():
             AttackConfig(n_r=1, thresholds=(0.5,)))
 
 
+@pytest.mark.parametrize("train, synthetic, message", [
+    ([[1, 2, 3, 4], [[1, 2], [3, 4]]], [[1, 2, 3, 4]], r"the train streams differ in shape"),
+    ([[1, 2, 3, 4], [5, 6, 7, 8]], [[[1, 2], [3, 4]]], r"streams must share a shape"),
+], ids=["within a set", "across sets"])
+def test_rejects_streams_of_one_size_but_different_shapes(train, synthetic, message):
+    train, synthetic = ([np.asarray(s) for s in rows] for rows in (train, synthetic))
+    with pytest.raises(PrivacyError, match=message):
+        membership_attack(train, train, synthetic, AttackConfig(n_r=1, thresholds=(0.5,)))
+
+
 def test_no_leak_baseline_within_binomial_band():
     """Independent synthetic data should flag members at chance rate.
 

@@ -70,6 +70,50 @@ def test_dpe_integer_places_descend():
     assert S._numeric_dpe_labels("205") == [S.dpe_place(2), S.dpe_place(1), S.dpe_place(0)]
 
 
+def dpe_labels_by_character(value):
+    """Reference: each character's place, counted from the decimal point."""
+    point = value.find(".") if "." in value else len(value)
+    return [S.DPE_NON_DIGIT if ch == "-" else S.DPE_DECIMAL_POINT if ch == "." else
+            S.dpe_place(point - 1 - i if i < point else point - i)
+            for i, ch in enumerate(value)]
+
+
+NUMERIC_SHAPES = ["7", "-7", "0.5", "-0.5", "10.5", "-0.0", "205", "-307.25", "0.0000001",
+                  "1." + "0" * 61 + "1"]  # 62 fraction digits: the lowest encodable place
+
+
+def test_segment_memo_is_keyed_by_text_not_by_cell():
+    """One vocabulary serves two definitions of one code: each build equals a
+    build with a fresh vocabulary of the same units, and numeric cells carry
+    their own digit places."""
+    definitions = [{"50001": "white blood cell count"}, {"50001": "serum sodium level"}]
+    events = []
+    for i, value in enumerate(NUMERIC_SHAPES):
+        events += [C.EventRecord("lab", (("value", C.numeric(value)),), timestamp=120 * i),
+                   C.EventRecord("lab", (("item id", C.itemized("50001")),), 120 * i + 60)]
+    patient = C.PatientRecord("p", events)
+    vocab = build_vocabulary(["lab item id value - 0 1 2 3 4 5 6 7 8 9 ."]
+                             + [d["50001"] for d in definitions])
+    config = S.SerializerConfig(n_e=32, n_tpe=128, n_t=1024)
+    for defs in definitions + definitions:
+        shared = S.build_hierarchical(patient, vocab, defs, config)
+        fresh = S.build_hierarchical(patient, Vocabulary(list(vocab.units)), defs, config)
+        assert shared.lengths.tolist() == fresh.lengths.tolist()
+        assert all(np.array_equal(a, b) for a, b in zip(shared.cells, fresh.cells))
+        assert S.detokenize_events(shared, vocab)[1].pairs == [("item id", defs["50001"])]
+    types, dpes = shared.type_labels, shared.dpe_labels
+    for row, event in enumerate(patient.events):
+        (_, cell), = event.columns
+        if cell.kind == C.NUMERIC:
+            labels = dpes[row][types[row] == S.TokenType.COLUMN_VALUE].tolist()
+            assert labels == dpe_labels_by_character(cell.value) == S._numeric_dpe_labels(cell.value)
+
+
+def test_dpe_places_below_the_encodable_range_are_refused():
+    with pytest.raises(S.SerializeError, match="digit place -63 out of encodable range"):
+        S._numeric_dpe_labels("1." + "0" * 63)
+
+
 def test_event_without_columns_rejected():
     with pytest.raises(C.CorpusError):
         C.EventRecord("lab", (), timestamp=0)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from ehrseq import vocab as vocab_mod
 import pytest
@@ -80,6 +81,36 @@ def test_tokenize_runs_tokenize_word_once_per_distinct_word(monkeypatch):
     assert tokenize(text, vocab) == ["lympho", "cytes", "cytes", "lympho", "cytes"]
     assert tokenize(text, vocab) == ["lympho", "cytes", "cytes", "lympho", "cytes"]
     assert calls == ["lymphocytes", "cytes"]
+
+
+def build_vocabulary_by_occurrence(texts, min_count):
+    """Reference: each occurrence of each text is split and counted in turn."""
+    counts, chars = Counter(), set()
+    for text in texts:
+        for word in text.casefold().split():
+            counts[word] += 1
+            chars.update(word)
+    units = list(RESERVED)
+    for unit in ([w for w, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+                  if c >= min_count]
+                 + sorted(chars) + ["##" + c for c in sorted(chars)]):
+        if unit not in units:
+            units.append(unit)
+    return units
+
+
+_CASES = (str, str.upper, str.lower, str.title, str.swapcase)
+
+
+@given(st.lists(st.one_of(st.text(alphabet="abAB\u00dfS #.1", max_size=8),
+                          st.sampled_from(["[pad]", "[UNK] x", "##", "##a b"])),
+                min_size=1, max_size=5)
+       .flatmap(lambda base: st.lists(st.tuples(st.sampled_from(base), st.sampled_from(_CASES))
+                                      .map(lambda pick: pick[1](pick[0])), max_size=30)),
+       st.integers(1, 3))
+def test_build_vocabulary_matches_a_count_per_occurrence(texts, min_count):
+    built = build_vocabulary(iter(texts), min_count=min_count)
+    assert built.units == build_vocabulary_by_occurrence(texts, min_count)
 
 
 def detokenize_by_loop(units):
