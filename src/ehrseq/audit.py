@@ -71,6 +71,9 @@ class TripleSet:
     def __post_init__(self):  # a triple set is not changed once built
         self._table_index = _name_index(self.tables)
         self._column_index = {t: _name_index(cols) for t, cols in self.columns.items()}
+        # check_event's memo, (table, column) -> content -> verdict (a defect
+        # or None), for one vocabulary; checking under another starts anew
+        self._verdict_vocab, self._verdicts = None, {}
 
 
 def _parse_decimal(text: str) -> Optional[float]:
@@ -92,12 +95,21 @@ def build_triples(real: Corpus, vocab: Vocabulary) -> TripleSet:
     observed: dict[tuple[str, str], dict[CellValue, str]] = {}
     tables: set[str] = set()
     columns: dict[str, set[str]] = {}
+    # table name -> ids of the (column, cell) pairs walked; load_corpus shares
+    # one pair object among equal cells, so each distinct pair is walked once
+    walked: dict[str, set[int]] = {}
     for p in real.patients:
         for e in p.events:
-            table = e.table_name.casefold()
-            tables.add(table)
-            for col_name, cell in e.columns:
-                col = col_name.casefold()
+            pair_ids = walked.get(e.table_name)
+            if pair_ids is None:
+                pair_ids = walked[e.table_name] = set()
+                tables.add(e.table_name.casefold())
+            for pair in e.columns:
+                if id(pair) in pair_ids:
+                    continue
+                pair_ids.add(id(pair))
+                col_name, cell = pair
+                table, col = e.table_name.casefold(), col_name.casefold()
                 columns.setdefault(table, set()).add(col)
                 texts = observed.setdefault((table, col), {})
                 if cell not in texts:
@@ -147,7 +159,8 @@ def _structure_raw_event(event: ReconstructedEvent, triples: TripleSet) -> Recon
         col_words, col = match
         pos += len(col_words)
         content_words: list[str] = []
-        while pos < len(words) and longest_name(pos, col_index) is None:
+        while pos < len(words) and (words[pos] not in col_index
+                                    or longest_name(pos, col_index) is None):
             content_words.append(words[pos])
             pos += 1
         if not content_words:
@@ -157,10 +170,31 @@ def _structure_raw_event(event: ReconstructedEvent, triples: TripleSet) -> Recon
     return structured
 
 
+_UNCHECKED = object()  # a verdict memo's miss; None is a verdict
+
+
+def _pair_defect(table: str, col_name: str, content: str, triples: TripleSet,
+                 vocab: Vocabulary) -> Optional[str]:
+    """The semantics check of one (column, content) pair of a known table."""
+    col = col_name.casefold()
+    key = (table, col)
+    if col not in triples.columns.get(table, set()) or key not in triples.content:
+        return UNKNOWN_TABLE_COLUMN
+    admissible = triples.content[key]
+    if isinstance(admissible, NumericRange):
+        value = _parse_decimal(content)
+        if value is None or not (admissible.low <= value <= admissible.high):
+            return NUMERIC_OUT_OF_RANGE
+    elif any(u not in admissible.units for u in tokenize(content, vocab)):
+        return UNKNOWN_SUBWORD
+    return None
+
+
 def check_event(event: ReconstructedEvent, triples: TripleSet,
                 vocab: Vocabulary) -> Optional[str]:
     """Syntax then semantics check of one reconstructed event: its first
-    defect, or None when the event is correct."""
+    defect, or None when the event is correct.  Each distinct (table,
+    column, content) is checked once per triple set and vocabulary."""
     if event.words is not None and event.defect is None:
         event = _structure_raw_event(event, triples)
     if event.defect is not None:
@@ -173,20 +207,18 @@ def check_event(event: ReconstructedEvent, triples: TripleSet,
         return UNKNOWN_TABLE_COLUMN
     if not event.pairs:
         return UNPAIRED_COLUMN
+    if triples._verdict_vocab is not vocab:
+        triples._verdict_vocab, triples._verdicts = vocab, {}
+    verdicts = triples._verdicts
     for col_name, content in event.pairs:
-        col = col_name.casefold()
-        key = (table, col)
-        if col not in triples.columns.get(table, set()) or key not in triples.content:
-            return UNKNOWN_TABLE_COLUMN
-        admissible = triples.content[key]
-        if isinstance(admissible, NumericRange):
-            value = _parse_decimal(content)
-            if value is None or not (admissible.low <= value <= admissible.high):
-                return NUMERIC_OUT_OF_RANGE
-        else:
-            units = tokenize(content, vocab)
-            if any(u not in admissible.units for u in units):
-                return UNKNOWN_SUBWORD
+        known = verdicts.get((table, col_name))
+        if known is None:
+            known = verdicts[table, col_name] = {}
+        defect = known.get(content, _UNCHECKED)
+        if defect is _UNCHECKED:
+            defect = known[content] = _pair_defect(table, col_name, content, triples, vocab)
+        if defect is not None:
+            return defect
     return None
 
 

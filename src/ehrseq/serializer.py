@@ -284,13 +284,16 @@ def build_hierarchical(patient: PatientRecord, vocab: Vocabulary,
                        patient_id=patient.patient_id)
 
 
-def _kept_rows(hier: TokenStream) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a hierarchical stream, where its cells start and its count c
-    of non-pad tokens: flatten and detokenize keep the row's first c cells."""
+def _kept_cells(hier: TokenStream) -> tuple[np.ndarray, np.ndarray]:
+    """Which cells of a hierarchical stream flatten and detokenize keep, and
+    how many each row keeps, for the rows that keep any: a row keeps its
+    first c cells, c being its count of non-pad tokens."""
     ends = np.cumsum(hier.lengths)
     non_pad = np.concatenate(([0], np.cumsum(hier.cells[0] != PAD_ID)))
     starts = ends - hier.lengths
-    return starts, non_pad[ends] - non_pad[starts]
+    counts = non_pad[ends] - non_pad[starts]
+    in_row = np.arange(len(hier.cells[0])) - np.repeat(starts, hier.lengths)
+    return in_row < np.repeat(counts, hier.lengths), counts[counts > 0]
 
 
 def flatten(hier: TokenStream, n_t: int = SerializerConfig.n_t) -> TokenStream:
@@ -301,10 +304,7 @@ def flatten(hier: TokenStream, n_t: int = SerializerConfig.n_t) -> TokenStream:
     """
     if hier.layout != "hierarchical":
         raise SerializeError("flatten expects a hierarchical stream")
-    starts, counts = _kept_rows(hier)
-    in_row = np.arange(len(hier.cells[0])) - np.repeat(starts, hier.lengths)
-    keep = in_row < np.repeat(counts, hier.lengths)
-    kept = counts[counts > 0]
+    keep, kept = _kept_cells(hier)
     offsets = np.cumsum(kept) - kept
     boundaries = [(s, min(s + n, n_t)) for s, n in zip(offsets.tolist(), kept.tolist())
                   if s < n_t]
@@ -336,50 +336,106 @@ class ReconstructedEvent:
         return (self.table, tuple(self.pairs), self.timegap)
 
 
-def _event_segments(stream: TokenStream):
+def _event_cells(stream: TokenStream) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """A stream's events, one after another: their token ids, their type
+    labels (None when the events are read without labels) and the offsets
+    where each event starts, the last being the total."""
     tokens, labels = stream.cells[:2]
     if stream.layout == "hierarchical":
-        starts, counts = _kept_rows(stream)
-        for s, n in zip(starts[counts > 0].tolist(), counts[counts > 0].tolist()):
-            yield tokens[s:s + n], None if labels is None else labels[s:s + n]
-    elif stream.event_boundaries is not None:
+        keep, counts = _kept_cells(stream)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        return tokens[keep], None if labels is None else labels[keep], offsets
+    if stream.event_boundaries is not None:
         # a boundary may reach past the cells into the padding
-        tokens, labels = stream.tokens, stream.type_labels
-        for s, e in stream.event_boundaries:
-            yield tokens[s:e], None if labels is None else labels[s:e]
-    else:
-        # no boundaries: an event ends after each time-gap token
-        tokens = tokens[tokens != PAD_ID]
-        ends = (np.flatnonzero(is_timegap_id(tokens)) + 1).tolist()
-        for start, end in zip([0] + ends, ends + [len(tokens)]):
-            if start < end:
-                yield tokens[start:end], None
+        bounds = np.array(stream.event_boundaries, dtype=np.int64).reshape(-1, 2)
+        sizes = bounds[:, 1] - bounds[:, 0]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        at = np.repeat(bounds[:, 0] - offsets[:-1], sizes) + np.arange(offsets[-1])
+        labels = stream.type_labels
+        return stream.tokens[at], None if labels is None else labels[at], offsets
+    # no boundaries: an event ends after each time-gap token
+    tokens = tokens[tokens != PAD_ID]
+    ends = np.flatnonzero(is_timegap_id(tokens)) + 1
+    return tokens, None, np.unique(np.concatenate(([0], ends, [len(tokens)])))
 
 
-def _parse_labeled(units: list[str], labels: list[int]) -> ReconstructedEvent:
-    cuts = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
-    runs = [(labels[s], units[s:e])
-            for s, e in zip([0] + cuts, cuts + [len(labels)]) if s < e]
+def _event_segments(stream: TokenStream):
+    """Each event's token ids and type labels (or None), in stream order."""
+    tokens, labels, offsets = _event_cells(stream)
+    for s, e in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        yield tokens[s:e], None if labels is None else labels[s:e]
 
+
+def _run_starts(labels: np.ndarray, event_starts: np.ndarray) -> np.ndarray:
+    """Where each run of labeled events' cells starts: at every cell whose
+    type label differs from the cell before it, and where an event starts."""
+    cut = np.ones(len(labels), dtype=bool)
+    cut[1:] = labels[1:] != labels[:-1]
+    cut[event_starts[event_starts < len(labels)]] = True
+    return np.flatnonzero(cut)
+
+
+# type labels as plain ints: comparing an int with them is faster than with TokenType members
+_TABLE, _COLUMN, _VALUE, _TIMEGAP = map(int, (TokenType.TABLE_NAME, TokenType.COLUMN_NAME,
+                                              TokenType.COLUMN_VALUE, TokenType.TIMEGAP))
+
+
+def _run_value(label: int, units: list[str]) -> str:
+    """What an event reads from one run: a time-gap run's last unit, any
+    other run's detokenized text."""
+    return units[-1] if label == _TIMEGAP else detokenize(units)
+
+
+def _read_runs(labels: list[int], values: list[str]) -> ReconstructedEvent:
+    """One event from its runs' type labels and values."""
     event = ReconstructedEvent()
-    if not runs or runs[0][0] != TokenType.TABLE_NAME:
+    if not labels or labels[0] != _TABLE:
         event.defect = DEFECT_NOT_TABLE_FIRST
-    idx = 0
-    while idx < len(runs):
-        label, run_units = runs[idx]
+    idx, n_runs = 0, len(labels)
+    while idx < n_runs:
+        label, value = labels[idx], values[idx]
         idx += 1
-        if label == TokenType.TABLE_NAME:
-            event.table = detokenize(run_units)
-        elif (label == TokenType.COLUMN_NAME and idx < len(runs)
-              and runs[idx][0] == TokenType.COLUMN_VALUE):
-            event.pairs.append((detokenize(run_units), detokenize(runs[idx][1])))
+        if label == _TABLE:
+            event.table = value
+        elif label == _COLUMN and idx < n_runs and labels[idx] == _VALUE:
+            event.pairs.append((value, values[idx]))
             idx += 1
-        elif label == TokenType.TIMEGAP:
-            event.timegap = run_units[-1]
+        elif label == _TIMEGAP:
+            event.timegap = value
         else:
             # a column name without a value, or a value without a column name
             event.defect = event.defect or DEFECT_UNPAIRED_COLUMN
     return event
+
+
+def _parse_labeled(units: list[str], labels: list[int]) -> ReconstructedEvent:
+    """One event from its units and type labels, cut and read as
+    `detokenize_events` does, without its memo."""
+    starts = _run_starts(np.asarray(labels, dtype=np.int64), np.zeros(1, np.int64)).tolist()
+    runs = [(labels[s], units[s:e]) for s, e in zip(starts, starts[1:] + [len(labels)])]
+    return _read_runs([label for label, _ in runs],
+                      [_run_value(label, run_units) for label, run_units in runs])
+
+
+def _labeled_events(tokens: np.ndarray, labels: np.ndarray, offsets: np.ndarray,
+                    vocab: Vocabulary) -> list[ReconstructedEvent]:
+    """Labeled events from their cells: every run is cut at once, and each
+    distinct (label, ids) run is detokenized once per vocabulary."""
+    starts = _run_starts(labels, offsets[:-1])
+    first_runs = np.searchsorted(starts, offsets).tolist()  # each event's first run
+    run_labels = labels[starts].tolist()
+    ids = tokens.astype(np.int32, copy=False).tobytes()  # 4 bytes a cell
+    memo, unit_of = vocab._runs, vocab.units
+    values = []
+    bounds = (4 * starts).tolist() + [len(ids)]
+    for label, s, e in zip(run_labels, bounds, bounds[1:]):
+        key = (label, ids[s:e])
+        value = memo.get(key)
+        if value is None:
+            run = np.frombuffer(key[1], np.int32).tolist()
+            value = memo[key] = _run_value(label, [unit_of[t] for t in run])
+        values.append(value)
+    return [_read_runs(run_labels[a:b], values[a:b]) for a, b in zip(first_runs, first_runs[1:])]
 
 
 def detokenize_events(stream: TokenStream, vocab: Vocabulary) -> list[ReconstructedEvent]:
@@ -396,16 +452,16 @@ def detokenize_events(stream: TokenStream, vocab: Vocabulary) -> list[Reconstruc
         bad = tokens[(tokens < 0) | (tokens >= n_units)].flat[0]
         raise SerializeError(f"patient {stream.patient_id!r}: token id {bad} is outside "
                              f"the vocabulary of {n_units} units")
+    tokens, labels, offsets = _event_cells(stream)
+    if labels is not None:
+        return _labeled_events(tokens, labels, offsets, vocab)
     events = []
-    for token_ids, labels in _event_segments(stream):
-        ids = token_ids.tolist()
+    for s, e in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        ids = tokens[s:e].tolist()
         units = [unit_of[t] for t in ids]
-        if labels is not None:
-            events.append(_parse_labeled(units, labels.tolist()))
-        else:
-            timegap = units.pop() if ids and is_timegap_id(ids[-1]) else None
-            words = detokenize(units).split(" ") if units else []
-            events.append(ReconstructedEvent(timegap=timegap, words=words))
+        timegap = units.pop() if ids and is_timegap_id(ids[-1]) else None
+        words = detokenize(units).split(" ") if units else []
+        events.append(ReconstructedEvent(timegap=timegap, words=words))
     return events
 
 
@@ -419,11 +475,12 @@ def detokenize_events(stream: TokenStream, vocab: Vocabulary) -> list[Reconstruc
 
 def stream_record(stream: TokenStream) -> str:
     """One stream as its de-padded JSON line, newline included."""
+    used = np.flatnonzero(stream.lengths)
     record = {
         "patient_id": stream.patient_id,
         "layout": stream.layout,
         "shape": list(stream.shape),
-        "lengths": np.trim_zeros(stream.lengths, "b").tolist(),
+        "lengths": stream.lengths[: used[-1] + 1 if used.size else 0].tolist(),
     }
     for name, cells in zip(_CHANNELS, stream.cells):
         record[name] = None if cells is None else cells.tolist()

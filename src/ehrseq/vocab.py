@@ -62,6 +62,7 @@ class Vocabulary:
         self._max_len = max((len(u.removeprefix(CONTINUATION)) for u in self.units), default=1)
         self._word_units: dict[str, list[str]] = {}  # tokenize's memo of tokenize_word
         self._segments: dict = {}  # the serializer's memo of per-text event segments
+        self._runs: dict = {}  # detokenize_events' memo of (label, ids bytes) -> run value
 
     def __len__(self) -> int:
         return len(self.units)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ehrseq import audit as A
 from ehrseq import corpus as C
@@ -283,3 +283,55 @@ def test_same_word_names_resolve_to_the_first_in_sorted_order():
 def test_blank_names_are_refused_by_the_triple_set():
     with pytest.raises(A.AuditError, match="blank table or column name ' '"):
         A.TripleSet({"lab"}, {"lab": {"value", " "}}, {})
+
+
+def score_per_event(samples, triples, vocab):
+    """Reference: each event checked on its own, against a triple set with an
+    empty verdict memo, then counted as `score` counts."""
+    def fresh():
+        return A.TripleSet(triples.tables, triples.columns, triples.content)
+
+    defects = [[A.check_event(e, fresh(), vocab) for e in sample] for sample in samples]
+    flat = [(e, d) for sample, ds in zip(samples, defects) for e, d in zip(sample, ds)]
+    unique = {}
+    for e, d in flat:
+        unique.setdefault(e.key(), d is None)
+    n_ok = sum(d is None for _, d in flat)
+    n_samples_ok = sum(bool(ds) and all(d is None for d in ds) for ds in defects)
+    return A.AuditReport(
+        rce=n_ok / len(flat) if flat else None,
+        rue=sum(unique.values()) / len(unique) if unique else None,
+        rcs=n_samples_ok / len(samples) if samples else None,
+        total_events=len(flat), unique_events=len(unique), total_samples=len(samples),
+        defect_counts={k: sum(d == k for _, d in flat) for k in A.DEFECT_KINDS})
+
+
+WORDS = ["lab", "value", "prescription", "drug", "5", ".", "0", "9", "3", "1",
+         "saline", "normal", "heparin", "x"]
+CONTENTS = st.sampled_from(["5 . 0", "9 . 9", "3 . 1", "7 . 4", "x", "saline", "normal saline",
+                            "heparin", "saline flush", "5 0"])
+EVENTS = st.one_of(
+    st.builds(event, st.sampled_from(["lab", "prescription", "LAB", "surgery", None]),
+              st.lists(st.tuples(st.sampled_from(["value", "drug", "Value", "dose"]), CONTENTS),
+                       max_size=3),
+              defect=st.sampled_from([None, None, None, A.NOT_TABLE_FIRST, A.UNPAIRED_COLUMN])),
+    st.builds(event, words=st.lists(st.sampled_from(WORDS), max_size=8)),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(EVENTS, max_size=6), max_size=6))
+def test_score_matches_a_per_event_check_without_memo(triples_fixture, samples):
+    triples, vocab = triples_fixture
+    assert A.score(samples, triples, vocab) == score_per_event(samples, triples, vocab)
+
+
+def test_verdicts_are_kept_per_vocabulary(triples_fixture):
+    """A triple set's verdict memo holds for one vocabulary: checked under
+    another, a content is tokenized by that one."""
+    triples, vocab = triples_fixture
+    letters = Vocabulary(RESERVED + sorted(set("salinedrug")))
+    saline = event("prescription", [("drug", "saline")])
+    assert A.check_event(saline, triples, vocab) is None
+    assert A.check_event(saline, triples, letters) == A.UNKNOWN_SUBWORD
+    assert A.check_event(saline, triples, vocab) is None

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -10,11 +11,12 @@ import pytest
 from click.testing import CliRunner
 
 import ehrseq
+from ehrseq import audit as audit_mod
 from ehrseq import corpus as corpus_mod
 from ehrseq import serializer
 from ehrseq.cli import main
 from ehrseq.serializer import SerializerConfig, dense_stream, load_streams, save_streams
-from ehrseq.vocab import is_timegap_id
+from ehrseq.vocab import PAD_ID, Vocabulary, is_timegap_id
 from ehrseq.vq import Codebook
 
 
@@ -742,3 +744,72 @@ def test_rerun_replaces_its_own_manifest(runner, tmp_path):
                                       "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
     assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == 2
+
+
+def test_audit_detokenizes_each_distinct_run_and_checks_each_distinct_pair_once(
+        runner, tmp_path, monkeypatch):
+    """A labeled audit detokenizes each distinct (type label, ids) run once and
+    checks each distinct (table, column, content) once, not per occurrence."""
+    corpus_dir, out = serialize_corpus(runner, tmp_path)
+    streams_path, vocab = out / "streams_hier.jsonl", Vocabulary.load(out / "vocab.txt")
+    runs, distinct_runs, distinct_pairs = 0, set(), set()
+    for stream in load_streams(streams_path):
+        for row_tokens, row_labels in zip(stream.tokens.tolist(), stream.type_labels.tolist()):
+            kept = len(row_tokens) - row_tokens.count(PAD_ID)
+            start = 0
+            for i in range(1, kept + 1):
+                if i == kept or row_labels[i] != row_labels[start]:
+                    if row_labels[start] != serializer.TokenType.TIMEGAP:  # read as its last unit
+                        runs += 1
+                        distinct_runs.add((row_labels[start], tuple(row_tokens[start:i])))
+                    start = i
+        for event in serializer.detokenize_events(stream, vocab):
+            distinct_pairs.update((event.table.casefold(), col, content)
+                                  for col, content in event.pairs)
+    assert runs > 2 * len(distinct_runs) and distinct_pairs
+
+    detokenized, checked = [], []
+    detokenize, pair_defect = serializer.detokenize, audit_mod._pair_defect
+    monkeypatch.setattr(serializer, "detokenize",
+                        lambda units: detokenized.append(units) or detokenize(units))
+    monkeypatch.setattr(audit_mod, "_pair_defect", lambda table, col, content, *rest:
+                        checked.append((table, col, content)) or pair_defect(
+                            table, col, content, *rest))
+    result = runner.invoke(main, ["audit", "--real", str(corpus_dir),
+                                  "--generated", str(streams_path),
+                                  "--vocab", str(out / "vocab.txt"),
+                                  "--out", str(tmp_path / "audit")])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["rce"] == 1.0
+    assert len(detokenized) == len(distinct_runs)
+    assert sorted(checked) == sorted(distinct_pairs)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_commands_restore_the_collectors_state(runner, tmp_path, monkeypatch, enabled):
+    """The cyclic collector is paused while a command runs and is left as the
+    caller had it after success, an `error:` exit and an exception."""
+    during = []
+    load_corpus = corpus_mod.load_corpus
+
+    def watched(path):
+        during.append(gc.isenabled())
+        if Path(path).name == "raises":
+            raise RuntimeError("not a ValueError")
+        return load_corpus(path)
+
+    monkeypatch.setattr(corpus_mod, "load_corpus", watched)
+    corpus_dir = tmp_path / "corpus"
+    assert runner.invoke(main, ["gen", "--seed", "1", "--n-patients", "2",
+                                "--out", str(corpus_dir)]).exit_code == 0
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for where, code in ((corpus_dir, 0), (tmp_path / "missing", 1), (tmp_path / "raises", 1)):
+            result = runner.invoke(main, ["load", "--in", str(where)])
+            assert result.exit_code == code
+            assert gc.isenabled() is enabled
+        assert isinstance(result.exception, RuntimeError)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False, False]

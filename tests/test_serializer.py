@@ -712,3 +712,52 @@ def parse_labeled_by_loop(units, labels):
 def test_labeled_parse_matches_the_run_loop(pairs):
     units, labels = [u for u, _ in pairs], [label for _, label in pairs]
     assert S._parse_labeled(units, labels) == parse_labeled_by_loop(units, labels)
+
+
+RUN_VOCAB = Vocabulary(RESERVED + ["a", "b", "##c", "d"])
+# ids mostly of a few units, so runs repeat and the run memo is hit; pads among them
+run_ids = st.one_of(st.sampled_from([PAD_ID, len(RESERVED), len(RESERVED) + 2]),
+                    st.integers(0, len(RUN_VOCAB) - 1))
+run_labels = st.one_of(st.sampled_from([1, 2, 3, 4]), st.integers(0, 5))
+
+
+def labeled_events_per_occurrence(stream):
+    """Reference: each event's units and labels taken from the dense grid one
+    row or boundary at a time, each read by the run loop."""
+    tokens, labels = stream.tokens, stream.type_labels
+    if stream.layout == "hierarchical":
+        counts = (tokens != PAD_ID).sum(axis=1)
+        pieces = [(t[:c], y[:c]) for t, y, c in zip(tokens, labels, counts) if c]
+    else:
+        pieces = [(tokens[s:e], labels[s:e]) for s, e in stream.event_boundaries]
+    return [parse_labeled_by_loop([RUN_VOCAB.units[t] for t in t_ids.tolist()], y.tolist())
+            for t_ids, y in pieces]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_labeled_events_match_the_per_occurrence_parse(data):
+    """Hierarchical streams, and flattened ones whose boundaries may overlap,
+    repeat or reach into the padding, read as a per-event parse reads them."""
+    if data.draw(st.booleans()):
+        shape = (data.draw(st.integers(0, 5)), data.draw(st.integers(0, 8)))
+        stream = S.dense_stream(data.draw(hnp.arrays(np.int32, shape, elements=run_ids)),
+                                data.draw(hnp.arrays(np.int32, shape, elements=run_labels)))
+    else:
+        n = data.draw(st.integers(0, 16))
+        used = data.draw(st.integers(0, n))  # the cells past it are padding
+        tokens = np.zeros(n, np.int32)
+        tokens[:used] = data.draw(hnp.arrays(np.int32, used, elements=run_ids))
+        labels = np.zeros(n, np.int32)
+        labels[:used] = data.draw(hnp.arrays(np.int32, used, elements=run_labels))
+        ends = st.integers(0, n)
+        bounds = data.draw(st.lists(st.tuples(ends, ends).map(sorted).map(tuple), max_size=5))
+        stream = S.dense_stream(tokens, labels, None, bounds)
+    assert S.detokenize_events(stream, RUN_VOCAB) == labeled_events_per_occurrence(stream)
+
+
+def test_runs_of_equal_ids_are_read_by_their_label():
+    vocab = Vocabulary(RESERVED + ["a", "##c"])
+    a, c = len(RESERVED), len(RESERVED) + 1
+    stream = S.dense_stream(np.array([[a, c, a, c]]), np.array([[1, 1, 4, 4]]))
+    assert S.detokenize_events(stream, vocab) == [S.ReconstructedEvent(table="ac", timegap="##c")]
