@@ -93,8 +93,6 @@ def build_triples(real: Corpus, vocab: Vocabulary) -> TripleSet:
         raise AuditError("cannot build triples from an empty corpus")
     # (table, column) -> its distinct cells, in order of first sight, each textualized
     observed: dict[tuple[str, str], dict[CellValue, str]] = {}
-    tables: set[str] = set()
-    columns: dict[str, set[str]] = {}
     # table name -> ids of the (column, cell) pairs walked; load_corpus shares
     # one pair object among equal cells, so each distinct pair is walked once
     walked: dict[str, set[int]] = {}
@@ -103,20 +101,20 @@ def build_triples(real: Corpus, vocab: Vocabulary) -> TripleSet:
             pair_ids = walked.get(e.table_name)
             if pair_ids is None:
                 pair_ids = walked[e.table_name] = set()
-                tables.add(e.table_name.casefold())
             for pair in e.columns:
                 if id(pair) in pair_ids:
                     continue
                 pair_ids.add(id(pair))
                 col_name, cell = pair
-                table, col = e.table_name.casefold(), col_name.casefold()
-                columns.setdefault(table, set()).add(col)
-                texts = observed.setdefault((table, col), {})
+                texts = observed.setdefault((e.table_name.casefold(), col_name.casefold()), {})
                 if cell not in texts:
                     texts[cell] = textualize_cell(cell, real.definitions)
 
+    # every event has a column, so the observed pairs name every table walked
+    columns: dict[str, set[str]] = {}
     content: dict[tuple[str, str], NumericRange | SubwordSet] = {}
     for key, texts in observed.items():
+        columns.setdefault(key[0], set()).add(key[1])
         values = [_parse_decimal(t) for t in texts.values()]
         if all(v is not None for v in values):
             content[key] = NumericRange(min(values), max(values))
@@ -125,7 +123,7 @@ def build_triples(real: Corpus, vocab: Vocabulary) -> TripleSet:
             for t in texts.values():
                 units.update(tokenize(t, vocab))
             content[key] = SubwordSet(units)
-    return TripleSet(tables, columns, content)
+    return TripleSet(set(columns), columns, content)
 
 
 def _structure_raw_event(event: ReconstructedEvent, triples: TripleSet) -> ReconstructedEvent:
@@ -176,11 +174,9 @@ _UNCHECKED = object()  # a verdict memo's miss; None is a verdict
 def _pair_defect(table: str, col_name: str, content: str, triples: TripleSet,
                  vocab: Vocabulary) -> Optional[str]:
     """The semantics check of one (column, content) pair of a known table."""
-    col = col_name.casefold()
-    key = (table, col)
-    if col not in triples.columns.get(table, set()) or key not in triples.content:
+    admissible = triples.content.get((table, col_name.casefold()))
+    if admissible is None:
         return UNKNOWN_TABLE_COLUMN
-    admissible = triples.content[key]
     if isinstance(admissible, NumericRange):
         value = _parse_decimal(content)
         if value is None or not (admissible.low <= value <= admissible.high):

@@ -312,7 +312,8 @@ def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
         refs = serializer.load_streams(reference_path)
         hyps = serializer.load_streams(hypothesis_path)
         if len(refs) != len(hyps):
-            raise metrics_mod.MetricError("reference and hypothesis stream counts differ")
+            raise metrics_mod.MetricError(f"{reference_path} vs {hypothesis_path}: stream "
+                                          f"counts differ: {len(refs)} vs {len(hyps)}")
         values = []
         for r, h in zip(refs, hyps):
             try:

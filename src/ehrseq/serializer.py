@@ -359,13 +359,6 @@ def _event_cells(stream: TokenStream) -> tuple[np.ndarray, Optional[np.ndarray],
     return tokens, None, np.unique(np.concatenate(([0], ends, [len(tokens)])))
 
 
-def _event_segments(stream: TokenStream):
-    """Each event's token ids and type labels (or None), in stream order."""
-    tokens, labels, offsets = _event_cells(stream)
-    for s, e in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        yield tokens[s:e], None if labels is None else labels[s:e]
-
-
 def _run_starts(labels: np.ndarray, event_starts: np.ndarray) -> np.ndarray:
     """Where each run of labeled events' cells starts: at every cell whose
     type label differs from the cell before it, and where an event starts."""
@@ -378,12 +371,6 @@ def _run_starts(labels: np.ndarray, event_starts: np.ndarray) -> np.ndarray:
 # type labels as plain ints: comparing an int with them is faster than with TokenType members
 _TABLE, _COLUMN, _VALUE, _TIMEGAP = map(int, (TokenType.TABLE_NAME, TokenType.COLUMN_NAME,
                                               TokenType.COLUMN_VALUE, TokenType.TIMEGAP))
-
-
-def _run_value(label: int, units: list[str]) -> str:
-    """What an event reads from one run: a time-gap run's last unit, any
-    other run's detokenized text."""
-    return units[-1] if label == _TIMEGAP else detokenize(units)
 
 
 def _read_runs(labels: list[int], values: list[str]) -> ReconstructedEvent:
@@ -408,19 +395,11 @@ def _read_runs(labels: list[int], values: list[str]) -> ReconstructedEvent:
     return event
 
 
-def _parse_labeled(units: list[str], labels: list[int]) -> ReconstructedEvent:
-    """One event from its units and type labels, cut and read as
-    `detokenize_events` does, without its memo."""
-    starts = _run_starts(np.asarray(labels, dtype=np.int64), np.zeros(1, np.int64)).tolist()
-    runs = [(labels[s], units[s:e]) for s, e in zip(starts, starts[1:] + [len(labels)])]
-    return _read_runs([label for label, _ in runs],
-                      [_run_value(label, run_units) for label, run_units in runs])
-
-
 def _labeled_events(tokens: np.ndarray, labels: np.ndarray, offsets: np.ndarray,
                     vocab: Vocabulary) -> list[ReconstructedEvent]:
     """Labeled events from their cells: every run is cut at once, and each
-    distinct (label, ids) run is detokenized once per vocabulary."""
+    distinct (label, ids) run is read once per vocabulary, a time-gap run as
+    its last unit and any other run as its detokenized text."""
     starts = _run_starts(labels, offsets[:-1])
     first_runs = np.searchsorted(starts, offsets).tolist()  # each event's first run
     run_labels = labels[starts].tolist()
@@ -432,8 +411,8 @@ def _labeled_events(tokens: np.ndarray, labels: np.ndarray, offsets: np.ndarray,
         key = (label, ids[s:e])
         value = memo.get(key)
         if value is None:
-            run = np.frombuffer(key[1], np.int32).tolist()
-            value = memo[key] = _run_value(label, [unit_of[t] for t in run])
+            units = [unit_of[t] for t in np.frombuffer(key[1], np.int32).tolist()]
+            value = memo[key] = units[-1] if label == _TIMEGAP else detokenize(units)
         values.append(value)
     return [_read_runs(run_labels[a:b], values[a:b]) for a, b in zip(first_runs, first_runs[1:])]
 

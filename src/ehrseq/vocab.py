@@ -73,10 +73,6 @@ class Vocabulary:
     def encode(self, units: Iterable[str]) -> list[int]:
         return [self._index.get(u, UNK_ID) for u in units]
 
-    @property
-    def max_unit_len(self) -> int:
-        return self._max_len
-
     def save(self, path: Path | str) -> None:
         Path(path).write_text("".join(u + "\n" for u in self.units))
 
@@ -129,7 +125,7 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[str]:
     pos = 0
     while pos < len(word):
         match = None
-        limit = min(vocab.max_unit_len, len(word) - pos)
+        limit = min(vocab._max_len, len(word) - pos)
         for length in range(limit, 0, -1):
             piece = word[pos:pos + length]
             if pos > 0 and CONTINUATION + piece in vocab:

@@ -454,6 +454,14 @@ def test_metrics_names_files_and_patient_of_a_shape_mismatch(runner, tmp_path):
                              f"shape mismatch: (4,) vs (8,)\n")
 
 
+def test_metrics_names_files_and_counts_of_unequal_stream_files(runner, tmp_path):
+    ref = write_streams(tmp_path / "ref.jsonl", [[4, 5, 6, 7], [4, 5, 6, 7]])
+    hyp = write_streams(tmp_path / "hyp.jsonl", [[4, 5, 6, 7]])
+    result = runner.invoke(main, ["metrics", "--reference", ref, "--hypothesis", hyp])
+    assert result.exit_code == 1
+    assert result.output == f"error: {ref} vs {hyp}: stream counts differ: 2 vs 1\n"
+
+
 def test_metrics_accuracy_and_auroc(runner, tmp_path):
     _, out = serialize_corpus(runner, tmp_path)
     scores = tmp_path / "scores.tsv"
@@ -597,11 +605,12 @@ def test_quantize_reads_booleans_among_numbers_as_0_and_1(runner, tmp_path):
      "ema_sums must be an array of JSON numbers"),
     (lambda doc: doc.update(decay="0.99"), "decay must be a JSON number"),
     (lambda doc: doc.update(decay=True), "decay must be a JSON number"),
+    (lambda doc: doc.update(ema_counts=[1.0]), "EMA accumulator shapes do not match entries"),
     (lambda doc: doc.update(size=3), "size 3 does not match entries of shape (2, 1)"),
     (lambda doc: doc.update(width=1.0), "width 1.0 does not match entries of shape (2, 1)"),
     (lambda doc: doc.update(width=True), "width True does not match entries of shape (2, 1)"),
-], ids=["number-strings", "null", "booleans", "decay-string", "decay-bool", "size", "width-float",
-        "width-bool"])
+], ids=["number-strings", "null", "booleans", "decay-string", "decay-bool", "ema-counts-length",
+        "size", "width-float", "width-bool"])
 def test_bad_codebook_names_its_file(runner, tmp_path, edit, reason):
     path = tmp_path / "codebook.json"
     Codebook.new(np.zeros((2, 1))).save(path)

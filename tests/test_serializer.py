@@ -421,6 +421,11 @@ FLAT = {**GOOD, "layout": "flattened", "shape": [8], "lengths": [3], "event_boun
     (json.dumps({**GOOD, "lengths": [0, 3], "shape": [2, 2]}), "row length outside 0..2"),
     (json.dumps({**GOOD, "lengths": [-1, 4]}), "row length outside"),
     (json.dumps({**GOOD, "lengths": [1, 1, 1]}), "3 row lengths for 2 rows"),
+    (json.dumps({**GOOD, "lengths": [True]}), "lengths must be a list of integers"),
+    (json.dumps({**GOOD, "lengths": "x"}), "lengths must be a list of integers"),
+    (json.dumps({"layout": "hierarchical", "tokens": [[4, 5], [6, 7]],
+                 "type_labels": [[1, 2, 3], [1, 2, 3]]}),
+     "label channel shape does not match token channel"),
     (json.dumps({**GOOD, "shape": [2, 3, 1]}), "bad shape"),
     (json.dumps({**GOOD, "layout": "flattened"}), "bad shape [2, 3] for layout 'flattened'"),
     (json.dumps({**FLAT, "layout": "hierarchical"}), "bad shape [8] for layout 'hierarchical'"),
@@ -638,23 +643,22 @@ def flatten_by_rows(tokens, labels, n_t):
             out[: len(flat)] = flat
         return out
 
-    return (assemble(0), assemble(1), [(s, min(e, n_t)) for s, e in boundaries if s < n_t],
-            pieces)
+    return assemble(0), assemble(1), [(s, min(e, n_t)) for s, e in boundaries if s < n_t]
 
 
 @settings(deadline=None)
 @given(hnp.arrays(np.int32, st.tuples(st.integers(0, 6), st.integers(0, 6)), elements=cells),
        st.sampled_from([1, 4, 8, 64]))
-def test_flatten_and_segments_match_row_loop(tokens, n_t):
+def test_flatten_matches_row_loop(tokens, n_t):
     labels = tokens[::-1, ::-1].copy()
-    hier = S.dense_stream(tokens, labels, None)
-    flat = S.flatten(hier, n_t)
-    want_tokens, want_labels, boundaries, pieces = flatten_by_rows(tokens, labels, n_t)
+    flat = S.flatten(S.dense_stream(tokens, labels, None), n_t)
+    want_tokens, want_labels, boundaries = flatten_by_rows(tokens, labels, n_t)
     assert np.array_equal(flat.tokens, want_tokens)
     assert np.array_equal(flat.type_labels, want_labels)
     assert flat.dpe_labels is None and flat.event_boundaries == boundaries
-    segments = [(t.tolist(), y.tolist()) for t, y in S._event_segments(hier)]
-    assert segments == [(t.tolist(), y.tolist()) for t, y in pieces]
+
+
+RUN_VOCAB = Vocabulary(RESERVED + ["a", "b", "##c", "d"])
 
 
 def segments_by_token_loop(tokens):
@@ -668,10 +672,15 @@ def segments_by_token_loop(tokens):
     return segments + ([tokens[start:]] if start < len(tokens) else [])
 
 
-@given(hnp.arrays(np.int32, st.integers(0, 40), elements=st.integers(0, 16)))
+@given(hnp.arrays(np.int32, st.integers(0, 40), elements=st.integers(0, len(RUN_VOCAB) - 1)))
 def test_label_less_segments_match_the_token_loop(tokens):
-    stream = S.dense_stream(tokens)
-    assert [t.tolist() for t, _ in S._event_segments(stream)] == segments_by_token_loop(tokens)
+    want = []
+    for ids in segments_by_token_loop(tokens):
+        units = [RUN_VOCAB.units[t] for t in ids]
+        timegap = units.pop() if is_timegap_id(ids[-1]) else None
+        want.append((detokenize(units).split(" ") if units else [], timegap))
+    events = S.detokenize_events(S.dense_stream(tokens), RUN_VOCAB)
+    assert [(e.words, e.timegap) for e in events] == want
 
 
 def parse_labeled_by_loop(units, labels):
@@ -707,14 +716,6 @@ def parse_labeled_by_loop(units, labels):
     return event
 
 
-@given(st.lists(st.tuples(st.sampled_from(["a", "b", "##c", "[tg1]"]), st.integers(0, 5)),
-                max_size=12))
-def test_labeled_parse_matches_the_run_loop(pairs):
-    units, labels = [u for u, _ in pairs], [label for _, label in pairs]
-    assert S._parse_labeled(units, labels) == parse_labeled_by_loop(units, labels)
-
-
-RUN_VOCAB = Vocabulary(RESERVED + ["a", "b", "##c", "d"])
 # ids mostly of a few units, so runs repeat and the run memo is hit; pads among them
 run_ids = st.one_of(st.sampled_from([PAD_ID, len(RESERVED), len(RESERVED) + 2]),
                     st.integers(0, len(RUN_VOCAB) - 1))

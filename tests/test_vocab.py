@@ -7,6 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from ehrseq.vocab import (
     RESERVED,
+    UNK,
+    UNK_ID,
     VocabError,
     Vocabulary,
     build_vocabulary,
@@ -33,6 +35,12 @@ def test_greedy_longest_match_two_pieces():
 def test_character_fallback():
     vocab = fixture_vocab(["q"])
     assert tokenize_word("qqq", vocab) == ["q", "q", "q"]
+
+
+def test_characters_outside_the_vocabulary_become_unk():
+    vocab = build_vocabulary(["ab"])
+    assert tokenize_word("abz", vocab) == ["ab", UNK]
+    assert vocab.encode(tokenize_word("abz", vocab))[-1] == UNK_ID
 
 
 def test_continuation_units_preferred_mid_word():
