@@ -205,6 +205,9 @@ def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
 def analyze(plan_path, kernel, attention):
     """Analyze an existing plan document: shapes and per-layer params and FLOPs."""
     p = planner.load_plan(plan_path)
+    defects = validate_plan(p)
+    if defects:
+        raise planner.PlanError(f"{plan_path}: " + "; ".join(defects))
     report = analysis_report(p, CostModel(kernel=kernel, attention_variant=attention))
     click.echo(json_text(report), nl=False)
 

@@ -53,12 +53,13 @@ class Vocabulary:
     def __post_init__(self):
         if self.units[: len(RESERVED)] != RESERVED:
             raise VocabError("reserved entries must occupy the lowest indices")
-        if len(set(self.units)) != len(self.units):
-            raise VocabError("duplicate vocabulary units")
+        self._index = {u: i for i, u in enumerate(self.units)}
+        if len(self._index) != len(self.units):  # a repeated unit maps to its last index
+            repeated = next(u for i, u in enumerate(self.units) if self._index[u] != i)
+            raise VocabError(f"duplicate vocabulary unit {repeated!r}")
         blank = next((u for u in self.units if u.split() != [u]), None)
         if blank is not None:  # tokenize never emits such a unit; detokenize relies on it
             raise VocabError(f"vocabulary unit {blank!r} is empty or holds whitespace")
-        self._index = {u: i for i, u in enumerate(self.units)}
         self._max_len = max((len(u.removeprefix(CONTINUATION)) for u in self.units), default=1)
         self._word_units: dict[str, list[str]] = {}  # tokenize's memo of tokenize_word
         self._segments: dict = {}  # the serializer's memo of per-text event segments

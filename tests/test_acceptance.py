@@ -13,7 +13,7 @@ from ehrseq import audit as A
 from ehrseq import corpus as C
 from ehrseq import planner as P
 from ehrseq import serializer as S
-from ehrseq.analyzer import CostModel, count_flops, count_params, propagate_shapes, validate_plan
+from ehrseq.analyzer import CostModel, analysis_report, validate_plan
 from ehrseq.metrics import auroc
 from ehrseq.privacy import AttackConfig, membership_attack
 from ehrseq.serializer import ReconstructedEvent
@@ -32,7 +32,7 @@ def test_criterion_1_golden_cnn_plan(capsys):
     start = time.perf_counter()
     plan = P.cnn_plan(8192, 256, 64, 8)
     assert [op.kind for op in plan.ops] == [P.LND, P.LND, P.LND, P.LND, P.LN, P.LND, P.LN]
-    shapes = [shape for _, _, shape in propagate_shapes(plan).steps]
+    shapes = [tuple(row["shape"]) for row in analysis_report(plan)["trace"]]
     assert shapes == [(4096, 128), (2048, 64), (1024, 32), (512, 16),
                       (256, 16), (128, 8), (64, 8)]
     elapsed = time.perf_counter() - start
@@ -45,7 +45,7 @@ def test_criterion_2_golden_transformer_plan(capsys):
     assert [(op.kind, op.factor) for op in plan.ops[:-1]] == [
         (P.LD1, 4), (P.LD2, 2), (P.LD2, 2), (P.LD2, 2)]
     assert plan.ops[-1].kind == P.POOL and plan.ops[-1].target == 64
-    shapes = [shape for _, _, shape in propagate_shapes(plan).steps]
+    shapes = [tuple(row["shape"]) for row in analysis_report(plan)["trace"]]
     assert shapes == [(8192, 64), (8192, 32), (8192, 16), (8192, 8), (64, 8)]
     _report(capsys, "PASS criterion 2: golden Transformer plan exact")
 
@@ -74,7 +74,7 @@ def test_criterion_4_count_identity_and_plan_validity(capsys):
                          P.transformer_plan(8192, 256, spec.t, spec.c, n_l=4)):
                 assert validate_plan(plan) == []
                 decoder = P.mirror_decoder(plan)
-                assert propagate_shapes(decoder).output_shape == plan.input_shape
+                assert tuple(analysis_report(decoder)["trace"][-1]["shape"]) == plan.input_shape
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(capsys, f"PASS criterion 4: count identity + grid/mirror validity ({elapsed:.3f}s)")
@@ -244,6 +244,7 @@ def test_criterion_10_cost_ordering(capsys):
         for spec in specs:
             cnn = P.cnn_plan(8192, 256, spec.t, spec.c)
             trf = P.transformer_plan(8192, 256, spec.t, spec.c, n_l=4)
-            assert count_params(cnn, cost) < count_params(trf, cost)
-            assert count_flops(cnn, cost_model=cost) < count_flops(trf, cost_model=cost)
+            cnn_report, trf_report = analysis_report(cnn, cost), analysis_report(trf, cost)
+            assert cnn_report["params"] < trf_report["params"]
+            assert cnn_report["flops"] < trf_report["flops"]
     _report(capsys, "PASS criterion 10: CNN < Transformer params and FLOPs on every grid point")

@@ -1,46 +1,37 @@
 import pytest
 
 from ehrseq import planner as P
-from ehrseq.analyzer import (
-    CostModel,
-    analysis_report,
-    count_flops,
-    count_params,
-    layer_costs,
-    propagate_shapes,
-    validate_plan,
-)
+from ehrseq.analyzer import CostModel, analysis_report, validate_plan
 
 
 def test_trace_matches_paper_plan():
     plan = P.cnn_plan(8192, 256, 64, 8)
-    shapes = [shape for _, _, shape in propagate_shapes(plan).steps]
+    shapes = [tuple(row["shape"]) for row in analysis_report(plan)["trace"]]
     assert shapes == [(4096, 128), (2048, 64), (1024, 32), (512, 16),
                       (256, 16), (128, 8), (64, 8)]
 
 
 def test_trace_empty_plan():
     plan = P.LayerPlan(P.CNN, P.ENCODE, [], (64, 8), (64, 8))
-    trace = propagate_shapes(plan)
-    assert trace.steps == []
-    assert trace.output_shape == (64, 8)
+    assert analysis_report(plan)["trace"] == []
+    assert validate_plan(plan) == []
 
 
 def test_trace_rejects_odd_temporal_dim():
     plan = P.LayerPlan(P.CNN, P.ENCODE, [P.LayerOp(P.LN)], (3, 4), (1, 4))
     with pytest.raises(P.PlanError, match="layer 0"):
-        propagate_shapes(plan)
+        analysis_report(plan)
 
 
 def test_params_single_cnn_layer():
     plan = P.LayerPlan(P.CNN, P.ENCODE, [P.LayerOp(P.LND)], (8192, 256), (4096, 128))
-    assert count_params(plan) == 5 * 256 * 128 + 128
+    assert analysis_report(plan)["params"] == 5 * 256 * 128 + 128
 
 
 def test_params_empty_plan():
     plan = P.LayerPlan(P.CNN, P.ENCODE, [], (64, 8), (64, 8))
-    assert count_params(plan) == 0
-    assert count_flops(plan) == 0
+    assert analysis_report(plan)["params"] == 0
+    assert analysis_report(plan)["flops"] == 0
 
 
 def test_params_additive():
@@ -48,31 +39,32 @@ def test_params_additive():
     single2 = P.LayerPlan(P.CNN, P.ENCODE, [P.LayerOp(P.LND)], (4096, 128), (2048, 64))
     double = P.LayerPlan(P.CNN, P.ENCODE, [P.LayerOp(P.LND), P.LayerOp(P.LND)],
                          (8192, 256), (2048, 64))
-    assert count_params(double) == count_params(single1) + count_params(single2)
+    assert analysis_report(double)["params"] == (analysis_report(single1)["params"]
+                                                 + analysis_report(single2)["params"])
 
 
 def test_flops_single_cnn_layer():
     plan = P.LayerPlan(P.CNN, P.ENCODE, [P.LayerOp(P.LND)], (8192, 256), (4096, 128))
-    assert count_flops(plan) == 2 * 5 * 256 * 128 * 4096
+    assert analysis_report(plan)["flops"] == 2 * 5 * 256 * 128 * 4096
 
 
 def test_flops_linear_in_output_length():
     big = P.LayerPlan(P.CNN, P.ENCODE, [P.LayerOp(P.LND)], (8192, 256), (4096, 128))
     small = P.LayerPlan(P.CNN, P.ENCODE, [P.LayerOp(P.LND)], (4096, 256), (2048, 128))
-    assert count_flops(big) == 2 * count_flops(small)
+    assert analysis_report(big)["flops"] == 2 * analysis_report(small)["flops"]
 
 
 def test_flops_decrease_when_input_halves():
     for latent in ((64, 8), (256, 16)):
         wide = P.cnn_plan(8192, 256, *latent)
         narrow = P.cnn_plan(4096, 256, *latent)
-        assert count_flops(narrow) < count_flops(wide)
+        assert analysis_report(narrow)["flops"] < analysis_report(wide)["flops"]
 
 
 def test_params_independent_of_length():
     a = P.cnn_plan(8192, 256, 64, 8)
     shapes_only = P.LayerPlan(a.backbone, a.direction, a.ops, (8192, 256), (64, 8))
-    assert count_params(a) == count_params(shapes_only)
+    assert analysis_report(a)["params"] == analysis_report(shapes_only)["params"]
 
 
 def test_validate_paper_plan_ok():
@@ -104,13 +96,13 @@ def test_cost_model_validation():
 
 def test_one_by_one_kernel_variant():
     plan = P.LayerPlan(P.CNN, P.ENCODE, [P.LayerOp(P.LND)], (8192, 256), (4096, 128))
-    assert count_params(plan, CostModel(kernel=1)) == 256 * 128 + 128
+    assert analysis_report(plan, CostModel(kernel=1))["params"] == 256 * 128 + 128
 
 
 def test_linear_attention_cheaper_than_full():
     plan = P.transformer_plan(8192, 256, 64, 8, n_l=4)
-    full = count_flops(plan, cost_model=CostModel(attention_variant="full"))
-    linear = count_flops(plan, cost_model=CostModel(attention_variant="linear"))
+    full = analysis_report(plan, CostModel(attention_variant="full"))["flops"]
+    linear = analysis_report(plan, CostModel(attention_variant="linear"))["flops"]
     assert linear < full
 
 
@@ -143,18 +135,17 @@ def test_analysis_report_per_layer_golden_cnn():
     P.mirror_decoder(P.cnn_plan(4096, 128, 32, 16)),
 ])
 def test_totals_are_sums_of_layer_rows(plan):
-    cost = CostModel(attention_variant="linear")
-    report = analysis_report(plan, cost)
-    costs = layer_costs(plan, cost)
-    assert [(r["params"], r["flops"]) for r in report["trace"]] == costs
-    assert report["params"] == count_params(plan, cost) == sum(p for p, _ in costs)
-    assert report["flops"] == count_flops(plan, cost) == sum(f for _, f in costs)
+    report = analysis_report(plan, CostModel(attention_variant="linear"))
+    assert report["params"] == sum(r["params"] for r in report["trace"])
+    assert report["flops"] == sum(r["flops"] for r in report["trace"])
     for row in report["trace"]:
         if row["op"] == P.POOL:
             assert (row["params"], row["flops"]) == (0, 0)
 
 
-def test_count_params_rejects_plan_whose_shapes_do_not_propagate():
+def test_report_rejects_plan_whose_shapes_do_not_propagate():
     plan = P.LayerPlan(P.CNN, P.ENCODE, [P.LayerOp(P.LD)], (4, 3), (4, 1))
-    with pytest.raises(P.PlanError, match="layer 0"):
-        count_params(plan)
+    with pytest.raises(P.PlanError, match=r"^layer 0: layer Ld produces non-integral shape "
+                                          r"from \(4, 3\)$"):
+        analysis_report(plan)
+    assert validate_plan(plan) == ["layer 0: layer Ld produces non-integral shape from (4, 3)"]

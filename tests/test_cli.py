@@ -674,6 +674,102 @@ def test_analyze_names_plan_file_missing_a_field(runner, tmp_path):
     assert f"error: {path}: missing field 'backbone'" in result.output
 
 
+@pytest.mark.parametrize("ops, output_shape, reason", [
+    ([{"kind": "Ln"}], [1, 4], "terminal shape (2, 4) != declared (1, 4)"),
+    ([{"kind": "Ln"}] * 3, [1, 4], "layer 2: layer Ln produces non-integral shape from (1, 4)"),
+    ([{"kind": "Ld", "factor": 3}], [4, 2], "layer factor 3 must be a power of two >= 1"),
+], ids=["terminal-mismatch", "non-integral-shape", "factor-not-a-power-of-two"])
+def test_analyze_refuses_a_plan_whose_ops_miss_its_output(runner, tmp_path, ops, output_shape,
+                                                          reason):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"backbone": "cnn", "direction": "encode", "ops": ops,
+                                "input_shape": [4, 4], "output_shape": output_shape}))
+    result = runner.invoke(main, ["analyze", "--plan", str(path)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"error: {path}: {reason}\n"
+
+
+def _drop_last_field_of_row_2(path):
+    lines = path.read_text().split("\n")
+    lines[1] = lines[1].rsplit("\t", 1)[0]
+    path.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda path: path.unlink(), "missing table file {path}"),
+    (lambda path: path.write_text(path.read_text().replace("\tvalue\t", "\tvalu\t", 1)),
+     "{path}: header ['patient_id', 'timestamp_seconds', 'item id', 'valu', 'unit'] does not "
+     "match schema ['patient_id', 'timestamp_seconds', 'item id', 'value', 'unit']"),
+    (_drop_last_field_of_row_2, "{path}:2: unpaired column/cell row"),
+], ids=["missing", "renamed-header-column", "short-row"])
+def test_load_names_the_fault_of_a_table_file(runner, tmp_path, edit, reason):
+    corpus = tmp_path / "corpus"
+    runner.invoke(main, ["gen", "--seed", "1", "--n-patients", "4", "--out", str(corpus)])
+    edit(corpus / "lab.tsv")
+    result = runner.invoke(main, ["load", "--in", str(corpus)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == "error: " + reason.format(path=corpus / "lab.tsv") + "\n"
+
+
+def _config(**top):
+    columns = [{"name": "value", "type": "numeric", "low": 1, "high": 2},
+               {"name": "unit", "type": "text", "choices": ["mg"]},
+               {"name": "item", "type": "itemized", "codes": ["c1"]}]
+    doc = {"seed": 0, "n_patients": 3, "definitions": {"c1": "one"},
+           "tables": [{"name": "lab", "columns": columns}]}
+    return {**doc, **top}
+
+
+def _with_column(i, **fields):
+    doc = _config()
+    doc["tables"][0]["columns"][i].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc, reason", [
+    (_config(events_per_patient=[9, 6]), "events_per_patient range inverted"),
+    (_with_column(0, low=3), "column lab.value: range min > max"),
+    (_with_column(1, choices=[]), "column lab.unit: no text choices"),
+    (_with_column(2, codes=[]), "column lab.item: no codes"),
+    (_config(definitions={}), "column lab.item: codes without definitions: ['c1']"),
+], ids=["events-inverted", "low-above-high", "no-choices", "no-codes", "undefined-codes"])
+def test_gen_names_the_fault_of_its_config(runner, tmp_path, doc, reason):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["gen", "--config", str(path), "--out", str(tmp_path / "g")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"error: malformed generator config {path}: {reason}\n"
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["serialize", "--in", "{corpus}", "--n-e", "3"], "n_e=3 must be a power of two"),
+    (["plan", "--backbone", "transformer", "--layers", "0"], "n_l must be >= 1"),
+    (["plan", "--grid", "4096:256"], "l_min must be <= l_max"),
+    (["plan", "--backbone", "transformer", "--input", "64x8", "--output", "64x16"],
+     "transformer schedule cannot expand channels"),
+], ids=["serialize-n-e", "plan-no-layers", "plan-grid-inverted", "plan-transformer-expands"])
+def test_bad_settings_are_refused_by_name(runner, tmp_path, args, reason):
+    corpus = tmp_path / "corpus"
+    runner.invoke(main, ["gen", "--seed", "1", "--n-patients", "2", "--out", str(corpus)])
+    out = tmp_path / "out"
+    result = runner.invoke(main, [a.format(corpus=corpus) for a in args] + ["--out", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"error: {reason}\n"
+    assert not out.exists()
+
+
+def test_vocabulary_listing_a_unit_twice_names_the_unit(runner, tmp_path):
+    corpus, streams = serialize_corpus(runner, tmp_path)
+    units = (streams / "vocab.txt").read_text().splitlines()
+    vocab = tmp_path / "twice.txt"
+    vocab.write_text("\n".join(units + [units[-1], units[-2]]) + "\n")
+    result = runner.invoke(main, ["serialize", "--in", str(corpus), "--vocab", str(vocab),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"error: {vocab}: duplicate vocabulary unit {units[-2]!r}\n"
+
+
 @pytest.mark.parametrize("args, written", [
     (["gen", "--n-patients", "6"],
      ["lab.tsv", "prescription.tsv", "infusion.tsv", "definitions.tsv", "schema.json"]),

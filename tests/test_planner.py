@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from ehrseq import planner as P
-from ehrseq.analyzer import propagate_shapes
+from ehrseq.analyzer import analysis_report
 
 
 def test_counts_golden_table():
@@ -60,7 +60,7 @@ def test_transformer_golden_table():
     kinds = [(op.kind, op.factor) for op in plan.ops[:-1]]
     assert kinds == [(P.LD1, 4), (P.LD2, 2), (P.LD2, 2), (P.LD2, 2)]
     assert plan.ops[-1].kind == P.POOL and plan.ops[-1].target == 64
-    shapes = [shape for _, _, shape in propagate_shapes(plan).steps]
+    shapes = [tuple(row["shape"]) for row in analysis_report(plan)["trace"]]
     assert shapes == [(8192, 64), (8192, 32), (8192, 16), (8192, 8), (64, 8)]
 
 
@@ -89,7 +89,7 @@ def test_mirror_cnn_golden():
     enc = P.cnn_plan(8192, 256, 64, 8)
     dec = P.mirror_decoder(enc)
     assert [op.kind for op in dec.ops] == [P.UN, P.UND, P.UN, P.UND, P.UND, P.UND, P.UND]
-    assert propagate_shapes(dec).output_shape == (8192, 256)
+    assert analysis_report(dec)["trace"][-1]["shape"] == [8192, 256]
 
 
 def test_mirror_empty_plan():
@@ -104,7 +104,7 @@ def test_mirror_transformer_channel_doubling():
     dec = P.mirror_decoder(enc)
     xattn = [op for op in dec.ops if op.kind == P.XATTN]
     assert len(xattn) == 5
-    assert propagate_shapes(dec).output_shape == (8192, 256)
+    assert analysis_report(dec)["trace"][-1]["shape"] == [8192, 256]
 
 
 def test_mirror_rejects_decoder_input():
@@ -140,7 +140,7 @@ def test_encoder_plan_dispatches_on_backbone():
 def test_flattened_one_stage_plan():
     plan = P.cnn_plan(8192, 256, 64, 8)
     assert plan.input_shape == (8192, 256)
-    assert propagate_shapes(plan).output_shape == (64, 8)
+    assert analysis_report(plan)["trace"][-1]["shape"] == [64, 8]
 
 
 def test_compression_rate_hier_golden():
