@@ -60,8 +60,14 @@ def _layer_rows(plan: LayerPlan, cost_model: CostModel) -> list[dict]:
 
 
 def validate_plan(plan: LayerPlan) -> list[str]:
-    """The plan's defect messages: empty iff shapes propagate and land on the
-    declared output."""
+    """The plan's defect messages: empty iff each op is one its backbone and
+    direction admit, and shapes propagate and land on the declared output."""
+    stray = [f"layer {i}: a {plan.backbone} {plan.direction} plan cannot hold {op.kind}"
+             for i, op in enumerate(plan.ops)
+             if OP_KINDS[op.kind].backbone != plan.backbone
+             or plan.direction not in OP_KINDS[op.kind].directions]
+    if stray:
+        return stray
     try:
         rows = _layer_rows(plan, CostModel())
     except PlanError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .corpus import CellValue, Corpus, is_decimal
+from .corpus import NUMERIC, CellValue, Corpus, CorpusColumns, is_decimal
 from .serializer import DEFECT_NOT_TABLE_FIRST as NOT_TABLE_FIRST
 from .serializer import DEFECT_UNPAIRED_COLUMN as UNPAIRED_COLUMN
 from .serializer import ReconstructedEvent, textualize_cell
@@ -82,45 +82,56 @@ def _parse_decimal(text: str) -> Optional[float]:
     return float(compact) if is_decimal(compact) else None
 
 
-def build_triples(real: Corpus, vocab: Vocabulary) -> TripleSet:
-    """Refined triple set from a real corpus.
+def build_triples(real: Corpus | CorpusColumns, vocab: Vocabulary) -> TripleSet:
+    """Refined triple set from a real corpus, in memory or read by columns.
 
     A (table, column) is numeric iff every observed content parses as a
     decimal; numeric columns keep [min, max], text columns the union of
-    subword units over all observed contents.
+    subword units over all observed contents.  Table and column names are
+    casefolded, and names equal once casefolded are merged.
     """
-    if not real.patients:
+    # (table name, (column, cell) pairs): one group per table column of a
+    # corpus read by columns, one per event of a `Corpus`
+    if isinstance(real, CorpusColumns):
+        groups = ((t.name, pairs) for t in real.tables for pairs in t.cells)
+    else:
+        groups = ((e.table_name, e.columns) for p in real.patients for e in p.events)
+    # table name -> its (column, cell) pairs by identity; the reader shares one
+    # pair object among equal cells, so each distinct pair is looked at once
+    walked: dict[str, dict[int, tuple[str, CellValue]]] = {}
+    for table, pairs in groups:
+        seen = walked.get(table)
+        if seen is None:
+            seen = walked[table] = {}
+        seen.update(zip(map(id, pairs), pairs))
+    # (table, column) -> the cells of its distinct pairs; equal cells may repeat
+    observed: dict[tuple[str, str], list[CellValue]] = {}
+    for table, seen in walked.items():
+        cells_of: dict[str, list[CellValue]] = {}  # column name -> its list in observed
+        for col_name, cell in seen.values():
+            cells = cells_of.get(col_name)
+            if cells is None:
+                cells = cells_of[col_name] = observed.setdefault(
+                    (table.casefold(), col_name.casefold()), [])
+            cells.append(cell)
+    if not observed:
         raise AuditError("cannot build triples from an empty corpus")
-    # (table, column) -> its distinct cells, in order of first sight, each textualized
-    observed: dict[tuple[str, str], dict[CellValue, str]] = {}
-    # table name -> ids of the (column, cell) pairs walked; load_corpus shares
-    # one pair object among equal cells, so each distinct pair is walked once
-    walked: dict[str, set[int]] = {}
-    for p in real.patients:
-        for e in p.events:
-            pair_ids = walked.get(e.table_name)
-            if pair_ids is None:
-                pair_ids = walked[e.table_name] = set()
-            for pair in e.columns:
-                if id(pair) in pair_ids:
-                    continue
-                pair_ids.add(id(pair))
-                col_name, cell = pair
-                texts = observed.setdefault((e.table_name.casefold(), col_name.casefold()), {})
-                if cell not in texts:
-                    texts[cell] = textualize_cell(cell, real.definitions)
 
-    # every event has a column, so the observed pairs name every table walked
+    # the tables are those with an observed cell
     columns: dict[str, set[str]] = {}
     content: dict[tuple[str, str], NumericRange | SubwordSet] = {}
-    for key, texts in observed.items():
+    for key, cells in observed.items():
         columns.setdefault(key[0], set()).add(key[1])
-        values = [_parse_decimal(t) for t in texts.values()]
-        if all(v is not None for v in values):
+        texts = {textualize_cell(c, real.definitions) for c in cells if c.kind != NUMERIC}
+        # a numeric cell was checked as a decimal when it was made
+        values = [float(c.value) for c in cells if c.kind == NUMERIC]
+        values += map(_parse_decimal, texts)
+        if None not in values:
             content[key] = NumericRange(min(values), max(values))
         else:
+            texts.update(textualize_cell(c, real.definitions) for c in cells if c.kind == NUMERIC)
             units: set[str] = set()
-            for t in texts.values():
+            for t in texts:
                 units.update(tokenize(t, vocab))
             content[key] = SubwordSet(units)
     return TripleSet(set(columns), columns, content)

@@ -253,10 +253,10 @@ def quantize(latent_path, codebook_path, beta, out_path):
 @_run
 def audit_cmd(real_dir, generated_path, vocab_path, out_dir):
     """Score generated streams against triples built from a real corpus."""
-    corpus = corpus_mod.load_corpus(real_dir)
+    real = corpus_mod.load_corpus(real_dir, events=False)  # read by columns: no events
     vocab = Vocabulary.load(vocab_path)
-    triples = audit_mod.build_triples(corpus, vocab)
-    del corpus  # freed before the streams load, so the two never share the peak
+    triples = audit_mod.build_triples(real, vocab)
+    del real  # freed before the streams load, so the two never share the peak
     streams = serializer.load_streams(generated_path)
     samples = [serializer.detokenize_events(s, vocab) for s in streams]
     text = json_text(asdict(audit_mod.score(samples, triples, vocab)))

@@ -11,7 +11,10 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import and_
 from pathlib import Path
 
 from .manifest import json_text
@@ -371,6 +374,7 @@ def load_generator_config(path: Path | str) -> GeneratorConfig:
 
 _TSV_UNSAFE = re.compile(r"[\t\n\r]")
 _TIMESTAMP = re.compile(r"\d+", re.ASCII)  # whole seconds; no sign, space or other digits
+_TIMESTAMPS = re.compile(r"\d+(?:\t\d+)*", re.ASCII)  # a column of them, tab-joined
 
 
 def _tsv_row(fields: list[str], names: list[str], where: str) -> str:
@@ -424,15 +428,95 @@ def save_corpus(corpus: Corpus, out_dir: Path | str) -> None:
         (Path(out_dir) / name).write_text(content)
 
 
-def load_corpus(path: Path | str) -> Corpus:
-    """Load a corpus directory; sorts events, applies the cohort filter.
+@dataclass
+class TableColumns:
+    """One schema table's kept rows, column by column: each row's patient id
+    and timestamp, and per schema column each row's (column, cell) pair.
+    Equal cells of a column share one pair object."""
 
-    Non-monotone timestamps are sorted, not rejected.  A schema naming a
-    table or column twice, or with a blank name, is refused before any table
-    file is read.  Rows failing the declared column type, itemized codes
-    missing from the definitions file, and definitions rows without exactly
-    one tab or repeating a code are load errors naming the offending row.
-    Every other invariant of `Corpus.validate` holds by construction.
+    name: str
+    patient_ids: list[str]
+    timestamps: list[int]
+    cells: list[list[tuple[str, CellValue]]]
+
+
+@dataclass
+class CorpusColumns:
+    """A corpus directory read by columns, after the cohort filter."""
+
+    patient_ids: list[str]  # the kept patients, sorted
+    labels: dict[str, dict[str, int]]
+    definitions: dict[str, str]
+    schema: list[TableSpec]
+    tables: list[TableColumns]
+
+
+def _read_table(table_path: Path, table: TableSpec, definitions: dict[str, str],
+                interned: dict) -> TableColumns:
+    """A table file's rows, column by column, every row checked.
+
+    Each check runs over a whole column; the lowest-numbered bad row is
+    named, and within a row the first of field count, patient id, timestamp,
+    then cells left to right.  Blank lines count toward row numbers."""
+    if not table_path.exists():
+        raise CorpusError(f"missing table file {table_path}")
+    lines = table_path.read_text().split("\n")
+    expected = ["patient_id", "timestamp_seconds"] + [c.name for c in table.columns]
+    if lines == [""]:
+        return TableColumns(table.name, [], [], [[] for _ in table.columns])
+    header = lines[0].split("\t")
+    if header != expected:
+        raise CorpusError(f"{table_path}: header {header} does not match schema {expected}")
+    body = lines[1:]
+    if body and not body[-1]:
+        body.pop()  # the line break ending the file
+    row_nos = range(2, len(body) + 2)
+    if not all(map(str.strip, body)):
+        row_nos = [n for n, line in zip(row_nos, body) if line.strip()]
+        body = [line for line in body if line.strip()]
+    rows = [line.split("\t") for line in body]
+    faults = []  # (row position, check order, message) of each check's first bad row
+    if set(map(len, rows)) - {len(expected)}:
+        short = next(i for i, fields in enumerate(rows) if len(fields) != len(expected))
+        faults.append((short, 0, "unpaired column/cell row"))
+        rows = rows[:short]  # later rows cannot be named
+    columns = list(zip(*rows)) or [()] * len(expected)
+    pids, stamps = columns[0], columns[1]
+    if "" in pids:
+        faults.append((pids.index(""), 1, "empty patient id"))
+    if stamps and not _TIMESTAMPS.fullmatch("\t".join(stamps)):
+        bad = next(i for i, ts in enumerate(stamps) if not _TIMESTAMP.fullmatch(ts))
+        faults.append((bad, 2, f"bad timestamp {stamps[bad]!r}"))
+    cells = []
+    for order, (spec, values) in enumerate(zip(table.columns, columns[2:]), start=3):
+        pairs = interned.setdefault((spec.name, spec.kind), {})
+        for value in dict.fromkeys(values):  # in order of first row
+            if value in pairs:
+                continue
+            try:
+                if spec.kind == ITEMIZED and value not in definitions:
+                    raise CorpusError(f"unknown code {value!r}")
+                pairs[value] = (spec.name, CellValue(spec.kind, value))
+            except CorpusError as exc:
+                faults.append((values.index(value), order, f"column {spec.name!r}: {exc}"))
+                break
+        if not faults:
+            cells.append(list(map(pairs.__getitem__, values)))
+    if faults:
+        row, _, message = min(faults)
+        raise CorpusError(f"{table_path}:{row_nos[row]}: {message}")
+    return TableColumns(table.name, list(pids), list(map(int, stamps)), cells)
+
+
+def _read_columns(path: Path | str) -> CorpusColumns:
+    """Read a corpus directory by columns and apply the cohort filter.
+
+    A schema naming a table or column twice, or with a blank name, is refused
+    before any table file is read.  Rows failing the declared column type,
+    itemized codes missing from the definitions file, and definitions rows
+    without exactly one tab or repeating a code are load errors naming the
+    offending row.  A patient is kept with at least MIN_EVENTS rows before
+    OBSERVATION_WINDOW_HOURS, and only those rows of a kept patient are.
     """
     root = Path(path)
     schema_path = root / "schema.json"
@@ -464,52 +548,37 @@ def load_corpus(path: Path | str) -> Corpus:
                 raise CorpusError(f"{defs_path}:{row_no}: code {fields[0]!r} given twice")
             definitions[fields[0]] = fields[1]
 
-    by_patient: dict[str, list[EventRecord]] = {}
-    distinct_cells = {}  # (column, kind, value) -> its (column, cell), checked once
-    for table in schema:
-        table_path = root / f"{table.name}.tsv"
-        if not table_path.exists():
-            raise CorpusError(f"missing table file {table_path}")
-        lines = table_path.read_text().split("\n")
-        if lines == [""]:
-            continue
-        header = lines[0].split("\t")
-        expected = ["patient_id", "timestamp_seconds"] + [c.name for c in table.columns]
-        if header != expected:
-            raise CorpusError(f"{table_path}: header {header} does not match schema {expected}")
-        for row_no, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != len(expected):
-                raise CorpusError(f"{table_path}:{row_no}: unpaired column/cell row")
-            pid, ts_raw = fields[0], fields[1]
-            if not pid:
-                raise CorpusError(f"{table_path}:{row_no}: empty patient id")
-            if not _TIMESTAMP.fullmatch(ts_raw):
-                raise CorpusError(f"{table_path}:{row_no}: bad timestamp {ts_raw!r}")
-            ts = int(ts_raw)
-            cells = []
-            for spec, value in zip(table.columns, fields[2:]):
-                key = (spec.name, spec.kind, value)
-                cell = distinct_cells.get(key)
-                if cell is None:
-                    try:
-                        if spec.kind == ITEMIZED and value not in definitions:
-                            raise CorpusError(f"unknown code {value!r}")
-                        cell = distinct_cells[key] = (spec.name, CellValue(spec.kind, value))
-                    except CorpusError as exc:
-                        raise CorpusError(
-                            f"{table_path}:{row_no}: column {spec.name!r}: {exc}") from None
-                cells.append(cell)
-            by_patient.setdefault(pid, []).append(EventRecord(table.name, tuple(cells), ts))
+    interned: dict = {}  # (column, kind) -> value -> its checked (column, cell) pair
+    tables = [_read_table(root / f"{t.name}.tsv", t, definitions, interned) for t in schema]
 
     window = OBSERVATION_WINDOW_HOURS * 3600
-    patients = []
-    for pid in sorted(set(by_patient) | set(labels)):
-        events = [e for e in by_patient.get(pid, []) if e.timestamp < window]
-        if len(events) < MIN_EVENTS:
-            continue
-        patients.append(PatientRecord(pid, events, labels.get(pid, {})))
-    return Corpus(patients, definitions, schema)
+    in_window: Counter[str] = Counter()
+    for t in tables:
+        in_window.update(compress(t.patient_ids, map(window.__gt__, t.timestamps)))
+    kept = {pid for pid, n in in_window.items() if n >= MIN_EVENTS}
+    for t in tables:
+        mask = list(map(and_, map(window.__gt__, t.timestamps), map(kept.__contains__,
+                                                                   t.patient_ids)))
+        if not all(mask):
+            t.patient_ids = list(compress(t.patient_ids, mask))
+            t.timestamps = list(compress(t.timestamps, mask))
+            t.cells = [list(compress(pairs, mask)) for pairs in t.cells]
+    return CorpusColumns(sorted(kept), labels, definitions, schema, tables)
 
+
+def load_corpus(path: Path | str, events: bool = True) -> Corpus | CorpusColumns:
+    """Load a corpus directory.  It is read by columns (`CorpusColumns`), and
+    that is returned when `events` is false; otherwise each kept patient gets
+    its events in schema table order, then file row order, then stably sorted
+    by timestamp (non-monotone timestamps are sorted, not rejected).  Every
+    invariant of `Corpus.validate` holds by construction."""
+    read = _read_columns(path)
+    if not events:
+        return read
+    by_patient: dict[str, list[EventRecord]] = {pid: [] for pid in read.patient_ids}
+    for t in read.tables:
+        for pid, ts, cells in zip(t.patient_ids, t.timestamps, zip(*t.cells)):
+            by_patient[pid].append(EventRecord(t.name, cells, ts))
+    patients = [PatientRecord(pid, by_patient[pid], read.labels.get(pid, {}))
+                for pid in read.patient_ids]
+    return Corpus(patients, read.definitions, read.schema)

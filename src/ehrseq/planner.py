@@ -28,6 +28,11 @@ UD = "Ud"
 UND = "Und"
 XATTN = "xattn"
 
+CNN = "cnn"
+TRANSFORMER = "transformer"
+ENCODE = "encode"
+DECODE = "decode"
+
 # cost families: how a layer's params and FLOPs are counted
 CONV = "conv"
 ATTENTION = "attention"
@@ -41,27 +46,24 @@ def _div(x: int, k: int) -> int:
 class OpKind(NamedTuple):
     shape: Callable  # (n, d, op) -> (n', d'); -1 marks a non-integral size
     family: str
+    backbone: str  # the one backbone whose plans may hold it,
+    directions: tuple[str, ...]  # in these directions
 
 
-# What each op kind does to a (temporal n, channel d) shape, and how it is
-# costed.  The single table the analyzer reads.
+# What each op kind does to a (temporal n, channel d) shape, how it is
+# costed, and which plans may hold it.  The single table the analyzer reads.
 OP_KINDS = {
-    LN: OpKind(lambda n, d, op: (_div(n, 2), d), CONV),
-    LD: OpKind(lambda n, d, op: (n, _div(d, 2)), CONV),
-    LND: OpKind(lambda n, d, op: (_div(n, 2), _div(d, 2)), CONV),
-    LD1: OpKind(lambda n, d, op: (n, _div(d, op.factor)), ATTENTION),
-    LD2: OpKind(lambda n, d, op: (n, _div(d, op.factor)), ATTENTION),
-    POOL: OpKind(lambda n, d, op: (op.target, d), POOLING),
-    UN: OpKind(lambda n, d, op: (2 * n, d), CONV),
-    UD: OpKind(lambda n, d, op: (n, 2 * d), CONV),
-    UND: OpKind(lambda n, d, op: (2 * n, 2 * d), CONV),
-    XATTN: OpKind(lambda n, d, op: (n, d * op.factor), ATTENTION),
+    LN: OpKind(lambda n, d, op: (_div(n, 2), d), CONV, CNN, (ENCODE,)),
+    LD: OpKind(lambda n, d, op: (n, _div(d, 2)), CONV, CNN, (ENCODE,)),
+    LND: OpKind(lambda n, d, op: (_div(n, 2), _div(d, 2)), CONV, CNN, (ENCODE,)),
+    LD1: OpKind(lambda n, d, op: (n, _div(d, op.factor)), ATTENTION, TRANSFORMER, (ENCODE,)),
+    LD2: OpKind(lambda n, d, op: (n, _div(d, op.factor)), ATTENTION, TRANSFORMER, (ENCODE,)),
+    POOL: OpKind(lambda n, d, op: (op.target, d), POOLING, TRANSFORMER, (ENCODE, DECODE)),
+    UN: OpKind(lambda n, d, op: (2 * n, d), CONV, CNN, (DECODE,)),
+    UD: OpKind(lambda n, d, op: (n, 2 * d), CONV, CNN, (DECODE,)),
+    UND: OpKind(lambda n, d, op: (2 * n, 2 * d), CONV, CNN, (DECODE,)),
+    XATTN: OpKind(lambda n, d, op: (n, d * op.factor), ATTENTION, TRANSFORMER, (DECODE,)),
 }
-
-CNN = "cnn"
-TRANSFORMER = "transformer"
-ENCODE = "encode"
-DECODE = "decode"
 
 
 class PlanError(ValueError):

@@ -116,10 +116,10 @@ def build_vocabulary(texts: Iterable[str], min_count: int = 1) -> Vocabulary:
 def tokenize_word(word: str, vocab: Vocabulary) -> list[str]:
     """Greedy longest-match over the vocabulary within a single word.
 
-    Continuation units apply only at non-initial positions and win ties
-    against plain units of the same length.  Reserved units never match text,
-    so "[pad]" in a word is its characters.  Characters absent from the
-    vocabulary consume one position as [unk].
+    Plain units match only at the word's start and "##" continuation units
+    only after it, so `detokenize` gives the word back whole.  Reserved units
+    never match text, so "[pad]" in a word is its characters.  Characters
+    without a unit at their position consume one position as [unk].
     """
     index, first_plain = vocab._index, len(RESERVED)  # reserved units hold the lowest ids
     out: list[str] = []
@@ -129,10 +129,11 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[str]:
         limit = min(vocab._max_len, len(word) - pos)
         for length in range(limit, 0, -1):
             piece = word[pos:pos + length]
-            if pos > 0 and CONTINUATION + piece in vocab:
-                match = CONTINUATION + piece
-                break
-            if index.get(piece, 0) >= first_plain and not piece.startswith(CONTINUATION):
+            if pos:
+                if CONTINUATION + piece in index:
+                    match = CONTINUATION + piece
+                    break
+            elif index.get(piece, 0) >= first_plain and not piece.startswith(CONTINUATION):
                 match = piece
                 break
         if match is None:

@@ -1,3 +1,5 @@
+import tempfile
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -220,6 +222,51 @@ def test_build_triples_matches_the_per_occurrence_build(tmp_path, small_corpus, 
         assert built == build_triples_per_occurrence(corpus, small_vocab)
         assert any(isinstance(c, A.NumericRange) for c in built.content.values())
         assert any(isinstance(c, A.SubwordSet) for c in built.content.values())
+
+
+_NAMES = st.sampled_from(["lab", "Lab", "LAB", "item id", "Item ID", "value"])
+_CELLS = {C.NUMERIC: st.sampled_from(["1", "-2.5", "10.0", "0.25"]).map(C.numeric),
+          C.TEXT: st.sampled_from(["aspirin", "Aspirin", "oral route", "1.5", "7"]).map(C.text),
+          C.ITEMIZED: st.sampled_from(["c1", "c2"]).map(C.itemized)}
+_WINDOW = C.OBSERVATION_WINDOW_HOURS * 3600
+
+
+@st.composite
+def corpora(draw):
+    """Corpora whose table and column names may differ only in case, and
+    whose patients may have too few events inside the observation window."""
+    schema = [C.TableSpec(name, tuple(C.ColumnSpec(col, draw(st.sampled_from(list(_CELLS))))
+                                      for col in draw(st.lists(_NAMES, min_size=1, max_size=3,
+                                                               unique=True))))
+              for name in draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True))]
+    patients = []
+    for i in range(draw(st.integers(0, 5))):
+        events = []
+        for _ in range(draw(st.integers(0, 9))):
+            table = draw(st.sampled_from(schema))
+            events.append(C.EventRecord(
+                table.name, tuple((c.name, draw(_CELLS[c.kind])) for c in table.columns),
+                draw(st.sampled_from([0, 60, _WINDOW - 1, _WINDOW, _WINDOW + 60]))))
+        patients.append(C.PatientRecord(f"p{i}", events))
+    return C.Corpus(patients, {"c1": "Sodium Level", "c2": "sodium"}, schema)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora())
+def test_triples_read_by_columns_match_the_loaded_corpus_and_the_reference(corpus):
+    vocab = build_vocabulary(S.corpus_texts(corpus))
+    with tempfile.TemporaryDirectory() as directory:
+        C.save_corpus(corpus, directory)
+        loaded = C.load_corpus(directory)
+        by_columns = C.load_corpus(directory, events=False)
+    assert by_columns.patient_ids == [p.patient_id for p in loaded.patients]
+    if not loaded.patients:
+        for real in (by_columns, loaded):
+            with pytest.raises(A.AuditError, match="empty corpus"):
+                A.build_triples(real, vocab)
+        return
+    built = A.build_triples(by_columns, vocab)
+    assert built == A.build_triples(loaded, vocab) == build_triples_per_occurrence(loaded, vocab)
 
 
 def structure_by_scan(words, triples):

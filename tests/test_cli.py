@@ -4,6 +4,7 @@ import json
 import tracemalloc
 import warnings
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from ehrseq import audit as audit_mod
 from ehrseq import corpus as corpus_mod
 from ehrseq import serializer
 from ehrseq.cli import main
+from ehrseq.manifest import json_text
 from ehrseq.serializer import SerializerConfig, dense_stream, load_streams, save_streams
 from ehrseq.vocab import PAD_ID, Vocabulary, is_timegap_id
 from ehrseq.vq import Codebook
@@ -172,6 +174,40 @@ def test_audit_of_own_serialization_is_perfect(runner, tmp_path):
     assert result.exit_code == 0, result.output
     report = json.loads((report_dir / "audit_report.json").read_text())
     assert report["rce"] == 1.0 and report["rue"] == 1.0 and report["rcs"] == 1.0
+
+
+def test_audit_reads_the_real_corpus_without_building_events(runner, tmp_path, monkeypatch):
+    """`audit` builds its triple set from the corpus read by columns: no
+    event is made, and the report is the one a loaded corpus gives."""
+    real_dir, out = serialize_corpus(runner, tmp_path, "real", seed="5")
+    other_dir = tmp_path / "other"
+    runner.invoke(main, ["gen", "--seed", "6", "--n-patients", "12", "--out", str(other_dir)])
+    vocab_path = out / "vocab.txt"
+    assert runner.invoke(main, ["serialize", "--in", str(other_dir), "--out",
+                                str(tmp_path / "gen"), "--vocab", str(vocab_path)]).exit_code == 0
+    vocab = Vocabulary.load(vocab_path)
+    reports = {}
+    for layout in ("hier", "flat"):
+        generated = tmp_path / "gen" / f"streams_{layout}.jsonl"
+        samples = [serializer.detokenize_events(s, vocab) for s in load_streams(generated)]
+        report = audit_mod.score(
+            samples, audit_mod.build_triples(corpus_mod.load_corpus(real_dir), vocab), vocab)
+        reports[layout] = json_text(asdict(report))
+        assert 0 < report.rce < 1
+    made = []
+    post_init = corpus_mod.EventRecord.__post_init__
+    monkeypatch.setattr(corpus_mod.EventRecord, "__post_init__",
+                        lambda event: made.append(event) or post_init(event))
+    for layout, expected in reports.items():
+        result = runner.invoke(main, [
+            "audit", "--real", str(real_dir), "--vocab", str(vocab_path), "--out",
+            str(tmp_path / f"audit_{layout}"),
+            "--generated", str(tmp_path / "gen" / f"streams_{layout}.jsonl")])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / f"audit_{layout}" / "audit_report.json").read_text() == expected
+    assert made == []
+    corpus_mod.load_corpus(real_dir)
+    assert made
 
 
 @pytest.mark.parametrize("corrupt, reason", [
@@ -687,6 +723,25 @@ def test_analyze_refuses_a_plan_whose_ops_miss_its_output(runner, tmp_path, ops,
     result = runner.invoke(main, ["analyze", "--plan", str(path)])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output == f"error: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("backbone, direction, ops, shapes, reason", [
+    ("cnn", "decode", [{"kind": "Ld1", "factor": 2}], [[64, 8], [64, 4]],
+     "layer 0: a cnn decode plan cannot hold Ld1"),
+    ("cnn", "decode", [{"kind": "Ln"}], [[4, 4], [2, 4]],
+     "layer 0: a cnn decode plan cannot hold Ln"),
+    ("transformer", "encode", [{"kind": "Ld2", "factor": 2}, {"kind": "Un"}], [[4, 4], [8, 2]],
+     "layer 1: a transformer encode plan cannot hold Un"),
+], ids=["attention-in-cnn", "downsampling-in-decoder", "conv-in-transformer"])
+def test_analyze_refuses_an_op_its_plan_cannot_hold(runner, tmp_path, backbone, direction, ops,
+                                                    shapes, reason):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"backbone": backbone, "direction": direction, "ops": ops,
+                                "input_shape": shapes[0], "output_shape": shapes[1]}))
+    for attention in ("full", "linear"):
+        result = runner.invoke(main, ["analyze", "--plan", str(path), "--attention", attention])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {path}: {reason}\n"
 
 
 def _drop_last_field_of_row_2(path):

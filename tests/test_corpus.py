@@ -326,6 +326,39 @@ def test_table_without_columns_is_refused(tmp_path):
         C.load_generator_config(config_path)
 
 
+@pytest.mark.parametrize("rows, row, reason", [
+    (["p1\t1\t5\t50001", "p1\t2\tabc\t50001", "p1\tx\t5\t50001"],
+     3, "column 'value': numeric cell 'abc' is not a finite decimal"),
+    (["p1\t1\t5\t50009", "p1\t2"], 2, "column 'item': unknown code '50009'"),
+    (["p1\t1\t5\t50001", "p1\t2\t5\t50001\tx", "\t3\t5\t50001"], 3,
+     "unpaired column/cell row"),
+    (["p1\t1\t5\t50001", "\t-1\tabc\t50009", "p1"], 3, "empty patient id"),
+    (["p1\t-1\tabc\t50009", "\t1\t5\t50001"], 2, "bad timestamp '-1'"),
+    (["p1\t1\t5\t50009", "p1\t1\tabc\t50009"], 2, "column 'item': unknown code '50009'"),
+    (["p1\t1\tabc\t50009", "p1\t1\t5\t50009"], 2,
+     "column 'value': numeric cell 'abc' is not a finite decimal"),
+    (["p1\t1\t5\t50001", "", "   ", "\t\t\t", "p1\t2\tabc\t50001", "p1\t+3\t5\t50001"],
+     6, "column 'value': numeric cell 'abc' is not a finite decimal"),
+    (["", "p1\t1\t5", "", "p1\t2\t5\t50001"], 3, "unpaired column/cell row"),
+], ids=["lower-row-later-check", "lower-row-before-a-short-row", "short-row-before-empty-id",
+        "empty-id-before-timestamp-and-cells", "timestamp-before-cells", "cell-on-lower-row",
+        "cells-left-to-right", "blank-lines-count", "blank-lines-count-before-a-short-row"])
+def test_load_names_the_first_bad_row_and_its_first_fault(tmp_path, rows, row, reason):
+    """Every check runs over the whole table, yet the error names the
+    lowest-numbered bad row and, within it, the first failing check in the
+    order field count, patient id, timestamp, cells left to right."""
+    schema = {"tables": [{"name": "lab", "columns": [{"name": "value", "type": "numeric"},
+                                                     {"name": "item", "type": "itemized"}]}]}
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    (tmp_path / "definitions.tsv").write_text("50001\tsodium\n")
+    lab = tmp_path / "lab.tsv"
+    lab.write_text("patient_id\ttimestamp_seconds\tvalue\titem\n" + "\n".join(rows) + "\n")
+    for events in (True, False):
+        with pytest.raises(C.CorpusError) as info:
+            C.load_corpus(tmp_path, events=events)
+        assert str(info.value) == f"{lab}:{row}: {reason}"
+
+
 def test_empty_patient_id_is_refused(tmp_path):
     event = C.EventRecord("prescription", (("drug", C.text("aspirin")),), 0)
     schema = [C.TableSpec("prescription", (C.ColumnSpec("drug", C.TEXT),))]

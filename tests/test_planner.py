@@ -2,9 +2,10 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehrseq import planner as P
-from ehrseq.analyzer import analysis_report
+from ehrseq.analyzer import analysis_report, validate_plan
 
 
 def test_counts_golden_table():
@@ -213,3 +214,47 @@ def test_load_plan_names_file_on_bad_input(tmp_path, doc, reason):
     with pytest.raises(P.PlanError, match=reason) as info:
         P.load_plan(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+_ADMITTED = {
+    (P.CNN, P.ENCODE): {P.LN, P.LD, P.LND},
+    (P.CNN, P.DECODE): {P.UN, P.UD, P.UND},
+    (P.TRANSFORMER, P.ENCODE): {P.LD1, P.LD2, P.POOL},
+    (P.TRANSFORMER, P.DECODE): {P.XATTN, P.POOL},
+}
+
+
+def test_each_op_kind_names_the_plans_that_may_hold_it():
+    for (backbone, direction), kinds in _ADMITTED.items():
+        assert {k for k, kind in P.OP_KINDS.items()
+                if kind.backbone == backbone and direction in kind.directions} == kinds
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 15), st.integers(3, 10), st.integers(1, 4), st.integers(0, 3))
+def test_planners_emit_only_the_kinds_their_plans_admit(log_n, log_d, n_l, log_width):
+    n, d, width = 2 ** log_n, 2 ** log_d, 2 ** log_width  # width <= d
+    plans = []
+    for _, specs in P.search_grid(16, 65536):
+        for spec in specs:
+            if spec.c <= d:
+                plans.append(P.transformer_plan(n, d, spec.t, spec.c, n_l))
+            if spec.t <= n and spec.c <= d:
+                plans.append(P.cnn_plan(n, d, spec.t, spec.c))
+            if spec.t <= 16 and spec.c <= width:
+                for backbone in (P.CNN, P.TRANSFORMER):
+                    hier = P.hierarchical_plan(16, n // 16, d, spec, backbone,
+                                               intermediate=(1, width), n_l=n_l)
+                    plans += [hier.text_plan, hier.event_plan]
+    plans += [P.mirror_decoder(plan) for plan in plans]
+    assert plans
+    for plan in plans:
+        assert {op.kind for op in plan.ops} <= _ADMITTED[plan.backbone, plan.direction]
+        assert validate_plan(plan) == []
+
+
+def test_validate_plan_names_each_layer_its_plan_cannot_hold():
+    ops = [P.LayerOp(P.LD1, factor=2), P.LayerOp(P.LN), P.LayerOp(P.POOL, target=4)]
+    plan = P.LayerPlan(P.CNN, P.ENCODE, ops, (8, 8), (4, 4))
+    assert validate_plan(plan) == ["layer 0: a cnn encode plan cannot hold Ld1",
+                                   "layer 2: a cnn encode plan cannot hold pool"]

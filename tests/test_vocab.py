@@ -28,13 +28,15 @@ def test_whole_word_in_vocab():
 
 
 def test_greedy_longest_match_two_pieces():
-    vocab = fixture_vocab(["lympho", "cytes"] + sorted(set("lymphocytes")))
-    assert tokenize_word("lymphocytes", vocab) == ["lympho", "cytes"]
+    vocab = fixture_vocab(["lympho", "cytes", "##cytes"] + sorted(set("lymphocytes")))
+    assert tokenize_word("lymphocytes", vocab) == ["lympho", "##cytes"]
 
 
 def test_character_fallback():
+    """A plain unit never matches inside a word: without "##q", the second
+    and third characters have no unit."""
     vocab = fixture_vocab(["q"])
-    assert tokenize_word("qqq", vocab) == ["q", "q", "q"]
+    assert tokenize_word("qqq", vocab) == ["q", UNK, UNK]
 
 
 def test_characters_outside_the_vocabulary_become_unk():
@@ -70,6 +72,18 @@ def test_tokenize_total_and_reconstructs(text):
     assert rebuilt.split() == text.casefold().split()
 
 
+@given(st.lists(st.text(alphabet="abAB\u00dfS #.1[]", max_size=10), min_size=1, max_size=6),
+       st.integers(1, 4), st.text(alphabet="abAB\u00dfSs #.1[]xz", max_size=12))
+@example(["ab", "ab", "abab"], 2, "abab")
+@example(["##a b", "a"], 1, "a##a ##a")
+@example(["[pad] [UNK]"], 1, "[pad]x")
+def test_detokenize_gives_back_the_words_of_tokenize(texts, min_count, other):
+    vocab = build_vocabulary(texts, min_count=min_count)
+    for text in texts + [other]:
+        if all(c in vocab for c in "".join(text.casefold().split())):
+            assert detokenize(tokenize(text, vocab)) == " ".join(text.casefold().split())
+
+
 def test_save_load_roundtrip(tmp_path, small_vocab):
     path = tmp_path / "vocab.txt"
     small_vocab.save(path)
@@ -77,7 +91,7 @@ def test_save_load_roundtrip(tmp_path, small_vocab):
 
 
 def test_tokenize_runs_tokenize_word_once_per_distinct_word(monkeypatch):
-    vocab = fixture_vocab(["lympho", "cytes"] + sorted(set("lymphocytes")))
+    vocab = fixture_vocab(["lympho", "cytes", "##cytes"] + sorted(set("lymphocytes")))
     calls = []
 
     def counted(word, v):
@@ -86,8 +100,9 @@ def test_tokenize_runs_tokenize_word_once_per_distinct_word(monkeypatch):
 
     monkeypatch.setattr(vocab_mod, "tokenize_word", counted)
     text = "lymphocytes cytes lymphocytes"
-    assert tokenize(text, vocab) == ["lympho", "cytes", "cytes", "lympho", "cytes"]
-    assert tokenize(text, vocab) == ["lympho", "cytes", "cytes", "lympho", "cytes"]
+    expected = ["lympho", "##cytes", "cytes", "lympho", "##cytes"]
+    assert tokenize(text, vocab) == expected
+    assert tokenize(text, vocab) == expected
     assert calls == ["lymphocytes", "cytes"]
 
 
