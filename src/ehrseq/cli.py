@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import json
 import math
 import sys
 from dataclasses import asdict, replace
@@ -22,7 +21,7 @@ from . import metrics as metrics_mod
 from . import planner, privacy, serializer, vq
 from .analyzer import (FULL_ATTENTION, LINEAR_ATTENTION, CostModel, analysis_report,
                        validate_plan)
-from .manifest import json_text, write_manifest
+from .manifest import json_doc, json_text, reading, write_manifest
 from .vocab import Vocabulary, build_vocabulary
 
 
@@ -58,13 +57,11 @@ def _save(out_dir, command: str, config: dict, inputs: list, files: dict,
     out = Path(out_dir)
     manifest = out / "manifest.json"
     if manifest.exists():
-        try:
-            recorded = json.loads(manifest.read_text()).get("command")
-        except (ValueError, AttributeError):
-            recorded = None
-        if recorded != command:
-            raise ValueError(f"{manifest} is not a {command} manifest; "
-                             f"write {command} outputs to another directory")
+        refusal = (f"{manifest} is not a {command} manifest; "
+                   f"write {command} outputs to another directory")
+        with reading(manifest, lambda _fault: ValueError(refusal)):  # any fault is the refusal
+            if json_doc(manifest.read_text()).get("command") != command:
+                raise ValueError(refusal)
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         if callable(content):
@@ -226,11 +223,9 @@ def quantize(latent_path, codebook_path, beta, out_path):
     if beta is not None and not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"--beta must be a finite weight >= 0, got {beta}")
     codebook = vq.Codebook.load(codebook_path)
-    try:
-        z = vq.numeric_array(json.loads(Path(latent_path).read_text()), "latent")
+    with reading(latent_path, vq.VQError):
+        z = vq.numeric_array(json_doc(Path(latent_path).read_text()), "latent")
         result = vq.quantize(z, codebook)
-    except (TypeError, ValueError) as exc:
-        raise vq.VQError(f"{latent_path}: {exc}") from None
     doc = {
         "indices": result.indices.tolist(),
         "z_q": result.z_q.tolist(),
@@ -330,7 +325,9 @@ def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
         printed = True
     if scores_path:
         scores, labels = [], []
-        for row, line in enumerate(Path(scores_path).read_text().splitlines(), 1):
+        with reading(scores_path, metrics_mod.MetricError):
+            lines = Path(scores_path).read_text().splitlines()
+        for row, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:

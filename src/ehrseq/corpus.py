@@ -8,7 +8,6 @@ definition table.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from collections import Counter
@@ -17,7 +16,7 @@ from itertools import compress
 from operator import and_
 from pathlib import Path
 
-from .manifest import json_text
+from .manifest import json_doc, json_text, reading
 
 NUMERIC = "numeric"
 TEXT = "text"
@@ -357,11 +356,9 @@ _JSON_KEYS = {
 
 def load_generator_config(path: Path | str) -> GeneratorConfig:
     """Read and validate a generator config; any fault in it names the file."""
-    try:
-        config = _from_json(GeneratorConfig, json.loads(Path(path).read_text()))
+    with reading(f"malformed generator config {path}", CorpusError):
+        config = _from_json(GeneratorConfig, json_doc(Path(path).read_text()))
         config.validate()
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CorpusError(f"malformed generator config {path}: {exc}") from exc
     return config
 
 
@@ -373,8 +370,8 @@ def load_generator_config(path: Path | str) -> GeneratorConfig:
 # per-column types.
 
 _TSV_UNSAFE = re.compile(r"[\t\n\r]")
-_TIMESTAMP = re.compile(r"\d+", re.ASCII)  # whole seconds; no sign, space or other digits
-_TIMESTAMPS = re.compile(r"\d+(?:\t\d+)*", re.ASCII)  # a column of them, tab-joined
+_TIMESTAMP = re.compile(r"\d{1,4300}", re.ASCII)  # whole seconds: ASCII digits that `int` reads
+_TIMESTAMPS = re.compile(r"\d{1,4300}(?:\t\d{1,4300})*", re.ASCII)  # a column of them, tab-joined
 
 
 def _tsv_row(fields: list[str], names: list[str], where: str) -> str:
@@ -460,7 +457,8 @@ def _read_table(table_path: Path, table: TableSpec, definitions: dict[str, str],
     then cells left to right.  Blank lines count toward row numbers."""
     if not table_path.exists():
         raise CorpusError(f"missing table file {table_path}")
-    lines = table_path.read_text().split("\n")
+    with reading(table_path, CorpusError):
+        lines = table_path.read_text().split("\n")
     expected = ["patient_id", "timestamp_seconds"] + [c.name for c in table.columns]
     if lines == [""]:
         return TableColumns(table.name, [], [], [[] for _ in table.columns])
@@ -522,23 +520,21 @@ def _read_columns(path: Path | str) -> CorpusColumns:
     schema_path = root / "schema.json"
     if not schema_path.exists():
         raise CorpusError(f"missing schema sidecar {schema_path}")
-    try:
-        schema_raw = json.loads(schema_path.read_text())
+    with reading(schema_path, CorpusError):
+        schema_raw = json_doc(schema_path.read_text())
         schema = [
             TableSpec(t["name"], tuple(ColumnSpec(c["name"], c["type"]) for c in t["columns"]))
             for t in schema_raw["tables"]
         ]
         labels = {p["id"]: p.get("labels", {}) for p in schema_raw.get("patients", [])}
-    except KeyError as exc:
-        raise CorpusError(f"{schema_path}: missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CorpusError(f"{schema_path}: {exc}") from exc
     _check_schema(schema)
 
     definitions: dict[str, str] = {}
     defs_path = root / "definitions.tsv"
     if defs_path.exists():
-        for row_no, line in enumerate(defs_path.read_text().split("\n"), start=1):
+        with reading(defs_path, CorpusError):
+            rows = defs_path.read_text().split("\n")
+        for row_no, line in enumerate(rows, start=1):
             if not line:
                 continue
             fields = line.split("\t")

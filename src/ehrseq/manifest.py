@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -21,6 +22,35 @@ def file_digest(path: Path | str) -> str:
 def json_text(doc) -> str:
     """The one JSON writer: `doc` as one compact line of strict JSON, newline included."""
     return json.dumps(doc, allow_nan=False) + "\n"
+
+
+def _non_finite(constant: str):
+    raise ValueError(f"non-finite number {constant} is not JSON")
+
+
+# the one JSON document reader, as strict as `json_text`: NaN and Infinity are refused
+json_doc = json.JSONDecoder(parse_constant=_non_finite).decode
+
+
+@contextmanager
+def reading(where, error):
+    """The one read boundary: a fault raised while reading `where` (a file, a
+    file and line, or a record's field) ends as `error("<where>: <fault>")`.
+    An `OSError` passes through, since it names its file already."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not UTF-8 ({exc.reason} at byte {exc.start + 1})") from exc
+    except json.JSONDecodeError as exc:
+        at = (f"line {exc.lineno}, column {exc.colno}" if "\n" in exc.doc.rstrip()
+              else f"column {exc.pos + 1}")
+        raise error(f"{where}: malformed JSON ({exc.msg} at {at})") from exc
+    except RecursionError as exc:
+        raise error(f"{where}: JSON nested too deeply") from exc
+    except KeyError as exc:
+        raise error(f"{where}: missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{where}: {exc}") from exc
 
 
 def write_manifest(out_dir: Path | str, command: str, config: dict,

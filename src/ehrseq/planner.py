@@ -8,13 +8,12 @@ and the latent search grid.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .manifest import json_text
+from .manifest import json_doc, json_text, reading
 
 # layer op kinds
 LN = "Ln"
@@ -313,9 +312,8 @@ def _shape(value) -> tuple[int, int]:
 
 def load_plan(path: Path | str) -> LayerPlan:
     """Read a plan document; malformed content fails naming the file."""
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
+    with reading(path, PlanError):
+        raw = json_doc(Path(path).read_text())
         if not isinstance(raw, dict):
             raise PlanError("plan document is not a JSON object")
         return LayerPlan(
@@ -325,7 +323,3 @@ def load_plan(path: Path | str) -> LayerPlan:
             input_shape=_shape(raw["input_shape"]),
             output_shape=_shape(raw["output_shape"]),
         )
-    except KeyError as exc:
-        raise PlanError(f"{path}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise PlanError(f"{path}: {exc}") from exc

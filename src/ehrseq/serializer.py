@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .corpus import NUMERIC, CellValue, Corpus, EventRecord, PatientRecord, is_decimal
-from .manifest import json_text
+from .manifest import json_text, reading
 from .vocab import (
     PAD_ID,
     TIMEGAP_BOUNDARIES_MIN,
@@ -496,18 +496,8 @@ def load_streams(path: Path | str) -> list[TokenStream]:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            try:
+            with reading(f"{path}, line {lineno}", SerializeError):
                 streams.append(_stream_from_line(line))
-            except UnicodeDecodeError as exc:
-                raise SerializeError(f"{path}, line {lineno}: not UTF-8 ({exc.reason} "
-                                     f"at byte {exc.start + 1})") from exc
-            except json.JSONDecodeError as exc:
-                raise SerializeError(f"{path}, line {lineno}: malformed JSON "
-                                     f"({exc.msg} at column {exc.pos + 1})") from exc
-            except KeyError as exc:
-                raise SerializeError(f"{path}, line {lineno}: missing field {exc}") from exc
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise SerializeError(f"{path}, line {lineno}: {exc}") from exc
     return streams
 
 
@@ -623,11 +613,9 @@ def _refuse_channel(values, name: str, layout: str, rank: int):
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise SerializeError(f"{name}: a {layout} record needs a list of "
                              + ("rows" if rank == 2 else "integers"))
-    try:
+    with reading(name, SerializeError):
         for row in rows:
             array("i", row)
-    except (TypeError, OverflowError) as exc:
-        raise SerializeError(f"{name}: {exc}") from None
     if len(set(map(len, rows))) > 1:
         raise SerializeError(f"{name}: rows of inhomogeneous length")
     raise SerializeError(f"{name}: JSON true and false are not integers")

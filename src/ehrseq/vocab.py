@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .manifest import reading
+
 PAD = "[pad]"
 START = "[start]"
 END = "[end]"
@@ -80,10 +82,8 @@ class Vocabulary:
     @classmethod
     def load(cls, path: Path | str) -> "Vocabulary":
         """Read a saved vocabulary; a malformed one fails naming the file."""
-        try:
+        with reading(path, VocabError):
             return cls([line for line in Path(path).read_text().splitlines() if line])
-        except ValueError as exc:
-            raise VocabError(f"{path}: {exc}") from None
 
 
 def build_vocabulary(texts: Iterable[str], min_count: int = 1) -> Vocabulary:

@@ -3,13 +3,12 @@ and EMA codebook updates (no training loop)."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .manifest import json_text
+from .manifest import json_doc, json_text, reading
 
 
 # Bytes of float64 one step of the nearest-code search may spend: a chunk's
@@ -80,8 +79,8 @@ class Codebook:
     @classmethod
     def load(cls, path: Path | str) -> "Codebook":
         """Read a saved codebook; malformed content fails naming the file."""
-        try:
-            doc = json.loads(Path(path).read_text())
+        with reading(path, VQError):
+            doc = json_doc(Path(path).read_text())
             arrays = [numeric_array(doc[key], key) for key in ("entries", "ema_counts", "ema_sums")]
             if type(doc["decay"]) not in (int, float):
                 raise VQError("decay must be a JSON number")
@@ -91,10 +90,6 @@ class Codebook:
                     raise VQError(f"{key} {doc[key]!r} does not match entries of shape "
                                   f"{book.entries.shape}")
             return book
-        except KeyError as exc:
-            raise VQError(f"{path}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise VQError(f"{path}: {exc}") from exc
 
 
 @dataclass

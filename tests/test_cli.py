@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import ehrseq
 from ehrseq import audit as audit_mod
 from ehrseq import corpus as corpus_mod
-from ehrseq import serializer
+from ehrseq import planner, serializer
 from ehrseq.cli import main
 from ehrseq.manifest import json_text
 from ehrseq.serializer import SerializerConfig, dense_stream, load_streams, save_streams
@@ -501,7 +501,7 @@ def test_metrics_names_files_and_counts_of_unequal_stream_files(runner, tmp_path
 def test_metrics_accuracy_and_auroc(runner, tmp_path):
     _, out = serialize_corpus(runner, tmp_path)
     scores = tmp_path / "scores.tsv"
-    scores.write_text("0.1\t0\n0.4\t0\n0.35\t1\n0.8\t1\n")
+    scores.write_text("0.1\t0\n0.4\t0\n\n0.35\t1\n \n0.8\t1\n")  # blank lines are skipped
     result = runner.invoke(main, [
         "metrics", "--reference", str(out / "streams_flat.jsonl"),
         "--hypothesis", str(out / "streams_flat.jsonl"),
@@ -669,7 +669,7 @@ def test_quantize_refuses_a_codebook_holding_nan(runner, tmp_path):
     result = runner.invoke(main, ["quantize", "--latent", str(latent), "--codebook", str(path),
                                   "--out", str(tmp_path / "q.json")])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    assert result.output == f"error: {path}: codebook holds non-finite values\n"
+    assert result.output == f"error: {path}: non-finite number NaN is not JSON\n"
     assert not (tmp_path / "q.json").exists()
 
 
@@ -787,7 +787,11 @@ def _with_column(i, **fields):
     (_with_column(1, choices=[]), "column lab.unit: no text choices"),
     (_with_column(2, codes=[]), "column lab.item: no codes"),
     (_config(definitions={}), "column lab.item: codes without definitions: ['c1']"),
-], ids=["events-inverted", "low-above-high", "no-choices", "no-codes", "undefined-codes"])
+    ([], "expected a JSON object, got []"),
+    (_with_column(0, low=float("nan")), "non-finite number NaN is not JSON"),
+    (_with_column(0, low=-float("inf")), "non-finite number -Infinity is not JSON"),
+], ids=["events-inverted", "low-above-high", "no-choices", "no-codes", "undefined-codes",
+        "not-an-object", "nan", "minus-infinity"])
 def test_gen_names_the_fault_of_its_config(runner, tmp_path, doc, reason):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -795,6 +799,72 @@ def test_gen_names_the_fault_of_its_config(runner, tmp_path, doc, reason):
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output == f"error: malformed generator config {path}: {reason}\n"
     assert not (tmp_path / "g").exists()
+
+
+def _file_inputs(runner, tmp):
+    """A valid file for each file option of the commands below, under `tmp`."""
+    (tmp / "config.json").write_text(json.dumps(_config()))
+    corpus, out = serialize_corpus(runner, tmp)
+    corpus.rename(tmp / "corpus")
+    (tmp / "vocab.txt").write_bytes((out / "vocab.txt").read_bytes())
+    for name in ("generated", "train", "heldout", "synthetic", "reference", "hypothesis"):
+        (tmp / f"{name}.jsonl").write_bytes((out / "streams_hier.jsonl").read_bytes())
+    planner.save_plan(planner.cnn_plan(64, 8, 8, 8), tmp / "plan.json")
+    (tmp / "latent.json").write_text("[[1, 1, 1, 1]]")
+    Codebook.new(np.zeros((2, 1))).save(tmp / "codebook.json")
+    (tmp / "scores.tsv").write_text("0.1\t0\n0.9\t1\n")
+    return {
+        "gen": ["gen", "--config", "config.json", "--out", "out"],
+        "load": ["load", "--in", "corpus"],
+        "serialize": ["serialize", "--in", "corpus", "--vocab", "vocab.txt", "--out", "out"],
+        "audit": ["audit", "--real", "corpus", "--generated", "generated.jsonl",
+                  "--vocab", "vocab.txt", "--out", "out"],
+        "analyze": ["analyze", "--plan", "plan.json"],
+        "quantize": ["quantize", "--latent", "latent.json", "--codebook", "codebook.json",
+                     "--out", "out/q.json"],
+        "privacy": ["privacy", "--train", "train.jsonl", "--heldout", "heldout.jsonl",
+                    "--synthetic", "synthetic.jsonl", "--out", "out"],
+        "metrics": ["metrics", "--reference", "reference.jsonl",
+                    "--hypothesis", "hypothesis.jsonl"],
+        "metrics-scores": ["metrics", "--scores", "scores.tsv"],
+    }
+
+
+_READS = [("gen", "config.json")] + [
+    (command, f"corpus/{name}") for command in ("load", "serialize", "audit")
+    for name in ("schema.json", "definitions.tsv", "lab.tsv")] + [
+    ("serialize", "vocab.txt"), ("audit", "vocab.txt"), ("analyze", "plan.json"),
+    ("quantize", "latent.json"), ("quantize", "codebook.json"), ("audit", "generated.jsonl"),
+    ("privacy", "train.jsonl"), ("privacy", "heldout.jsonl"), ("privacy", "synthetic.jsonl"),
+    ("metrics", "reference.jsonl"), ("metrics", "hypothesis.jsonl"),
+    ("metrics-scores", "scores.tsv")]
+_DEEP = "[" * 200_000 + "]" * 200_000 + "\n"
+
+
+@pytest.mark.parametrize("command, name, fault", [
+    (command, name, fault) for command, name in _READS
+    for fault in ("non-text-byte", "deep-json") if fault == "non-text-byte" or "json" in name
+], ids=lambda value: value.replace("/", "-"))
+def test_each_file_read_names_the_file_of_its_fault(runner, tmp_path, monkeypatch, command,
+                                                    name, fault):
+    """A byte no text codec reads, or JSON nested past the parser's depth, in
+    any file a command reads ends the run with one `error:` line naming that
+    file (and line, in a stream file), never a traceback."""
+    args = _file_inputs(runner, tmp_path)[command]
+    path = tmp_path / name
+    if fault == "non-text-byte":
+        path.write_bytes(b"\xff" + path.read_bytes())
+        reason = "not UTF-8 (invalid start byte at byte 1)"
+    else:
+        path.write_text(_DEEP)
+        reason = "JSON nested too deeply"
+    where = {"config.json": f"malformed generator config {name}"}.get(name, name)
+    where += ", line 1" if name.endswith(".jsonl") else ""
+    monkeypatch.chdir(tmp_path)  # the arguments name files relative to it
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"error: {where}: {reason}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args, reason", [
@@ -881,7 +951,9 @@ def _gen_manifest(runner, out):
     _gen_manifest,
     lambda runner, out: out.mkdir() or (out / "manifest.json").write_text("[]"),
     lambda runner, out: out.mkdir() or (out / "manifest.json").write_text("{"),
-], ids=["gen", "not-an-object", "not-json"])
+    lambda runner, out: out.mkdir() or (out / "manifest.json").write_bytes(b"\xff{}"),
+    lambda runner, out: out.mkdir() or (out / "manifest.json").write_text(_DEEP),
+], ids=["gen", "not-an-object", "not-json", "non-text-byte", "deep-json"])
 def test_writer_refuses_a_manifest_it_did_not_write(runner, tmp_path, make_manifest):
     out = tmp_path / "d"
     make_manifest(runner, out)
@@ -891,9 +963,9 @@ def test_writer_refuses_a_manifest_it_did_not_write(runner, tmp_path, make_manif
     result = runner.invoke(main, ["quantize", "--latent", str(tmp_path / "latent.json"),
                                   "--codebook", str(tmp_path / "codebook.json"),
                                   "--out", str(out / "q.json")])
-    assert result.exit_code == 1
-    assert result.output.startswith(f"error: {out / 'manifest.json'} ")
-    assert result.output.count("\n") == 1
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == (f"error: {out / 'manifest.json'} is not a quantize manifest; "
+                             "write quantize outputs to another directory\n")
     assert not (out / "q.json").exists()
     assert (out / "manifest.json").read_bytes() == before
 

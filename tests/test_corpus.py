@@ -54,6 +54,16 @@ def test_numeric_range_respected_by_scan():
     assert scanned > 0
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda: C.CellValue("date", "1"), "unknown cell kind 'date'"),
+    (lambda: C.EventRecord("", (("drug", C.text("aspirin")),), 0), "event with empty table name"),
+    (lambda: C.EventRecord("lab", (("drug", C.text("aspirin")),), -1), "negative event timestamp"),
+], ids=["cell-kind", "empty-table-name", "negative-timestamp"])
+def test_records_refuse_what_no_corpus_holds(make, reason):
+    with pytest.raises(C.CorpusError, match=f"^{reason}$"):
+        make()
+
+
 def test_invalid_configs_rejected():
     config = C.default_config()
     with pytest.raises(C.CorpusError):
@@ -161,7 +171,8 @@ def test_save_refuses_unstorable_values_before_writing(tmp_path, patient_id, cel
 
 
 def _event_with(columns, table):
-    cells = tuple((name, C.numeric("1.0") if name == "dose" else C.text("oral"))
+    cells = tuple((name, C.numeric("1.0") if name == "dose" else
+                   C.itemized("99999") if name == "item id" else C.text("oral"))
                   for name in columns)
     return C.EventRecord(table, cells, 0)
 
@@ -174,6 +185,10 @@ def _event_with(columns, table):
     (["drug", "dose", "route", "dose"], "prescription",
      "table 'prescription', column 'dose': given twice"),
     (["drug", "dose", "route"], "vitals", "table 'vitals': table not in the schema"),
+    (["value", "item id", "unit"], "lab",
+     "table 'lab', column 'value': cell kind text does not match declared numeric"),
+    (["item id", "value", "unit"], "lab",
+     "table 'lab', column 'item id': unresolvable itemized code '99999'"),
 ])
 def test_save_refuses_events_off_the_schema(tmp_path, columns, table, where):
     corpus = C.generate_corpus(C.default_config(seed=3, n_patients=2))
@@ -340,9 +355,13 @@ def test_table_without_columns_is_refused(tmp_path):
     (["p1\t1\t5\t50001", "", "   ", "\t\t\t", "p1\t2\tabc\t50001", "p1\t+3\t5\t50001"],
      6, "column 'value': numeric cell 'abc' is not a finite decimal"),
     (["", "p1\t1\t5", "", "p1\t2\t5\t50001"], 3, "unpaired column/cell row"),
+    (["p1\t1\t5\t50001", f"p1\t{'1' * 4301}\tabc\t50001"], 3, f"bad timestamp '{'1' * 4301}'"),
+    ([f"p1\t{'1' * 4300}\tabc\t50001"], 2,
+     "column 'value': numeric cell 'abc' is not a finite decimal"),
 ], ids=["lower-row-later-check", "lower-row-before-a-short-row", "short-row-before-empty-id",
         "empty-id-before-timestamp-and-cells", "timestamp-before-cells", "cell-on-lower-row",
-        "cells-left-to-right", "blank-lines-count", "blank-lines-count-before-a-short-row"])
+        "cells-left-to-right", "blank-lines-count", "blank-lines-count-before-a-short-row",
+        "over-4300-digits-before-cells", "4300-digits-read"])
 def test_load_names_the_first_bad_row_and_its_first_fault(tmp_path, rows, row, reason):
     """Every check runs over the whole table, yet the error names the
     lowest-numbered bad row and, within it, the first failing check in the
@@ -469,6 +488,8 @@ def test_generator_config_malformed_json_names_the_file(tmp_path):
     ({"tables": [{"name": "lab"}]}, "missing field 'columns'"),
     ([], "list indices"),
     ("{", "Expecting"),
+    ({"tables": [], "patients": [{"id": "p", "labels": {"outcome": float("nan")}}]},
+     "non-finite number NaN is not JSON"),
 ])
 def test_load_names_malformed_schema(tmp_path, schema, reason):
     path = tmp_path / "schema.json"
@@ -499,9 +520,12 @@ def test_load_empty_tables_gives_zero_patients(tmp_path):
         header = path.read_text().splitlines()[0]
         path.write_text(header + "\n")
     assert C.load_corpus(tmp_path).patients == []
+    (tmp_path / "lab.tsv").write_text("")  # an empty file holds no rows either
+    assert C.load_corpus(tmp_path).patients == []
 
 
-@pytest.mark.parametrize("timestamp", ["+1", "\u0661", " 1", "1 ", "1e3", "-5"])
+@pytest.mark.parametrize("timestamp", ["+1", "\u0661", " 1", "1 ", "1e3", "-5",
+                                       pytest.param("9" * 5000, id="5000-digits")])
 def test_load_names_row_of_bad_timestamp(tmp_path, timestamp):
     C.save_corpus(C.generate_corpus(C.default_config(seed=3, n_patients=5)), tmp_path)
     lab = tmp_path / "lab.tsv"

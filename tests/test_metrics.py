@@ -78,6 +78,13 @@ def test_auroc_single_class_rejected():
         auroc([0.1, 0.9], [1, 1])
 
 
+@pytest.mark.parametrize("scores, labels", [([0.1, 0.9], [0]), ([[0.1, 0.9]], [[0, 1]])],
+                         ids=["lengths", "not-1-d"])
+def test_auroc_refuses_unmatched_sequences(scores, labels):
+    with pytest.raises(MetricError, match="^scores and labels must be matched 1-d sequences$"):
+        auroc(scores, labels)
+
+
 def test_auroc_non_finite_rejected():
     with pytest.raises(MetricError):
         auroc([0.1, float("nan")], [0, 1])

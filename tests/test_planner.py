@@ -177,6 +177,18 @@ def test_search_grid_256():
     assert [spec.t for spec in grid[256]] == [4, 8, 16, 32, 64]
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda: P.LatentSpec(3, 8), "latent dims (3,8) must be powers of two"),
+    (lambda: P.hierarchical_plan(256, 128, 256, P.LatentSpec(256, 8), P.CNN, (3, 128)),
+     "intermediate width 384 must be a power of two"),
+    (lambda: P.search_grid(1, 4), "grid point t=0.25 infeasible for l=1"),
+], ids=["latent-dims", "intermediate-width", "grid-point-below-one"])
+def test_shapes_off_the_powers_of_two_are_refused(make, reason):
+    with pytest.raises(P.PlanError) as info:
+        make()
+    assert str(info.value) == reason
+
+
 def test_plan_save_load(tmp_path):
     plan = P.transformer_plan(8192, 256, 64, 8, n_l=4)
     path = tmp_path / "plan.json"
