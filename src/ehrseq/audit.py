@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .corpus import NUMERIC, CellValue, Corpus, CorpusColumns, is_decimal
-from .serializer import DEFECT_NOT_TABLE_FIRST as NOT_TABLE_FIRST
-from .serializer import DEFECT_UNPAIRED_COLUMN as UNPAIRED_COLUMN
-from .serializer import ReconstructedEvent, textualize_cell
+from .serializer import NOT_TABLE_FIRST, UNPAIRED_COLUMN, ReconstructedEvent, textualize_cell
 from .vocab import Vocabulary, tokenize
 
 
@@ -22,18 +20,13 @@ class AuditError(ValueError):
     pass
 
 
-# defect kinds, in check order; the first two are also marked by the serializer
+# defect kinds, in check order; the serializer defines the first two, and marks them
 UNKNOWN_TABLE_COLUMN = "unknown_table_column"
 NUMERIC_OUT_OF_RANGE = "numeric_out_of_range"
 UNKNOWN_SUBWORD = "unknown_subword"
 
-DEFECT_KINDS = (
-    NOT_TABLE_FIRST,
-    UNPAIRED_COLUMN,
-    UNKNOWN_TABLE_COLUMN,
-    NUMERIC_OUT_OF_RANGE,
-    UNKNOWN_SUBWORD,
-)
+DEFECTS = (NOT_TABLE_FIRST, UNPAIRED_COLUMN, UNKNOWN_TABLE_COLUMN, NUMERIC_OUT_OF_RANGE,
+           UNKNOWN_SUBWORD)
 
 
 @dataclass
@@ -64,11 +57,13 @@ def _name_index(names: set[str]) -> dict[str, list[tuple[tuple[str, ...], str]]]
 
 @dataclass
 class TripleSet:
-    tables: set[str]
-    columns: dict[str, set[str]]  # table -> column names
-    content: dict[tuple[str, str], NumericRange | SubwordSet]
+    content: dict[tuple[str, str], NumericRange | SubwordSet]  # by (table, column)
 
     def __post_init__(self):  # a triple set is not changed once built
+        self.columns: dict[str, set[str]] = {}  # table -> column names, from content's keys
+        for table, column in self.content:
+            self.columns.setdefault(table, set()).add(column)
+        self.tables = set(self.columns)
         self._table_index = _name_index(self.tables)
         self._column_index = {t: _name_index(cols) for t, cols in self.columns.items()}
         # check_event's memo, (table, column) -> content -> verdict (a defect
@@ -117,11 +112,8 @@ def build_triples(real: Corpus | CorpusColumns, vocab: Vocabulary) -> TripleSet:
     if not observed:
         raise AuditError("cannot build triples from an empty corpus")
 
-    # the tables are those with an observed cell
-    columns: dict[str, set[str]] = {}
     content: dict[tuple[str, str], NumericRange | SubwordSet] = {}
     for key, cells in observed.items():
-        columns.setdefault(key[0], set()).add(key[1])
         texts = {textualize_cell(c, real.definitions) for c in cells if c.kind != NUMERIC}
         # a numeric cell was checked as a decimal when it was made
         values = [float(c.value) for c in cells if c.kind == NUMERIC]
@@ -134,7 +126,7 @@ def build_triples(real: Corpus | CorpusColumns, vocab: Vocabulary) -> TripleSet:
             for t in texts:
                 units.update(tokenize(t, vocab))
             content[key] = SubwordSet(units)
-    return TripleSet(set(columns), columns, content)
+    return TripleSet(content)
 
 
 def _structure_raw_event(event: ReconstructedEvent, triples: TripleSet) -> ReconstructedEvent:
@@ -251,7 +243,7 @@ def score(generated: list[list[ReconstructedEvent]], triples: TripleSet,
     correct_events = 0
     unique: dict[tuple, bool] = {}
     correct_samples = 0
-    defect_counts = {k: 0 for k in DEFECT_KINDS}
+    defect_counts = {k: 0 for k in DEFECTS}
 
     for sample in generated:
         sample_ok = bool(sample)

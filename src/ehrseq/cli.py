@@ -277,9 +277,9 @@ def _forms_and_tokens(path) -> tuple[list, list]:
 @_run
 def privacy_cmd(train_path, heldout_path, synthetic_path, n_r, thresholds, seed, out_dir):
     """Membership inference attack; writes per-threshold precision/recall."""
-    config = privacy.AttackConfig(
-        n_r=n_r, thresholds=tuple(float(t) for t in thresholds.split(",")), seed=seed
-    )
+    with reading("--thresholds", privacy.PrivacyError):
+        cuts = tuple(map(float, thresholds.split(",")))
+    config = privacy.AttackConfig(n_r, cuts, seed)
     paths = (train_path, heldout_path, synthetic_path)
     forms, tokens = zip(*map(_forms_and_tokens, paths))
     if len(set().union(*forms)) > 1:

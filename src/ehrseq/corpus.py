@@ -8,10 +8,11 @@ definition table.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import compress
 from operator import and_
 from pathlib import Path
@@ -136,7 +137,8 @@ def _column_mismatch(names: list[str], columns: tuple) -> str:
 
 def _check_schema(tables) -> None:
     """Each table, and each column within its table, is named once, and each
-    name holds at least one word: the audit matches names word by word."""
+    name holds at least one word: the audit matches names word by word.  Each
+    column's type is a cell kind."""
     named = [("table", [t.name for t in tables])]
     named += [(f"table {t.name!r}, column", [c.name for c in t.columns]) for t in tables]
     for what, names in named:
@@ -146,6 +148,10 @@ def _check_schema(tables) -> None:
         twice = next((n for n in names if names.count(n) > 1), None)
         if twice is not None:
             raise CorpusError(f"{what} {twice!r}: named twice in the schema")
+    for t in tables:
+        for c in t.columns:
+            if c.kind not in _CELL_KINDS:
+                raise CorpusError(f"column {t.name}.{c.name}: unknown type {c.kind!r}")
 
 
 @dataclass
@@ -204,20 +210,21 @@ class GeneratorConfig:
         _check_schema(self.tables)
         for table in self.tables:
             for col in table.columns:
-                if col.kind not in _CELL_KINDS:
-                    raise CorpusError(f"column {table.name}.{col.name}: unknown type {col.kind!r}")
+                at = f"column {table.name}.{col.name}"
+                if col.kind == NUMERIC and not all(map(math.isfinite, (col.low, col.high))):
+                    raise CorpusError(f"{at}: low and high must be finite")
                 if col.kind == NUMERIC and col.low > col.high:
-                    raise CorpusError(f"column {table.name}.{col.name}: range min > max")
+                    raise CorpusError(f"{at}: range min > max")
+                if col.kind == NUMERIC and col.decimals < 0:
+                    raise CorpusError(f"{at}: decimals must be >= 0")
                 if col.kind == TEXT and not col.choices:
-                    raise CorpusError(f"column {table.name}.{col.name}: no text choices")
+                    raise CorpusError(f"{at}: no text choices")
                 if col.kind == ITEMIZED:
                     if not col.codes:
-                        raise CorpusError(f"column {table.name}.{col.name}: no codes")
+                        raise CorpusError(f"{at}: no codes")
                     missing = [c for c in col.codes if c not in self.definitions]
                     if missing:
-                        raise CorpusError(
-                            f"column {table.name}.{col.name}: codes without definitions: {missing}"
-                        )
+                        raise CorpusError(f"{at}: codes without definitions: {missing}")
 
 
 _DEFAULT_DEFINITIONS = {
@@ -303,14 +310,18 @@ def generate_corpus(config: GeneratorConfig) -> Corpus:
 
 def _from_json(cls, raw):
     """`cls` from a JSON object, each value converted by `_JSON_KEYS[cls][key](key,
-    value)`; an absent key takes the field's default, and any other key is an
-    error.  The JSON key "type" is the field `kind`."""
+    value)`; an absent key takes the field's default, a field without one is
+    missing, and any other key is an error.  The JSON key "type" is the field `kind`."""
     if not isinstance(raw, dict):
         raise CorpusError(f"expected a JSON object, got {raw!r}")
     keys = _JSON_KEYS[cls]
     unknown = [key for key in raw if key not in keys]
     if unknown:
         raise CorpusError(f"unknown key {unknown[0]!r}")
+    for f in fields(cls):
+        key = "type" if f.name == "kind" else f.name
+        if key not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise CorpusError(f"missing field {key!r}")
     return cls(**{"kind" if key == "type" else key: keys[key](key, value)
                   for key, value in raw.items()})
 
@@ -509,8 +520,8 @@ def _read_table(table_path: Path, table: TableSpec, definitions: dict[str, str],
 def _read_columns(path: Path | str) -> CorpusColumns:
     """Read a corpus directory by columns and apply the cohort filter.
 
-    A schema naming a table or column twice, or with a blank name, is refused
-    before any table file is read.  Rows failing the declared column type,
+    A schema naming a table or column twice, with a blank name or an unknown
+    column type, is refused naming `schema.json` before any table file is read.  Rows failing the declared column type,
     itemized codes missing from the definitions file, and definitions rows
     without exactly one tab or repeating a code are load errors naming the
     offending row.  A patient is kept with at least MIN_EVENTS rows before
@@ -522,12 +533,9 @@ def _read_columns(path: Path | str) -> CorpusColumns:
         raise CorpusError(f"missing schema sidecar {schema_path}")
     with reading(schema_path, CorpusError):
         schema_raw = json_doc(schema_path.read_text())
-        schema = [
-            TableSpec(t["name"], tuple(ColumnSpec(c["name"], c["type"]) for c in t["columns"]))
-            for t in schema_raw["tables"]
-        ]
+        schema = [_from_json(TableSpec, t) for t in _OBJECTS("tables", schema_raw["tables"])]
         labels = {p["id"]: p.get("labels", {}) for p in schema_raw.get("patients", [])}
-    _check_schema(schema)
+        _check_schema(schema)
 
     definitions: dict[str, str] = {}
     defs_path = root / "definitions.tsv"

@@ -86,7 +86,7 @@ class LayerOp:
     def __post_init__(self):
         if self.kind not in OP_KINDS:
             raise PlanError(f"unknown layer kind {self.kind!r}")
-        if not (isinstance(self.factor, int) and isinstance(self.target, int)):
+        if not (type(self.factor) is int and type(self.target) is int):
             raise PlanError("layer factor and target must be integers")
         if self.factor < 1 or not _is_pow2(self.factor):
             raise PlanError(f"layer factor {self.factor} must be a power of two >= 1")
@@ -305,7 +305,7 @@ def plan_to_dict(plan: LayerPlan) -> dict:
 
 def _shape(value) -> tuple[int, int]:
     if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, int) and x > 0 for x in value)):
+            and all(type(x) is int and x > 0 for x in value)):
         raise PlanError(f"shape {value!r} is not two positive integers")
     return tuple(value)
 

@@ -13,14 +13,13 @@ import json
 import re
 from array import array
 from dataclasses import dataclass, field
-from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .corpus import NUMERIC, CellValue, Corpus, EventRecord, PatientRecord, is_decimal
-from .manifest import json_text, reading
+from .manifest import json_doc, json_text, reading
 from .vocab import (
     PAD_ID,
     TIMEGAP_BOUNDARIES_MIN,
@@ -36,12 +35,8 @@ class SerializeError(ValueError):
     pass
 
 
-class TokenType(IntEnum):
-    PAD = 0
-    TABLE_NAME = 1
-    COLUMN_NAME = 2
-    COLUMN_VALUE = 3
-    TIMEGAP = 4
+class TokenType:  # token-type labels, plain ints
+    PAD, TABLE_NAME, COLUMN_NAME, COLUMN_VALUE, TIMEGAP = range(5)
 
 
 # Digit-place labels are small ints: 0 = non-digit, 1 = decimal point,
@@ -86,7 +81,7 @@ class SerializerConfig:
 
 # Stream channels in record order, and the fill value of each.
 _CHANNELS = ("tokens", "type_labels", "dpe_labels")
-_FILLS = (PAD_ID, int(TokenType.PAD), DPE_NON_DIGIT)
+_FILLS = (PAD_ID, TokenType.PAD, DPE_NON_DIGIT)
 
 # Layout names by the rank of the stream's shape: 1-D, then 2-D.
 _LAYOUTS = ("flattened", "hierarchical")
@@ -224,13 +219,13 @@ def _numeric_dpe_labels(value: str) -> list[int]:
             + list(range(DPE_PLACE_ZERO - 1, dpe_place(-len(frac_part)) - 1, -1)))
 
 
-def _text_segment(text: str, label: TokenType, vocab: Vocabulary) -> tuple[list[int], ...]:
+def _text_segment(text: str, label: int, vocab: Vocabulary) -> tuple[list[int], ...]:
     """A non-numeric text's ids, type labels and dpe labels, made once per vocabulary;
     keyed by the text, never the cell, as an itemized cell's text depends on definitions."""
     segment = vocab._segments.get((label, text))
     if segment is None:
         ids = vocab.encode(tokenize(text, vocab))
-        segment = vocab._segments[label, text] = (ids, [int(label)] * len(ids),
+        segment = vocab._segments[label, text] = (ids, [label] * len(ids),
                                                   [DPE_NON_DIGIT] * len(ids))
     return segment
 
@@ -249,10 +244,9 @@ def serialize_event(event: EventRecord, prev_timestamp: int, vocab: Vocabulary,
             segments.append(_text_segment(cell_text, TokenType.COLUMN_VALUE, vocab))
         else:  # one unit per character, made per occurrence so no memo grows with values
             ids = vocab.encode(tokenize(cell_text, vocab))
-            segments.append((ids, [int(TokenType.COLUMN_VALUE)] * len(ids),
+            segments.append((ids, [TokenType.COLUMN_VALUE] * len(ids),
                              _numeric_dpe_labels(cell.value)))
-    segments.append((vocab.encode([quantize_timegap(delta)]), [int(TokenType.TIMEGAP)],
-                     [DPE_NON_DIGIT]))
+    segments.append((vocab.encode([quantize_timegap(delta)]), [TokenType.TIMEGAP], [DPE_NON_DIGIT]))
     ids, types, dpes = [], [], []
     for segment_ids, segment_types, segment_dpes in segments:
         ids += segment_ids
@@ -312,8 +306,8 @@ def flatten(hier: TokenStream, n_t: int = SerializerConfig.n_t) -> TokenStream:
     return TokenStream((n_t,), [len(cells[0])], cells, boundaries, hier.patient_id)
 
 
-DEFECT_NOT_TABLE_FIRST = "not_table_first"
-DEFECT_UNPAIRED_COLUMN = "unpaired_column"
+NOT_TABLE_FIRST = "not_table_first"
+UNPAIRED_COLUMN = "unpaired_column"
 
 
 @dataclass
@@ -368,30 +362,26 @@ def _run_starts(labels: np.ndarray, event_starts: np.ndarray) -> np.ndarray:
     return np.flatnonzero(cut)
 
 
-# type labels as plain ints: comparing an int with them is faster than with TokenType members
-_TABLE, _COLUMN, _VALUE, _TIMEGAP = map(int, (TokenType.TABLE_NAME, TokenType.COLUMN_NAME,
-                                              TokenType.COLUMN_VALUE, TokenType.TIMEGAP))
-
-
 def _read_runs(labels: list[int], values: list[str]) -> ReconstructedEvent:
     """One event from its runs' type labels and values."""
     event = ReconstructedEvent()
-    if not labels or labels[0] != _TABLE:
-        event.defect = DEFECT_NOT_TABLE_FIRST
+    if not labels or labels[0] != TokenType.TABLE_NAME:
+        event.defect = NOT_TABLE_FIRST
     idx, n_runs = 0, len(labels)
     while idx < n_runs:
         label, value = labels[idx], values[idx]
         idx += 1
-        if label == _TABLE:
+        if label == TokenType.TABLE_NAME:
             event.table = value
-        elif label == _COLUMN and idx < n_runs and labels[idx] == _VALUE:
+        elif (label == TokenType.COLUMN_NAME and idx < n_runs
+              and labels[idx] == TokenType.COLUMN_VALUE):
             event.pairs.append((value, values[idx]))
             idx += 1
-        elif label == _TIMEGAP:
+        elif label == TokenType.TIMEGAP:
             event.timegap = value
         else:
             # a column name without a value, or a value without a column name
-            event.defect = event.defect or DEFECT_UNPAIRED_COLUMN
+            event.defect = event.defect or UNPAIRED_COLUMN
     return event
 
 
@@ -412,7 +402,7 @@ def _labeled_events(tokens: np.ndarray, labels: np.ndarray, offsets: np.ndarray,
         value = memo.get(key)
         if value is None:
             units = [unit_of[t] for t in np.frombuffer(key[1], np.int32).tolist()]
-            value = memo[key] = units[-1] if label == _TIMEGAP else detokenize(units)
+            value = memo[key] = units[-1] if label == TokenType.TIMEGAP else detokenize(units)
         values.append(value)
     return [_read_runs(run_labels[a:b], values[a:b]) for a, b in zip(first_runs, first_runs[1:])]
 
@@ -472,13 +462,6 @@ def save_streams(streams: Iterable[TokenStream], path: Path | str) -> None:
         fh.writelines(map(stream_record, streams))
 
 
-def _not_an_integer(text: str):
-    raise SerializeError(f"value {text} is not an integer")
-
-
-# floats, NaN and Infinity are refused while parsing; integers keep the fast path
-_RECORD_DECODER = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
-
 # A record line's lexemes: each JSON string, with the colon that makes it a
 # key, and each brace; so a channel's array is cut out only at a key of the
 # top-level object, never from inside a string.  The text of an integer
@@ -503,12 +486,13 @@ def load_streams(path: Path | str) -> list[TokenStream]:
 
 def _stream_from_line(line: bytes) -> TokenStream:
     """One record line: each channel's integer array is read from the line's
-    bytes by `_int_array`, the rest of the record by the JSON decoder."""
+    bytes by `_int_array`, the rest of the record by `json_doc`; a float is
+    refused by the check of the field that holds it."""
     rest, arrays = _cut_arrays(line)
     try:
-        r = _RECORD_DECODER.decode(rest.decode())
+        r = json_doc(rest.decode())
     except ValueError:
-        _RECORD_DECODER.decode(line.decode())  # raises the fault where the line has it
+        json_doc(line.decode())  # raises the fault where the line has it
         raise
     if not isinstance(r, dict):
         raise SerializeError("record is not a JSON object")
@@ -525,8 +509,10 @@ def _stream_from_line(line: bytes) -> TokenStream:
     for name in _CHANNELS:
         cells.append(_int_array(arrays[name], rank) if name in arrays else None)
         if cells[-1] is None and (name in arrays or r.get(name) is not None):
-            _refuse_channel(_RECORD_DECODER.decode(line.decode())[name], name, layout, rank)
+            _refuse_channel(json_doc(line.decode())[name], name, layout, rank)
     bounds, patient_id = r.get("event_boundaries"), r.get("patient_id", "")
+    if type(patient_id) is not str:
+        raise SerializeError("patient_id must be a JSON string")
     if shape is not None:
         return TokenStream(shape, r["lengths"], tuple(cells), bounds, patient_id)
     return dense_stream(*cells, bounds, patient_id)
@@ -546,7 +532,7 @@ def _cut_arrays(line: bytes) -> tuple[bytes, dict[str, bytes]]:
         if depth != 1 or m[2] is None:
             continue
         try:
-            name = _KEYS.get(m[1]) if b"\\" not in m[1] else json.loads(m[1])
+            name = _KEYS.get(m[1]) if b"\\" not in m[1] else json_doc(m[1].decode())
         except ValueError:
             continue  # a bad escape: the decoder names it
         if name not in _CHANNELS:

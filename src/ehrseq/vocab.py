@@ -125,23 +125,15 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[str]:
     out: list[str] = []
     pos = 0
     while pos < len(word):
-        match = None
-        limit = min(vocab._max_len, len(word) - pos)
-        for length in range(limit, 0, -1):
+        for length in range(min(vocab._max_len, len(word) - pos), 0, -1):
             piece = word[pos:pos + length]
-            if pos:
-                if CONTINUATION + piece in index:
-                    match = CONTINUATION + piece
-                    break
-            elif index.get(piece, 0) >= first_plain and not piece.startswith(CONTINUATION):
-                match = piece
+            unit = CONTINUATION + piece if pos else piece
+            if index.get(unit, 0) >= first_plain and unit.startswith(CONTINUATION) == (pos > 0):
                 break
-        if match is None:
-            out.append(UNK)
-            pos += 1
         else:
-            out.append(match)
-            pos += len(match.removeprefix(CONTINUATION))
+            unit, length = UNK, 1
+        out.append(unit)
+        pos += length
     return out
 
 

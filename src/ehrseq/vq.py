@@ -31,7 +31,8 @@ def numeric_array(value, what: str) -> np.ndarray:
 
 @dataclass
 class Codebook:
-    """K code vectors of width c/4 with per-entry EMA accumulators."""
+    """K code vectors of width c/4 with per-entry EMA accumulators: each entry
+    is its EMA sum over its EMA count, and every count is > 0."""
 
     entries: np.ndarray        # (K, width)
     ema_counts: np.ndarray     # (K,)
@@ -50,6 +51,11 @@ class Codebook:
             raise VQError("EMA accumulator shapes do not match entries")
         if not all(np.isfinite(a).all() for a in (self.entries, self.ema_counts, self.ema_sums)):
             raise VQError("codebook holds non-finite values")
+        if not (self.ema_counts > 0).all():  # checked before the division below
+            raise VQError("ema_counts must all be > 0")
+        with np.errstate(over="ignore"):  # an overflowing quotient is no entry, and refused
+            if not np.array_equal(self.entries, self.ema_sums / self.ema_counts[:, None]):
+                raise VQError("entries are not ema_sums / ema_counts")
 
     @property
     def size(self) -> int:
@@ -173,6 +179,6 @@ def ema_update(codebook: Codebook, assignments: list[tuple[int, np.ndarray]]) ->
     lam = codebook.decay
     codebook.ema_counts[touched] = lam * codebook.ema_counts[touched] + (1 - lam) * counts[touched]
     codebook.ema_sums[touched] = lam * codebook.ema_sums[touched] + (1 - lam) * sums[touched]
-    nonzero = touched & (codebook.ema_counts > 0)
-    codebook.entries[nonzero] = codebook.ema_sums[nonzero] / codebook.ema_counts[nonzero, None]
+    # counts stay > 0: an update keeps decay > 0 of a touched one and adds a share >= 0
+    codebook.entries[touched] = codebook.ema_sums[touched] / codebook.ema_counts[touched, None]
     return codebook

@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 
 import pytest
@@ -106,9 +107,9 @@ def test_check_unknown_column(triples_fixture):
 
 def test_check_carries_serializer_defects(triples_fixture):
     triples, vocab = triples_fixture
-    bad = event(defect=S.DEFECT_NOT_TABLE_FIRST)
+    bad = event(defect=S.NOT_TABLE_FIRST)
     assert A.check_event(bad, triples, vocab) == A.NOT_TABLE_FIRST
-    cut = event("lab", defect=S.DEFECT_UNPAIRED_COLUMN)
+    cut = event("lab", defect=S.UNPAIRED_COLUMN)
     assert A.check_event(cut, triples, vocab) == A.UNPAIRED_COLUMN
 
 
@@ -195,15 +196,11 @@ def test_corruption_lowers_scores(small_corpus, small_vocab):
 
 def build_triples_per_occurrence(real, vocab):
     """Reference: every cell occurrence textualized, parsed and tokenized."""
-    observed, tables, columns = {}, set(), {}
+    observed = {}
     for p in real.patients:
         for e in p.events:
-            table = e.table_name.casefold()
-            tables.add(table)
             for col_name, cell in e.columns:
-                col = col_name.casefold()
-                columns.setdefault(table, set()).add(col)
-                observed.setdefault((table, col), []).append(
+                observed.setdefault((e.table_name.casefold(), col_name.casefold()), []).append(
                     S.textualize_cell(cell, real.definitions))
     content = {}
     for key, texts in observed.items():
@@ -212,7 +209,7 @@ def build_triples_per_occurrence(real, vocab):
             content[key] = A.NumericRange(min(values), max(values))
         else:
             content[key] = A.SubwordSet({u for t in texts for u in tokenize(t, vocab)})
-    return A.TripleSet(tables, columns, content)
+    return A.TripleSet(content)
 
 
 def test_build_triples_matches_the_per_occurrence_build(tmp_path, small_corpus, small_vocab):
@@ -304,6 +301,20 @@ def structure_by_scan(words, triples):
     return out
 
 
+def names_only(columns):
+    """A triple set of these tables' columns, every column admitting no unit;
+    a table without columns has no triple, so it is no table of the set."""
+    return A.TripleSet({(t, c): A.SubwordSet(set()) for t, names in columns.items()
+                        for c in names})
+
+
+def test_a_triple_set_is_its_content():
+    triples = names_only({"lab": ["value", "unit"], "drug": ["dose"], "note": []})
+    assert [f.name for f in dataclasses.fields(triples)] == ["content"]
+    assert triples.tables == {"lab", "drug"}
+    assert triples.columns == {"lab": {"value", "unit"}, "drug": {"dose"}}
+
+
 # names of one to three words that often share a first word; a double space
 # makes two names with the same words
 NAMES = st.builds(lambda words, sep: sep.join(words),
@@ -315,28 +326,28 @@ NAMES = st.builds(lambda words, sep: sep.join(words),
            lambda tables: st.fixed_dictionaries({t: st.sets(NAMES, max_size=5) for t in tables})),
        st.lists(st.sampled_from("abcz"), max_size=10))
 def test_raw_structuring_matches_a_longest_prefix_scan(columns, words):
-    triples = A.TripleSet(set(columns), columns, {})
+    triples = names_only(columns)
     raw = event(words=words, timegap="[tg1]")
     assert A._structure_raw_event(raw, triples) == structure_by_scan(words, triples)
 
 
 def test_same_word_names_resolve_to_the_first_in_sorted_order():
     for order in (["item id", "item  id"], ["item  id", "item id"]):
-        triples = A.TripleSet({"lab"}, {"lab": set(order)}, {})
+        triples = names_only({"lab": order})
         raw = event(words=["lab", "item", "id", "5"])
         assert A._structure_raw_event(raw, triples).pairs == [("item  id", "5")]
 
 
 def test_blank_names_are_refused_by_the_triple_set():
     with pytest.raises(A.AuditError, match="blank table or column name ' '"):
-        A.TripleSet({"lab"}, {"lab": {"value", " "}}, {})
+        names_only({"lab": ["value", " "]})
 
 
 def score_per_event(samples, triples, vocab):
     """Reference: each event checked on its own, against a triple set with an
     empty verdict memo, then counted as `score` counts."""
     def fresh():
-        return A.TripleSet(triples.tables, triples.columns, triples.content)
+        return A.TripleSet(triples.content)
 
     defects = [[A.check_event(e, fresh(), vocab) for e in sample] for sample in samples]
     flat = [(e, d) for sample, ds in zip(samples, defects) for e, d in zip(sample, ds)]
@@ -350,7 +361,7 @@ def score_per_event(samples, triples, vocab):
         rue=sum(unique.values()) / len(unique) if unique else None,
         rcs=n_samples_ok / len(samples) if samples else None,
         total_events=len(flat), unique_events=len(unique), total_samples=len(samples),
-        defect_counts={k: sum(d == k for _, d in flat) for k in A.DEFECT_KINDS})
+        defect_counts={k: sum(d == k for _, d in flat) for k in A.DEFECTS})
 
 
 WORDS = ["lab", "value", "prescription", "drug", "5", ".", "0", "9", "3", "1",

@@ -216,6 +216,8 @@ def test_audit_reads_the_real_corpus_without_building_events(runner, tmp_path, m
                               "tokens": [[4, 5], [6]]}), "inhomogeneous"),
     (lambda line: line.replace('": "', '": "\udcff', 1),
      "not UTF-8 (invalid start byte at byte 17)"),
+    (lambda line: line.replace('"patient_id": "p00001"', '"patient_id": 5', 1),
+     "patient_id must be a JSON string"),
 ])
 def test_audit_rejects_bad_stream_line(runner, tmp_path, corrupt, reason):
     corpus_dir, out = serialize_corpus(runner, tmp_path)
@@ -561,10 +563,12 @@ def _bad_codebook(tmp_path):
     return path
 
 
-def _corpus_with_schema(tmp_path, schema):
+def _corpus_with_schema(tmp_path, schema, tables=None):
     path = tmp_path / "bad_corpus"
     path.mkdir()
     (path / "schema.json").write_text(json.dumps(schema))
+    for name, text in (tables or {}).items():
+        (path / name).write_text(text)
     return str(path)
 
 
@@ -582,10 +586,18 @@ def _corpus_with_schema(tmp_path, schema):
                          "--codebook", str(_bad_codebook(tmp)), "--out", str(tmp / "q.json")],
     lambda tmp, corpus: ["load", "--in", _corpus_with_schema(tmp, {})],
     lambda tmp, corpus: ["load", "--in", _corpus_with_schema(tmp, {"tables": [{"name": "lab"}]})],
+    lambda tmp, corpus: ["load", "--in", _corpus_with_schema(
+        tmp, {"tables": [{"name": 5, "columns": [{"name": "a", "type": "text"}]}]})],
+    lambda tmp, corpus: ["load", "--in", _corpus_with_schema(
+        tmp, {"tables": [{"name": "lab", "columns": "abc"}]})],
+    lambda tmp, corpus: ["load", "--in", _corpus_with_schema(
+        tmp, {"tables": [{"name": "lab", "columns": [{"name": "a", "type": "banana"}]}]},
+        {"lab.tsv": ""})],
 ], ids=["serialize-bad-vocab", "audit-bad-vocab", "plan-grid-one-number",
         "gen-out-under-file", "serialize-out-is-file",
         "analyze-not-json", "gen-config-not-json", "quantize-codebook-empty",
-        "load-schema-without-tables", "load-table-without-columns"])
+        "load-schema-without-tables", "load-table-without-columns", "load-table-named-5",
+        "load-columns-a-string", "load-unknown-type-empty-table"])
 def test_bad_input_is_one_error_line(runner, tmp_path, make_args):
     corpus = tmp_path / "corpus"
     runner.invoke(main, ["gen", "--seed", "1", "--n-patients", "6", "--out", str(corpus)])
@@ -645,8 +657,16 @@ def test_quantize_reads_booleans_among_numbers_as_0_and_1(runner, tmp_path):
     (lambda doc: doc.update(size=3), "size 3 does not match entries of shape (2, 1)"),
     (lambda doc: doc.update(width=1.0), "width 1.0 does not match entries of shape (2, 1)"),
     (lambda doc: doc.update(width=True), "width True does not match entries of shape (2, 1)"),
+    (lambda doc: doc.update(ema_counts=[0, 1]), "ema_counts must all be > 0"),
+    (lambda doc: doc.update(ema_counts=[-1, 1]), "ema_counts must all be > 0"),
+    (lambda doc: doc.update(entries=[[5.0], [0.0]]), "entries are not ema_sums / ema_counts"),
+    (lambda doc: doc.update(ema_sums=[[1.0], [0.0]], ema_counts=[2, 1]),
+     "entries are not ema_sums / ema_counts"),
+    (lambda doc: doc.update(entries=[[1e300], [0.0]], ema_sums=[[1e300], [0.0]],
+                            ema_counts=[1e-300, 1]), "entries are not ema_sums / ema_counts"),
 ], ids=["number-strings", "null", "booleans", "decay-string", "decay-bool", "ema-counts-length",
-        "size", "width-float", "width-bool"])
+        "size", "width-float", "width-bool", "zero-count", "negative-count", "entry-off",
+        "sums-off", "quotient-overflows"])
 def test_bad_codebook_names_its_file(runner, tmp_path, edit, reason):
     path = tmp_path / "codebook.json"
     Codebook.new(np.zeros((2, 1))).save(path)
@@ -714,7 +734,10 @@ def test_analyze_names_plan_file_missing_a_field(runner, tmp_path):
     ([{"kind": "Ln"}], [1, 4], "terminal shape (2, 4) != declared (1, 4)"),
     ([{"kind": "Ln"}] * 3, [1, 4], "layer 2: layer Ln produces non-integral shape from (1, 4)"),
     ([{"kind": "Ld", "factor": 3}], [4, 2], "layer factor 3 must be a power of two >= 1"),
-], ids=["terminal-mismatch", "non-integral-shape", "factor-not-a-power-of-two"])
+    ([{"kind": "Ln", "target": True}], [2, 4], "layer factor and target must be integers"),
+    ([{"kind": "Ln"}], [True, 4], "shape [True, 4] is not two positive integers"),
+], ids=["terminal-mismatch", "non-integral-shape", "factor-not-a-power-of-two", "boolean-target",
+        "boolean-shape"])
 def test_analyze_refuses_a_plan_whose_ops_miss_its_output(runner, tmp_path, ops, output_shape,
                                                           reason):
     path = tmp_path / "plan.json"
@@ -790,11 +813,18 @@ def _with_column(i, **fields):
     ([], "expected a JSON object, got []"),
     (_with_column(0, low=float("nan")), "non-finite number NaN is not JSON"),
     (_with_column(0, low=-float("inf")), "non-finite number -Infinity is not JSON"),
+    (json.dumps(_with_column(0, high=2)).replace('"high": 2', '"high": 1e400'),
+     "column lab.value: low and high must be finite"),
+    (json.dumps(_with_column(0, low=1)).replace('"low": 1', '"low": -1e400'),
+     "column lab.value: low and high must be finite"),
+    (_with_column(0, decimals=-1), "column lab.value: decimals must be >= 0"),
+    (_config(tables=[{"name": "lab"}]), "missing field 'columns'"),
 ], ids=["events-inverted", "low-above-high", "no-choices", "no-codes", "undefined-codes",
-        "not-an-object", "nan", "minus-infinity"])
+        "not-an-object", "nan", "minus-infinity", "high-past-float", "low-past-float",
+        "negative-decimals", "table-without-columns"])
 def test_gen_names_the_fault_of_its_config(runner, tmp_path, doc, reason):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     result = runner.invoke(main, ["gen", "--config", str(path), "--out", str(tmp_path / "g")])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output == f"error: malformed generator config {path}: {reason}\n"
@@ -873,7 +903,10 @@ def test_each_file_read_names_the_file_of_its_fault(runner, tmp_path, monkeypatc
     (["plan", "--grid", "4096:256"], "l_min must be <= l_max"),
     (["plan", "--backbone", "transformer", "--input", "64x8", "--output", "64x16"],
      "transformer schedule cannot expand channels"),
-], ids=["serialize-n-e", "plan-no-layers", "plan-grid-inverted", "plan-transformer-expands"])
+    (["privacy", "--train", "{corpus}", "--heldout", "{corpus}", "--synthetic", "{corpus}",
+      "--thresholds", "0,a"], "--thresholds: could not convert string to float: 'a'"),
+], ids=["serialize-n-e", "plan-no-layers", "plan-grid-inverted", "plan-transformer-expands",
+        "privacy-thresholds"])
 def test_bad_settings_are_refused_by_name(runner, tmp_path, args, reason):
     corpus = tmp_path / "corpus"
     runner.invoke(main, ["gen", "--seed", "1", "--n-patients", "2", "--out", str(corpus)])

@@ -234,7 +234,8 @@ def test_table_named_twice_is_refused(tmp_path):
     schema = json.loads((tmp_path / "schema.json").read_text())
     schema["tables"].append(schema["tables"][0])
     (tmp_path / "schema.json").write_text(json.dumps(schema))
-    with pytest.raises(C.CorpusError, match=twice):
+    with pytest.raises(C.CorpusError, match=re.escape(f"{tmp_path / 'schema.json'}: ")
+                       + twice[1:]):
         C.load_corpus(tmp_path)
 
 
@@ -254,14 +255,23 @@ _UNIT = {"name": "unit", "type": "text"}
 
 
 @pytest.mark.parametrize("tables, reason", [
-    ([{"name": "lab", "columns": [_UNIT]}] * 2, "table 'lab': named twice"),
-    ([{"name": "lab", "columns": [_UNIT] * 2}], "table 'lab', column 'unit': named twice"),
-    ([{"name": " ", "columns": [_UNIT]}], "table ' ': blank name"),
+    ([{"name": "lab", "columns": [_UNIT]}] * 2, "table 'lab': named twice in the schema"),
+    ([{"name": "lab", "columns": [_UNIT] * 2}],
+     "table 'lab', column 'unit': named twice in the schema"),
+    ([{"name": " ", "columns": [_UNIT]}], "table ' ': blank name in the schema"),
+    ([{"name": 5, "columns": [_UNIT]}], "name must be a JSON string"),
+    ([{"name": "lab", "columns": "abc"}], "columns must be a JSON list of objects"),
+    ([{"name": "lab"}], "missing field 'columns'"),
+    ([{"name": "lab", "columns": [{"name": "unit"}]}], "missing field 'type'"),
+    ([{"name": "lab", "columns": [{**_UNIT, "type": "banana"}]}],
+     "column lab.unit: unknown type 'banana'"),
+    ("lab", "tables must be a JSON list of objects"),
 ])
 def test_load_refuses_a_bad_schema_before_reading_any_table(tmp_path, tables, reason):
-    """The directory holds no table file: the schema error comes first."""
-    (tmp_path / "schema.json").write_text(json.dumps({"tables": tables}))
-    with pytest.raises(C.CorpusError, match=f"^{re.escape(reason)} in the schema$"):
+    """The directory holds no table file: the schema error comes first, naming the schema."""
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"tables": tables}))
+    with pytest.raises(C.CorpusError, match=f"^{re.escape(f'{path}: {reason}')}$"):
         C.load_corpus(tmp_path)
 
 
@@ -286,7 +296,8 @@ def test_blank_names_are_refused(tmp_path, blank):
     lines = lab_path.read_text().split("\n")
     lines[0] = lines[0].replace("item id", blank)
     lab_path.write_text("\n".join(lines))
-    with pytest.raises(C.CorpusError, match=column):
+    with pytest.raises(C.CorpusError, match=re.escape(f"{tmp_path / 'schema.json'}: ")
+                       + column[1:]):
         C.load_corpus(tmp_path)
 
 

@@ -1,7 +1,8 @@
 """Every file a command reads is read inside `manifest.reading`, the one
 boundary that names the file in a read fault.  A read call that a module under
 src/ehrseq makes outside a `with reading(...)` block must fail here, in the
-tier-1 suite, and not only when some bad input reaches it."""
+tier-1 suite, and not only when some bad input reaches it.  JSON is decoded by
+`manifest.json_doc` alone: no other module reaches for a decoder of its own."""
 
 import ast
 from pathlib import Path
@@ -12,8 +13,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ehrseq"
 EXEMPT = {
     "manifest.file_digest": "reads bytes for a digest; no text or JSON to fault",
     "serializer.load_streams": "its binary open; each line's parse sits inside the boundary",
-    "serializer._cut_arrays": "decodes an escaped key; a bad escape is left to the decoder",
 }
+
+_DECODERS = {"load", "loads", "JSONDecoder"}
 
 
 def _is_read(call: ast.Call) -> bool:
@@ -75,3 +77,30 @@ def test_the_guard_tells_reads_inside_the_boundary_from_reads_outside():
               "    p.open(mode='rb')\n")
     assert _reads({"m": source}) == [("m.f", 3, True), ("m.f", 4, False), ("m.f", 5, False),
                                      ("m.f", 7, False)]
+
+
+def _json_decoders(source: str) -> list[int]:
+    """Lines where `source` names `json.load`, `json.loads` or `json.JSONDecoder`,
+    called or not, or imports one of them from `json`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in _DECODERS
+                  and isinstance(node.value, ast.Name) and node.value.id == "json"
+                  or isinstance(node, ast.ImportFrom) and node.module == "json"
+                  and any(alias.name in _DECODERS for alias in node.names))
+
+
+def test_only_the_manifest_decodes_json():
+    found = {path.stem: _json_decoders(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {module: lines for module, lines in found.items()
+            if lines and module != "manifest"} == {}
+    assert found["manifest"]  # the walk sees the one decoder there is
+
+
+def test_the_decoder_walk_sees_each_spelling():
+    source = ("import json\n"
+              "from json import JSONDecoder as D\n"
+              "a = json.loads(s)\n"
+              "b = json.JSONDecoder(parse_constant=f).decode\n"
+              "c = json.load\n"
+              "d = json.dumps(a)\n")
+    assert _json_decoders(source) == [2, 3, 4, 5]

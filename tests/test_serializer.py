@@ -230,7 +230,7 @@ def test_detokenize_flags_not_table_first():
     types[0, 0] = int(S.TokenType.COLUMN_NAME)
     hier = S.dense_stream(built.tokens, types, built.dpe_labels)
     events = S.detokenize_events(hier, vocab)
-    assert events[0].defect == S.DEFECT_NOT_TABLE_FIRST
+    assert events[0].defect == S.NOT_TABLE_FIRST
 
 
 def test_detokenize_flags_unpaired_truncated_column():
@@ -241,7 +241,7 @@ def test_detokenize_flags_unpaired_truncated_column():
     stream = S.build_hierarchical(C.PatientRecord("p", [event]), vocab, {}, config)
     rebuilt = S.detokenize_events(stream, vocab)[0]
     assert rebuilt.table == "t"
-    assert rebuilt.defect == S.DEFECT_UNPAIRED_COLUMN
+    assert rebuilt.defect == S.UNPAIRED_COLUMN
 
 
 def test_detokenize_label_less_splits_on_timegap(small_corpus, small_vocab):
@@ -436,13 +436,21 @@ FLAT = {**GOOD, "layout": "flattened", "shape": [8], "lengths": [3], "event_boun
      "tokens: a hierarchical record needs a list of rows"),
     (json.dumps({k: v for k, v in GOOD.items() if k != "lengths"}), "missing field 'lengths'"),
     (json.dumps({**GOOD, "tokens": None}), "no tokens"),
-    (json.dumps({**GOOD, "tokens": [4, 4.7, 6]}), "value 4.7 is not an integer"),
+    (json.dumps({**GOOD, "tokens": [4, 4.7, 6]}),
+     "tokens: 'float' object cannot be interpreted as an integer"),
     (json.dumps({**GOOD, "tokens": [4, "5", 6]}),
      "tokens: 'str' object cannot be interpreted as an integer"),
     (json.dumps({**GOOD, "type_labels": [1, None, 0]}), "type_labels: 'NoneType' object"),
-    (json.dumps({**GOOD, "dpe_labels": [0, float("inf"), 0]}), "value Infinity is not an integer"),
-    (json.dumps({"layout": "flattened", "tokens": [4, float("nan")]}), "value NaN is not an integer"),
-    (json.dumps({"layout": "flattened", "tokens": [4, -4.0]}), "value -4.0 is not an integer"),
+    (json.dumps({**GOOD, "dpe_labels": [0, float("inf"), 0]}),
+     "non-finite number Infinity is not JSON"),
+    (json.dumps({"layout": "flattened", "tokens": [4, float("nan")]}),
+     "non-finite number NaN is not JSON"),
+    (json.dumps({"layout": "flattened", "tokens": [4, -4.0]}),
+     "tokens: 'float' object cannot be interpreted as an integer"),
+    (json.dumps({**GOOD, "patient_id": 5}), "patient_id must be a JSON string"),
+    (json.dumps({**GOOD, "patient_id": {"a": 1}}), "patient_id must be a JSON string"),
+    (json.dumps({**GOOD, "patient_id": None}), "patient_id must be a JSON string"),
+    (json.dumps({**FLAT, "patient_id": [1]}), "patient_id must be a JSON string"),
     (json.dumps({"layout": "hierarchical", "tokens": [[4, 5], [6, "7"]]}), "'str' object"),
     (json.dumps({"layout": "hierarchical", "tokens": [[[4]]]}), "'list' object"),
     (json.dumps({"layout": "flattened", "tokens": [4, 2 ** 40]}), "greater than maximum"),
@@ -455,7 +463,7 @@ FLAT = {**GOOD, "layout": "flattened", "shape": [8], "lengths": [3], "event_boun
     (json.dumps({**FLAT, "event_boundaries": [[-1, 2]]}), "boundary [-1, 2] is not"),
     (json.dumps({**FLAT, "event_boundaries": [[0]]}), "boundary [0] is not"),
     (json.dumps({**FLAT, "event_boundaries": [[True, 1]]}), "boundary [True, 1] is not"),
-    (json.dumps({**FLAT, "event_boundaries": [[0, 1.0]]}), "value 1.0 is not an integer"),
+    (json.dumps({**FLAT, "event_boundaries": [[0, 1.0]]}), "boundary [0, 1.0] is not"),
     (json.dumps({**FLAT, "event_boundaries": [3]}), "boundary 3 is not"),
     (json.dumps({**FLAT, "event_boundaries": {"0": 3}}), "event_boundaries must be a list"),
     (json.dumps({**FLAT, "tokens": [4, True, 6]}), "tokens: JSON true and false are not integers"),
@@ -693,7 +701,7 @@ def parse_labeled_by_loop(units, labels):
             runs.append((label, [unit]))
     event = S.ReconstructedEvent()
     if not runs or runs[0][0] != S.TokenType.TABLE_NAME:
-        event.defect = S.DEFECT_NOT_TABLE_FIRST
+        event.defect = S.NOT_TABLE_FIRST
     idx = 0
     while idx < len(runs):
         label, run_units = runs[idx]
@@ -705,13 +713,13 @@ def parse_labeled_by_loop(units, labels):
                 event.pairs.append((detokenize(run_units), detokenize(runs[idx + 1][1])))
                 idx += 2
             else:
-                event.defect = event.defect or S.DEFECT_UNPAIRED_COLUMN
+                event.defect = event.defect or S.UNPAIRED_COLUMN
                 idx += 1
         elif label == S.TokenType.TIMEGAP:
             event.timegap = run_units[-1]
             idx += 1
         else:
-            event.defect = event.defect or S.DEFECT_UNPAIRED_COLUMN
+            event.defect = event.defect or S.UNPAIRED_COLUMN
             idx += 1
     return event
 

@@ -169,3 +169,44 @@ def test_reserved_units_never_come_from_text(word):
     assert not set(units) & set(RESERVED)
     assert detokenize(units) == word
     assert vocab.encode([word]) == [RESERVED.index(word)]
+
+
+def tokenize_word_two_branches(word, vocab):
+    """Reference: the tokenizer as a word-start branch and a mid-word branch."""
+    index, first_plain = vocab._index, len(RESERVED)
+    out, pos = [], 0
+    while pos < len(word):
+        match = None
+        for length in range(min(vocab._max_len, len(word) - pos), 0, -1):
+            piece = word[pos:pos + length]
+            if pos:
+                if "##" + piece in index:
+                    match = "##" + piece
+                    break
+            elif index.get(piece, 0) >= first_plain and not piece.startswith("##"):
+                match = piece
+                break
+        if match is None:
+            out.append(UNK)
+            pos += 1
+        else:
+            out.append(match)
+            pos += len(match.removeprefix("##"))
+    return out
+
+
+# units and words over a few letters and "#", so that "##" units, units that
+# start with "##" after it ("####a"), reserved-looking text and words that
+# start with "##" all occur
+_PIECES = st.text(alphabet="ab#[]", min_size=1, max_size=4)
+
+
+@given(st.sets(st.one_of(_PIECES, _PIECES.map("##".__add__),
+                         st.sampled_from(["##", "###", "[pad]", "#"]))),
+       st.lists(st.one_of(_PIECES, _PIECES.map("##".__add__), st.just("[pad]")),
+                min_size=1, max_size=4).map("".join))
+@example({"##a", "a"}, "##a")
+@example({"####a", "##", "a"}, "a##a")
+def test_tokenize_word_matches_the_two_branch_reference(units, word):
+    vocab = fixture_vocab(sorted(set(units) - set(RESERVED)))
+    assert tokenize_word(word, vocab) == tokenize_word_two_branches(word, vocab)
