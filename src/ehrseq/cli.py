@@ -48,12 +48,15 @@ def _run(command):
     return run
 
 
-def _save(out_dir, command: str, config: dict, inputs: list, files: dict,
-          seed=None) -> None:
+def _save(out_dir, files: dict, seed=None) -> None:
     """The one output step of a writing command: make `out_dir`, write each of
     `files` (name -> text, or a function that writes the path it is given) in
-    order, then the manifest listing exactly those files.  A manifest that
-    another command wrote in `out_dir` is refused before anything is written."""
+    order, then the manifest: the command, as `config` its non-path options as
+    given, as `inputs` its path options given but `--out`, `seed`, and exactly
+    those files.  A manifest that another command wrote in `out_dir` is
+    refused before anything is written."""
+    context = click.get_current_context()
+    command, params, given = context.command.name, context.command.params, context.params
     out = Path(out_dir)
     manifest = out / "manifest.json"
     if manifest.exists():
@@ -68,6 +71,9 @@ def _save(out_dir, command: str, config: dict, inputs: list, files: dict,
             content(out / name)
         else:
             (out / name).write_text(content)
+    config = {p.name: given[p.name] for p in params if not isinstance(p.type, click.Path)}
+    inputs = [given[p.name] for p in params if isinstance(p.type, click.Path)
+              and "--out" not in p.opts and given[p.name] is not None]
     write_manifest(out, command, config, inputs=inputs,
                    outputs=[out / name for name in files], seed=seed)
 
@@ -99,9 +105,7 @@ def gen(config_path, seed, n_patients, out_dir):
     overrides = {"seed": seed, "n_patients": n_patients}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     corpus = corpus_mod.generate_corpus(config)
-    _save(out_dir, "gen", {"n_patients": config.n_patients},
-          [config_path] if config_path else [], corpus_mod.corpus_files(corpus),
-          seed=config.seed)
+    _save(out_dir, corpus_mod.corpus_files(corpus), seed=config.seed)
     click.echo(f"wrote corpus with {len(corpus.patients)} patients to {out_dir}")
 
 
@@ -140,11 +144,8 @@ def serialize(in_dir, out_dir, vocab_path, min_count, n_e, n_tpe, n_t):
         grid = serializer.build_hierarchical(p, vocab, corpus.definitions, config)
         hier.append(serializer.stream_record(grid))
         flat.append(serializer.stream_record(serializer.flatten(grid, n_t=config.n_t)))
-    _save(out_dir, "serialize", {"n_e": n_e, "n_tpe": n_tpe, "n_t": n_t},
-          [Path(in_dir) / "schema.json", *sorted(Path(in_dir).glob("*.tsv"))],
-          {"vocab.txt": vocab.save,
-           "streams_hier.jsonl": "".join(hier),
-           "streams_flat.jsonl": "".join(flat)})
+    _save(out_dir, {"vocab.txt": vocab.save, "streams_hier.jsonl": "".join(hier),
+                    "streams_flat.jsonl": "".join(flat)})
     click.echo(f"serialized {len(hier)} patients to {out_dir}")
 
 
@@ -173,20 +174,14 @@ def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
                     planner.encoder_plan(backbone, n, d, spec.t, spec.c, n_l), cost)
                 rows.append(f"{l}\t{spec.t}\t{spec.c}\t{backbone}\t{rate}"
                             f"\t{report['params']}\t{report['flops']}")
-        _save(out_dir, "plan", {"grid": grid, "backbone": backbone}, [],
-              {"grid.tsv": "\n".join(rows) + "\n"})
+        _save(out_dir, {"grid.tsv": "\n".join(rows) + "\n"})
         click.echo(f"wrote grid sweep to {Path(out_dir) / 'grid.tsv'}")
         return
     n_out, d_out = _parse_pair(output_shape, "x", "NxD shape")
     p = planner.encoder_plan(backbone, n, d, n_out, d_out, n_l)
-    defects = validate_plan(p)
-    if defects:
-        raise planner.PlanError("; ".join(defects))
     report = analysis_report(p, cost)
-    _save(out_dir, "plan", {"backbone": backbone, "input": input_shape,
-                            "output": output_shape, "layers": n_l}, [],
-          {"plan.json": lambda path: planner.save_plan(p, path),
-           "analysis.json": json_text(report)})
+    _save(out_dir, {"plan.json": lambda path: planner.save_plan(p, path),
+                    "analysis.json": json_text(report)})
     for step in report["trace"]:
         click.echo(f"layer {step['layer'] + 1}: {step['op']} -> "
                    f"({step['shape'][0]},{step['shape'][1]})")
@@ -234,8 +229,7 @@ def quantize(latent_path, codebook_path, beta, out_path):
     if beta is not None:
         doc["commitment_term"] = beta * result.commitment_distance
     out = Path(out_path)
-    _save(out.parent, "quantize", {"beta": beta}, [latent_path, codebook_path],
-          {out.name: json_text(doc)})
+    _save(out.parent, {out.name: json_text(doc)})
     click.echo(f"quantized {z.shape[0]}x{z.shape[1]} latent -> {out_path}")
 
 
@@ -255,7 +249,7 @@ def audit_cmd(real_dir, generated_path, vocab_path, out_dir):
     streams = serializer.load_streams(generated_path)
     samples = [serializer.detokenize_events(s, vocab) for s in streams]
     text = json_text(asdict(audit_mod.score(samples, triples, vocab)))
-    _save(out_dir, "audit", {}, [generated_path, vocab_path], {"audit_report.json": text})
+    _save(out_dir, {"audit_report.json": text})
     click.echo(text, nl=False)
 
 
@@ -289,9 +283,7 @@ def privacy_cmd(train_path, heldout_path, synthetic_path, n_r, thresholds, seed,
     report = privacy.membership_attack(*tokens, config)
     curve = "threshold\tprecision\trecall\n" + "".join(
         f"{t}\t{'' if p is None else p}\t{'' if r is None else r}\n" for t, p, r in report.rows())
-    _save(out_dir, "privacy", {"n_r": n_r, "thresholds": thresholds},
-          [train_path, heldout_path, synthetic_path],
-          {"privacy_curve.tsv": curve, "privacy_report.json": json_text(asdict(report))},
+    _save(out_dir, {"privacy_curve.tsv": curve, "privacy_report.json": json_text(asdict(report))},
           seed=seed)
     click.echo(curve, nl=False)
 
@@ -332,10 +324,10 @@ def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
                 continue
             try:
                 s, lab = line.split("\t")
-                score, label = float(s), int(lab)
-                if not math.isfinite(score) or label not in (0, 1):
+                score, label = json_doc(s), ("0", "1").index(lab)
+                if type(score) not in (int, float) or not math.isfinite(score):
                     raise ValueError
-            except ValueError:
+            except (ValueError, OverflowError, RecursionError):  # isfinite of a huge int; deep JSON
                 raise metrics_mod.MetricError(
                     f"{scores_path}:{row}: expected score<TAB>label") from None
             scores.append(score)

@@ -308,13 +308,14 @@ def generate_corpus(config: GeneratorConfig) -> Corpus:
     return Corpus(patients, dict(config.definitions), list(config.tables))
 
 
-def _from_json(cls, raw):
-    """`cls` from a JSON object, each value converted by `_JSON_KEYS[cls][key](key,
-    value)`; an absent key takes the field's default, a field without one is
-    missing, and any other key is an error.  The JSON key "type" is the field `kind`."""
+def _from_json(cls, raw, keys: dict | None = None):
+    """`cls` from a JSON object, each value converted by `keys[key](key, value)`,
+    `keys` being `_JSON_KEYS[cls]` unless given; an absent key takes the field's
+    default, a field without one is missing, and any other key is an error.
+    The JSON key "type" is the field `kind`."""
     if not isinstance(raw, dict):
         raise CorpusError(f"expected a JSON object, got {raw!r}")
-    keys = _JSON_KEYS[cls]
+    keys = keys or _JSON_KEYS[cls]
     unknown = [key for key in raw if key not in keys]
     if unknown:
         raise CorpusError(f"unknown key {unknown[0]!r}")
@@ -331,7 +332,10 @@ def _json_value(what: str, *kinds: type):
     def convert(key, value):
         if type(value) not in kinds:
             raise CorpusError(f"{key} must be a JSON {what}")
-        return kinds[0](value)
+        try:
+            return kinds[0](value)
+        except OverflowError as exc:  # an integer past the float range
+            raise CorpusError(f"{key}: {exc}") from None
     return convert
 
 
@@ -380,6 +384,29 @@ def load_generator_config(path: Path | str) -> GeneratorConfig:
 # plus "definitions.tsv" (code, description) and "schema.json" declaring
 # per-column types.
 
+@dataclass(frozen=True)
+class _Patient:
+    """A `schema.json` patient entry."""
+    id: str
+    labels: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Schema:
+    """The `schema.json` document: each column declares its name and type alone."""
+    tables: tuple[TableSpec, ...]
+    patients: tuple[_Patient, ...] = ()
+
+
+_SCHEMA_TABLE = {"name": _STRING, "columns": lambda key, columns: tuple(
+    _from_json(ColumnSpec, c, {"name": _STRING, "type": _STRING}) for c in _OBJECTS(key, columns))}
+_JSON_KEYS[_Patient] = {"id": _STRING, "labels": lambda key, labels: {
+    name: _INTEGER(f"{key} {name!r}", value) for name, value in _OBJECT(key, labels).items()}}
+_JSON_KEYS[_Schema] = {
+    "tables": lambda key, tables: tuple(_from_json(TableSpec, t, _SCHEMA_TABLE)
+                                        for t in _OBJECTS(key, tables)),
+    "patients": lambda key, entries: tuple(_from_json(_Patient, e)
+                                           for e in _OBJECTS(key, entries))}
 _TSV_UNSAFE = re.compile(r"[\t\n\r]")
 _TIMESTAMP = re.compile(r"\d{1,4300}", re.ASCII)  # whole seconds: ASCII digits that `int` reads
 _TIMESTAMPS = re.compile(r"\d{1,4300}(?:\t\d{1,4300})*", re.ASCII)  # a column of them, tab-joined
@@ -532,10 +559,13 @@ def _read_columns(path: Path | str) -> CorpusColumns:
     if not schema_path.exists():
         raise CorpusError(f"missing schema sidecar {schema_path}")
     with reading(schema_path, CorpusError):
-        schema_raw = json_doc(schema_path.read_text())
-        schema = [_from_json(TableSpec, t) for t in _OBJECTS("tables", schema_raw["tables"])]
-        labels = {p["id"]: p.get("labels", {}) for p in schema_raw.get("patients", [])}
-        _check_schema(schema)
+        doc = _from_json(_Schema, json_doc(schema_path.read_text()))
+        _check_schema(doc.tables)
+        labels = {p.id: p.labels for p in doc.patients}
+        if len(labels) < len(doc.patients):
+            twice = next(i for i, n in Counter(p.id for p in doc.patients).items() if n > 1)
+            raise CorpusError(f"patient {twice!r}: listed twice in the schema")
+    schema = list(doc.tables)
 
     definitions: dict[str, str] = {}
     defs_path = root / "definitions.tsv"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
@@ -12,10 +13,17 @@ from . import __version__
 
 
 def file_digest(path: Path | str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
+    """SHA-256 of a file's bytes; of a directory, over each regular file in it
+    but manifest.json, in name order: its name, NUL, size in decimal, NUL, bytes."""
+    h, path = hashlib.sha256(), Path(path)
+    for member in sorted(path.iterdir()) if path.is_dir() else [path]:
+        if member != path:  # a directory's file
+            if not member.is_file() or member.name == "manifest.json":
+                continue
+            h.update(b"%s\0%d\0" % (os.fsencode(member.name), member.stat().st_size))
+        with open(member, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                h.update(chunk)
     return h.hexdigest()
 
 

@@ -513,7 +513,11 @@ def test_metrics_accuracy_and_auroc(runner, tmp_path):
     assert "auroc\t0.75" in result.output
 
 
-@pytest.mark.parametrize("row", ["0.5", "abc\t1", "0.5\tyes", "0.5\t1\t0", "nan\t1"])
+@pytest.mark.parametrize("row", [
+    "0.5", "abc\t1", "0.5\tyes", "0.5\t1\t0", "nan\t1",
+    "0.5\t0_0", "0.5\t+1", "0.5\t\u0660", "0.5\t 1", "0.5\t1.0", "1_5\t1", "NaN\t1",
+    "Infinity\t1", "1e400\t1", "1" + "0" * 400 + "\t1", "true\t1", '"1"\t1', "[1]\t1",
+    "[" * 100000 + "\t1"])
 def test_metrics_names_row_of_bad_score(runner, tmp_path, row):
     scores = tmp_path / "scores.tsv"
     scores.write_text(f"0.1\t0\n{row}\n0.8\t1\n")
@@ -537,12 +541,28 @@ def test_manifest_contents(runner, tmp_path):
     assert manifest["outputs"] and all(isinstance(p, str) for p in manifest["outputs"])
 
 
+def manifest_digest(path):
+    """An input's manifest digest, by the rule: SHA-256 of a file's bytes; for
+    a directory, of each file in it but manifest.json, in name order, as its
+    name, NUL, its size in decimal, NUL, then its bytes."""
+    path = Path(path)
+    if path.is_file():
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    files = sorted((p for p in path.iterdir() if p.name != "manifest.json"), key=lambda p: p.name)
+    return hashlib.sha256(b"".join(
+        p.name.encode() + b"\0" + str(len(p.read_bytes())).encode() + b"\0" + p.read_bytes()
+        for p in files)).hexdigest()
+
+
 def test_serialize_manifest_digests_every_corpus_file_it_reads(runner, tmp_path):
     corpus_dir, out = serialize_corpus(runner, tmp_path)
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
-    read = [p for p in sorted(corpus_dir.iterdir()) if p.name != "manifest.json"]
-    assert "schema.json" in [p.name for p in read]
-    assert inputs == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in read}
+    read = [p.name for p in corpus_dir.iterdir() if p.name != "manifest.json"]
+    assert "schema.json" in read and "lab.tsv" in read
+    assert (corpus_dir / "manifest.json").exists()  # gen's, left out of the digest
+    assert inputs == {str(corpus_dir): manifest_digest(corpus_dir)}
+    (corpus_dir / "lab.tsv").write_text((corpus_dir / "lab.tsv").read_text() + "\n")
+    assert manifest_digest(corpus_dir) != inputs[str(corpus_dir)]  # every file it reads counts
 
 
 def _bad_vocab(tmp_path):
@@ -819,9 +839,11 @@ def _with_column(i, **fields):
      "column lab.value: low and high must be finite"),
     (_with_column(0, decimals=-1), "column lab.value: decimals must be >= 0"),
     (_config(tables=[{"name": "lab"}]), "missing field 'columns'"),
+    (json.dumps(_with_column(0, high=2)).replace('"high": 2', '"high": ' + "1" * 401),
+     "high: int too large to convert to float"),
 ], ids=["events-inverted", "low-above-high", "no-choices", "no-codes", "undefined-codes",
         "not-an-object", "nan", "minus-infinity", "high-past-float", "low-past-float",
-        "negative-decimals", "table-without-columns"])
+        "negative-decimals", "table-without-columns", "high-a-401-digit-integer"])
 def test_gen_names_the_fault_of_its_config(runner, tmp_path, doc, reason):
     path = tmp_path / "config.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -829,6 +851,36 @@ def test_gen_names_the_fault_of_its_config(runner, tmp_path, doc, reason):
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output == f"error: malformed generator config {path}: {reason}\n"
     assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda doc: doc["patients"][0].update(id=5), "id must be a JSON string"),
+    (lambda doc: doc["patients"][0].pop("id"), "missing field 'id'"),
+    (lambda doc: doc["patients"][0].update(labels="x"), "labels must be a JSON object"),
+    (lambda doc: doc["patients"][1].update(labels={"outcome": [1]}),
+     "labels 'outcome' must be a JSON integer"),
+    (lambda doc: doc["patients"][1].update(labels={"outcome": True}),
+     "labels 'outcome' must be a JSON integer"),
+    (lambda doc: doc["patients"][1].update(age=3), "unknown key 'age'"),
+    (lambda doc: doc["patients"].append(doc["patients"][2]),
+     "patient 'p00002': listed twice in the schema"),
+    (lambda doc: doc.update(patients={}), "patients must be a JSON list of objects"),
+    (lambda doc: doc.update(extra=1), "unknown key 'extra'"),
+    (lambda doc: doc["tables"][0]["columns"][1].update(low=3), "unknown key 'low'"),
+], ids=["id-a-number", "no-id", "labels-a-string", "label-a-list", "label-a-boolean",
+        "entry-unknown-key", "patient-twice", "patients-an-object", "document-unknown-key",
+        "column-low"])
+def test_load_checks_the_whole_schema_before_any_table(runner, tmp_path, edit, reason):
+    corpus = tmp_path / "corpus"
+    runner.invoke(main, ["gen", "--seed", "2", "--n-patients", "6", "--out", str(corpus)])
+    schema = corpus / "schema.json"
+    doc = json.loads(schema.read_text())
+    edit(doc)
+    schema.write_text(json.dumps(doc))
+    (corpus / "lab.tsv").unlink()  # a schema let through would fail here, naming lab.tsv
+    result = runner.invoke(main, ["load", "--in", str(corpus)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"error: {schema}: {reason}\n"
 
 
 def _file_inputs(runner, tmp):
@@ -928,33 +980,53 @@ def test_vocabulary_listing_a_unit_twice_names_the_unit(runner, tmp_path):
     assert result.output == f"error: {vocab}: duplicate vocabulary unit {units[-2]!r}\n"
 
 
-@pytest.mark.parametrize("args, written", [
-    (["gen", "--n-patients", "6"],
-     ["lab.tsv", "prescription.tsv", "infusion.tsv", "definitions.tsv", "schema.json"]),
-    (["serialize", "--in", "{corpus}"],
-     ["vocab.txt", "streams_hier.jsonl", "streams_flat.jsonl"]),
-    (["plan"], ["plan.json", "analysis.json"]),
-    (["plan", "--grid", "256:512"], ["grid.tsv"]),
-    (["quantize", "--latent", "{latent}", "--codebook", "{codebook}"], ["q.json"]),
+_PLAN = {"backbone": "cnn", "input_shape": "8192x256", "output_shape": "64x8", "n_l": 4}
+_SERIALIZE = {"min_count": 2, "n_e": 256, "n_tpe": 128, "n_t": 8192}
+
+
+@pytest.mark.parametrize("args, written, config, inputs, seed", [
+    (["gen", "--n-patients", "6", "--seed", "4"],
+     ["lab.tsv", "prescription.tsv", "infusion.tsv", "definitions.tsv", "schema.json"],
+     {"seed": 4, "n_patients": 6}, [], 4),
+    (["gen", "--config", "{genconfig}"], ["lab.tsv", "definitions.tsv", "schema.json"],
+     {"seed": None, "n_patients": None}, ["genconfig"], 9),
+    (["serialize", "--in", "{corpus}", "--vocab", "{vocab}", "--min-count", "2"],
+     ["vocab.txt", "streams_hier.jsonl", "streams_flat.jsonl"], _SERIALIZE,
+     ["corpus", "vocab"], None),
+    (["plan", "--kernel", "3"], ["plan.json", "analysis.json"],
+     {**_PLAN, "grid": None, "kernel": 3}, [], None),
+    (["plan", "--grid", "256:512"], ["grid.tsv"], {**_PLAN, "grid": "256:512", "kernel": 5},
+     [], None),
+    (["quantize", "--latent", "{latent}", "--codebook", "{codebook}"], ["q.json"],
+     {"beta": None}, ["latent", "codebook"], None),
     (["audit", "--real", "{corpus}", "--generated", "{hier}", "--vocab", "{vocab}"],
-     ["audit_report.json"]),
+     ["audit_report.json"], {}, ["corpus", "hier", "vocab"], None),
     (["privacy", "--train", "{flat}", "--heldout", "{flat}", "--synthetic", "{flat}",
-      "--nr", "2"], ["privacy_curve.tsv", "privacy_report.json"]),
-], ids=["gen", "serialize", "plan", "plan-grid", "quantize", "audit", "privacy"])
-def test_manifest_lists_exactly_the_files_written(runner, tmp_path, args, written):
+      "--nr", "2"], ["privacy_curve.tsv", "privacy_report.json"],
+     {"n_r": 2, "thresholds": "0,0.05,0.1,0.2,0.5,1.0", "seed": 0}, ["flat"] * 3, 0),
+], ids=["gen", "gen-config", "serialize", "plan", "plan-grid", "quantize", "audit", "privacy"])
+def test_manifest_lists_exactly_the_files_written(runner, tmp_path, args, written, config,
+                                                  inputs, seed):
     corpus_dir, streams = serialize_corpus(runner, tmp_path)
     Codebook.new(np.zeros((2, 2))).save(tmp_path / "codebook.json")
     (tmp_path / "latent.json").write_text(json.dumps([[0.0] * 8]))
-    inputs = {"corpus": corpus_dir, "hier": streams / "streams_hier.jsonl",
-              "flat": streams / "streams_flat.jsonl", "vocab": streams / "vocab.txt",
-              "latent": tmp_path / "latent.json", "codebook": tmp_path / "codebook.json"}
+    (tmp_path / "config.json").write_text(json.dumps(_config(seed=9)))
+    paths = {"corpus": corpus_dir, "hier": streams / "streams_hier.jsonl",
+             "flat": streams / "streams_flat.jsonl", "vocab": streams / "vocab.txt",
+             "latent": tmp_path / "latent.json", "codebook": tmp_path / "codebook.json",
+             "genconfig": tmp_path / "config.json"}
     out = tmp_path / "out"
     target = out / "q.json" if args[0] == "quantize" else out
-    result = runner.invoke(main, [a.format(**inputs) for a in args] + ["--out", str(target)])
+    result = runner.invoke(main, [a.format(**paths) for a in args] + ["--out", str(target)])
     assert result.exit_code == 0, result.output
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == args[0]
     assert manifest["outputs"] == [str(out / name) for name in written]
+    # the command's own options: non-path ones as given, path ones given but --out
+    assert list(manifest["config"].items()) == list(config.items())
+    assert list(manifest["inputs"].items()) == list(
+        {str(paths[name]): manifest_digest(paths[name]) for name in inputs}.items())
+    assert manifest["seed"] == seed  # the effective seed, config's or --seed's
     assert sorted(p.name for p in out.iterdir()) == sorted(written + ["manifest.json"])
     mtimes = [(out / name).stat().st_mtime_ns for name in written + ["manifest.json"]]
     assert mtimes == sorted(mtimes)
@@ -962,6 +1034,23 @@ def test_manifest_lists_exactly_the_files_written(runner, tmp_path, args, writte
         text = (out / name).read_text()  # one compact line of JSON
         assert text.count("\n") == 1 and text.endswith("\n"), name
         json.loads(text)
+
+
+def test_outputs_that_differ_come_with_manifests_that_differ(runner, tmp_path):
+    corpus_dir, streams = serialize_corpus(runner, tmp_path)
+    runs = [["plan", "--kernel", "3"], ["plan", "--kernel", "5"],
+            ["plan", "--grid", "256:512", "--input", "4096x128"],
+            ["plan", "--grid", "256:512", "--input", "8192x256"],
+            ["serialize", "--in", str(corpus_dir)],
+            ["serialize", "--in", str(corpus_dir), "--min-count", "1000"]]
+    outputs, manifests = [], []
+    for i, args in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
+        outputs.append(dir_digest(out))
+        manifests.append(json.loads((out / "manifest.json").read_text())["config"])
+    for i in range(0, len(runs), 2):
+        assert outputs[i] != outputs[i + 1] and manifests[i] != manifests[i + 1], runs[i + 1]
 
 
 @pytest.mark.parametrize("args", [

@@ -497,7 +497,7 @@ def test_generator_config_malformed_json_names_the_file(tmp_path):
 @pytest.mark.parametrize("schema, reason", [
     ({}, "missing field 'tables'"),
     ({"tables": [{"name": "lab"}]}, "missing field 'columns'"),
-    ([], "list indices"),
+    ([], r"expected a JSON object, got \[\]"),
     ("{", "Expecting"),
     ({"tables": [], "patients": [{"id": "p", "labels": {"outcome": float("nan")}}]},
      "non-finite number NaN is not JSON"),

@@ -270,3 +270,15 @@ def test_validate_plan_names_each_layer_its_plan_cannot_hold():
     plan = P.LayerPlan(P.CNN, P.ENCODE, ops, (8, 8), (4, 4))
     assert validate_plan(plan) == ["layer 0: a cnn encode plan cannot hold Ld1",
                                    "layer 2: a cnn encode plan cannot hold pool"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([P.CNN, P.TRANSFORMER]), st.data())
+def test_encoder_plans_are_valid_as_built(backbone, data):
+    """`plan` writes the plan `encoder_plan` builds without re-validating it:
+    every plan over n <= 2^13, d <= 2^10, n_out <= n, d_out <= d and
+    1 <= n_l <= 12 passes `validate_plan`."""
+    log_n, log_d = data.draw(st.integers(0, 13)), data.draw(st.integers(0, 10))
+    n_out, d_out = 2 ** data.draw(st.integers(0, log_n)), 2 ** data.draw(st.integers(0, log_d))
+    n_l = data.draw(st.integers(1, 12))
+    assert validate_plan(P.encoder_plan(backbone, 2 ** log_n, 2 ** log_d, n_out, d_out, n_l)) == []
