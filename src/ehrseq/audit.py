@@ -9,7 +9,7 @@ paired, table/column known) and then a semantics check per column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .corpus import NUMERIC, CellValue, Corpus, CorpusColumns, is_decimal
 from .serializer import NOT_TABLE_FIRST, UNPAIRED_COLUMN, ReconstructedEvent, textualize_cell
@@ -232,20 +232,25 @@ class AuditReport:
     defect_counts: dict[str, int] = field(default_factory=dict)
 
 
-def score(generated: list[list[ReconstructedEvent]], triples: TripleSet,
+def score(generated: Iterable[list[ReconstructedEvent]], triples: TripleSet,
           vocab: Vocabulary) -> AuditReport:
     """RCE over events, RUE over deduplicated events, RCS over samples.
 
     A sample is correct iff all its events are; a sample with no events
-    counts incorrect.  Empty denominators yield null metrics.
+    counts incorrect.  Empty denominators yield null metrics.  Samples are
+    counted as they are iterated, and each is dropped before the next is
+    drawn, so a generator of samples holds one sample's events at a time
+    plus one key per distinct event.
     """
     total_events = 0
     correct_events = 0
-    unique: dict[tuple, bool] = {}
+    unique: dict[str | tuple, bool] = {}
+    n_samples = 0
     correct_samples = 0
     defect_counts = {k: 0 for k in DEFECTS}
 
     for sample in generated:
+        n_samples += 1
         sample_ok = bool(sample)
         for event in sample:
             defect = check_event(event, triples, vocab)
@@ -258,8 +263,8 @@ def score(generated: list[list[ReconstructedEvent]], triples: TripleSet,
             unique.setdefault(event.key(), defect is None)
         if sample_ok:
             correct_samples += 1
+        del sample  # before the next sample is drawn
 
-    n_samples = len(generated)
     n_unique = len(unique)
     return AuditReport(
         rce=correct_events / total_events if total_events else None,

@@ -14,6 +14,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import audit as audit_mod
 from . import corpus as corpus_mod
@@ -247,17 +248,24 @@ def audit_cmd(real_dir, generated_path, vocab_path, out_dir):
     triples = audit_mod.build_triples(real, vocab)
     del real  # freed before the streams load, so the two never share the peak
     streams = serializer.load_streams(generated_path)
-    samples = [serializer.detokenize_events(s, vocab) for s in streams]
+    # one sample's events at a time: each is scored and dropped before the next
+    samples = (serializer.detokenize_events(s, vocab) for s in streams)
     text = json_text(asdict(audit_mod.score(samples, triples, vocab)))
     _save(out_dir, {"audit_report.json": text})
     click.echo(text, nl=False)
 
 
-def _forms_and_tokens(path) -> tuple[list, list]:
+def _forms_and_tokens(path) -> tuple[list, np.ndarray]:
     """A stream file's distinct (layout, shape) pairs and its dense token
-    arrays; its streams are dropped before the next file is read."""
+    arrays as one matrix (records, *shape), filled one stream at a time; its
+    streams are dropped before the next file is read."""
     streams = serializer.load_streams(path)
-    return sorted({(s.layout, s.shape) for s in streams}), [s.tokens for s in streams]
+    forms = sorted({(s.layout, s.shape) for s in streams})
+    # a file of several forms gets no matrix: the caller refuses it, naming each file's forms
+    tokens = np.empty((len(streams), *forms[0][1]) if len(forms) == 1 else 0, np.int32)
+    for row, s in zip(tokens, streams):
+        row[...] = s.tokens
+    return forms, tokens
 
 
 @main.command("privacy")

@@ -308,11 +308,11 @@ def generate_corpus(config: GeneratorConfig) -> Corpus:
     return Corpus(patients, dict(config.definitions), list(config.tables))
 
 
-def _from_json(cls, raw, keys: dict | None = None):
-    """`cls` from a JSON object, each value converted by `keys[key](key, value)`,
-    `keys` being `_JSON_KEYS[cls]` unless given; an absent key takes the field's
-    default, a field without one is missing, and any other key is an error.
-    The JSON key "type" is the field `kind`."""
+def _json_fields(cls, raw, keys: dict | None = None) -> dict:
+    """`cls`'s fields from a JSON object, each value converted by
+    `keys[key](key, value)`, `keys` being `_JSON_KEYS[cls]` unless given; an
+    absent key takes the field's default, a field without one is missing, and
+    any other key is an error.  The JSON key "type" is the field `kind`."""
     if not isinstance(raw, dict):
         raise CorpusError(f"expected a JSON object, got {raw!r}")
     keys = keys or _JSON_KEYS[cls]
@@ -323,8 +323,31 @@ def _from_json(cls, raw, keys: dict | None = None):
         key = "type" if f.name == "kind" else f.name
         if key not in raw and f.default is MISSING and f.default_factory is MISSING:
             raise CorpusError(f"missing field {key!r}")
-    return cls(**{"kind" if key == "type" else key: keys[key](key, value)
-                  for key, value in raw.items()})
+    return {"kind" if key == "type" else key: keys[key](key, value) for key, value in raw.items()}
+
+
+class _EntryFault(CorpusError):
+    """A fault in an entry of a JSON list, led by the entry's place."""
+
+
+def _entries(cls, keys: dict | None = None):
+    """Converter of a JSON list of objects to a tuple of `cls`.  A fault in an
+    entry's JSON is led by its place and, when a string, its name or id, as
+    in `tables[1] 'lab', columns[2] 'unit': unknown key 'low'`; `cls`'s own
+    checks name what they check."""
+    def convert(key, entries):
+        out = []
+        for i, raw in enumerate(_OBJECTS(key, entries)):
+            name = raw.get("name", raw.get("id"))
+            where = f"{key}[{i}]" + (f" {name!r}" if isinstance(name, str) else "")
+            try:
+                values = _json_fields(cls, raw, keys)
+            except CorpusError as exc:  # an entry within this one adds its own place
+                sep = ", " if isinstance(exc, _EntryFault) else ": "
+                raise _EntryFault(f"{where}{sep}{exc}") from None
+            out.append(cls(**values))
+        return tuple(out)
+    return convert
 
 
 def _json_value(what: str, *kinds: type):
@@ -356,13 +379,10 @@ _STRINGS, _OBJECTS = _json_list("strings", str), _json_list("objects", dict)
 _JSON_KEYS = {
     ColumnSpec: {"name": _STRING, "type": _STRING, "low": _NUMBER, "high": _NUMBER,
                  "decimals": _INTEGER, "choices": _STRINGS, "codes": _STRINGS},
-    TableSpec: {"name": _STRING,
-                "columns": lambda key, cols: tuple(_from_json(ColumnSpec, c)
-                                                   for c in _OBJECTS(key, cols))},
+    TableSpec: {"name": _STRING, "columns": _entries(ColumnSpec)},
     GeneratorConfig: {"seed": _INTEGER, "n_patients": _INTEGER,
                       "events_per_patient": _json_list("two integers", int, 2),
-                      "tables": lambda key, tables: tuple(_from_json(TableSpec, t)
-                                                          for t in _OBJECTS(key, tables)),
+                      "tables": _entries(TableSpec),
                       "definitions": lambda key, defs: {
                           code: _STRING(f"{key} {code!r}", text)
                           for code, text in _OBJECT(key, defs).items()}},
@@ -372,7 +392,8 @@ _JSON_KEYS = {
 def load_generator_config(path: Path | str) -> GeneratorConfig:
     """Read and validate a generator config; any fault in it names the file."""
     with reading(f"malformed generator config {path}", CorpusError):
-        config = _from_json(GeneratorConfig, json_doc(Path(path).read_text()))
+        config = GeneratorConfig(**_json_fields(GeneratorConfig,
+                                                json_doc(Path(path).read_text())))
         config.validate()
     return config
 
@@ -398,15 +419,12 @@ class _Schema:
     patients: tuple[_Patient, ...] = ()
 
 
-_SCHEMA_TABLE = {"name": _STRING, "columns": lambda key, columns: tuple(
-    _from_json(ColumnSpec, c, {"name": _STRING, "type": _STRING}) for c in _OBJECTS(key, columns))}
+_SCHEMA_TABLE = {"name": _STRING,
+                 "columns": _entries(ColumnSpec, {"name": _STRING, "type": _STRING})}
 _JSON_KEYS[_Patient] = {"id": _STRING, "labels": lambda key, labels: {
     name: _INTEGER(f"{key} {name!r}", value) for name, value in _OBJECT(key, labels).items()}}
 _JSON_KEYS[_Schema] = {
-    "tables": lambda key, tables: tuple(_from_json(TableSpec, t, _SCHEMA_TABLE)
-                                        for t in _OBJECTS(key, tables)),
-    "patients": lambda key, entries: tuple(_from_json(_Patient, e)
-                                           for e in _OBJECTS(key, entries))}
+    "tables": _entries(TableSpec, _SCHEMA_TABLE), "patients": _entries(_Patient)}
 _TSV_UNSAFE = re.compile(r"[\t\n\r]")
 _TIMESTAMP = re.compile(r"\d{1,4300}", re.ASCII)  # whole seconds: ASCII digits that `int` reads
 _TIMESTAMPS = re.compile(r"\d{1,4300}(?:\t\d{1,4300})*", re.ASCII)  # a column of them, tab-joined
@@ -559,7 +577,7 @@ def _read_columns(path: Path | str) -> CorpusColumns:
     if not schema_path.exists():
         raise CorpusError(f"missing schema sidecar {schema_path}")
     with reading(schema_path, CorpusError):
-        doc = _from_json(_Schema, json_doc(schema_path.read_text()))
+        doc = _Schema(**_json_fields(_Schema, json_doc(schema_path.read_text())))
         _check_schema(doc.tables)
         labels = {p.id: p.labels for p in doc.patients}
         if len(labels) < len(doc.patients):

@@ -50,7 +50,8 @@ class PrivacyReport:
 
 
 def _as_matrix(streams: Sequence[np.ndarray], name: str) -> np.ndarray:
-    """One set's streams, which must share one shape, stacked: (records, *shape)."""
+    """One set's streams, which must share one shape, as one matrix (records,
+    *shape): a matrix is used as it is, not copied; a sequence is stacked."""
     shapes = sorted({np.shape(s) for s in streams})
     if len(shapes) > 1:
         raise PrivacyError(f"the {name} streams differ in shape: {shapes}")

@@ -324,9 +324,14 @@ class ReconstructedEvent:
     defect: Optional[str] = None
     words: Optional[list[str]] = None
 
-    def key(self) -> tuple:
+    def key(self) -> str | tuple:
+        """Equal iff two events are the same event.  A raw event's key is one
+        string: each word led by \\x1e, then \\x1f and the time gap, or \\x1d
+        for none; no unit or detokenized word holds a \\x1c-\\x1f separator,
+        since `str.split` reads them as whitespace."""
         if self.words is not None:
-            return ("raw", tuple(self.words), self.timegap)
+            gap = "\x1d" if self.timegap is None else "\x1f" + self.timegap
+            return "\x1e".join(["", *self.words]) + gap
         return (self.table, tuple(self.pairs), self.timegap)
 
 

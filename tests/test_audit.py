@@ -1,5 +1,6 @@
 import dataclasses
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -382,6 +383,36 @@ EVENTS = st.one_of(
 def test_score_matches_a_per_event_check_without_memo(triples_fixture, samples):
     triples, vocab = triples_fixture
     assert A.score(samples, triples, vocab) == score_per_event(samples, triples, vocab)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(EVENTS, max_size=4), max_size=6))
+def test_score_of_an_iterator_equals_score_of_the_list(triples_fixture, samples):
+    """Samples are counted as they are drawn, empty ones and none at all included."""
+    triples, vocab = triples_fixture
+    report = A.score(iter(samples), triples, vocab)
+    assert report == A.score(samples, triples, vocab)
+    assert report.total_samples == len(samples)
+
+
+def test_score_drops_each_sample_before_drawing_the_next(triples_fixture):
+    triples, vocab = triples_fixture
+
+    class Sample(list):  # a list that a weak reference can follow
+        pass
+
+    drawn, alive_at_draw = [], []
+
+    def samples():
+        for words in (["lab", "value", "5", ".", "0"], [], ["drug"], ["lab", "value", "9"]):
+            alive_at_draw.append(sum(ref() is not None for ref in drawn))
+            sample = Sample([event(words=words)] if words else [])
+            drawn.append(weakref.ref(sample))
+            yield sample
+            del sample
+
+    report = A.score(samples(), triples, vocab)
+    assert report.total_samples == 4 and alive_at_draw == [0, 0, 0, 0]
 
 
 def test_verdicts_are_kept_per_vocabulary(triples_fixture):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 
 import ehrseq
 from ehrseq import audit as audit_mod
+from ehrseq import cli as cli_mod
 from ehrseq import corpus as corpus_mod
 from ehrseq import planner, serializer
 from ehrseq.cli import main
@@ -208,6 +210,62 @@ def test_audit_reads_the_real_corpus_without_building_events(runner, tmp_path, m
     assert made == []
     corpus_mod.load_corpus(real_dir)
     assert made
+
+
+@pytest.mark.parametrize("layout", ["hier", "flat"])
+def test_audit_drops_each_samples_events_before_the_next(runner, tmp_path, monkeypatch, layout):
+    """`audit` holds one sample's events at a time: every list of events that
+    `detokenize_events` returned is freed before it is called again."""
+    corpus_dir, out = serialize_corpus(runner, tmp_path)
+
+    class Events(list):  # a list that a weak reference can follow
+        pass
+
+    returned, alive_at_call = [], []
+    detokenize_events = serializer.detokenize_events
+
+    def tracked(stream, vocab):
+        alive_at_call.append(sum(ref() is not None for ref in returned))
+        events = Events(detokenize_events(stream, vocab))
+        returned.append(weakref.ref(events))
+        return events
+
+    monkeypatch.setattr(serializer, "detokenize_events", tracked)
+    result = runner.invoke(main, ["audit", "--real", str(corpus_dir),
+                                  "--generated", str(out / f"streams_{layout}.jsonl"),
+                                  "--vocab", str(out / "vocab.txt"),
+                                  "--out", str(tmp_path / "audit")])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["total_samples"] == 6
+    assert alive_at_call == [0] * 6
+
+
+def test_privacy_holds_each_set_once(runner, tmp_path):
+    """Each set is one dense matrix, filled a stream at a time: `privacy`
+    makes no list of dense arrays and no stacked copy of one."""
+    n, width = 24, 4096
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("train", "heldout", "synthetic"):
+        grids = np.zeros((n, width), np.int32)
+        grids[:, :8] = rng.integers(1, 50, (n, 8))
+        paths.append(write_streams(tmp_path / f"{name}.jsonl", grids))
+    forms, tokens = cli_mod._forms_and_tokens(paths[0])
+    assert forms == [("flattened", (width,))] and tokens.shape == (n, width)
+    assert np.array_equal(tokens, np.stack([s.tokens for s in load_streams(paths[0])]))
+    one_set = n * width * np.dtype(np.int32).itemsize
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["privacy", "--train", paths[0], "--heldout", paths[1],
+                                      "--synthetic", paths[2], "--nr", "2",
+                                      "--out", str(tmp_path / "privacy")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    # the three matrices and the attack's temporaries; a second copy of each
+    # set, as a list of dense arrays or a stack of one, would be three more
+    assert peak < 5 * one_set
 
 
 @pytest.mark.parametrize("corrupt, reason", [
@@ -838,9 +896,9 @@ def _with_column(i, **fields):
     (json.dumps(_with_column(0, low=1)).replace('"low": 1', '"low": -1e400'),
      "column lab.value: low and high must be finite"),
     (_with_column(0, decimals=-1), "column lab.value: decimals must be >= 0"),
-    (_config(tables=[{"name": "lab"}]), "missing field 'columns'"),
+    (_config(tables=[{"name": "lab"}]), "tables[0] 'lab': missing field 'columns'"),
     (json.dumps(_with_column(0, high=2)).replace('"high": 2', '"high": ' + "1" * 401),
-     "high: int too large to convert to float"),
+     "tables[0] 'lab', columns[0] 'value': high: int too large to convert to float"),
 ], ids=["events-inverted", "low-above-high", "no-choices", "no-codes", "undefined-codes",
         "not-an-object", "nan", "minus-infinity", "high-past-float", "low-past-float",
         "negative-decimals", "table-without-columns", "high-a-401-digit-integer"])
@@ -854,22 +912,27 @@ def test_gen_names_the_fault_of_its_config(runner, tmp_path, doc, reason):
 
 
 @pytest.mark.parametrize("edit, reason", [
-    (lambda doc: doc["patients"][0].update(id=5), "id must be a JSON string"),
-    (lambda doc: doc["patients"][0].pop("id"), "missing field 'id'"),
-    (lambda doc: doc["patients"][0].update(labels="x"), "labels must be a JSON object"),
+    (lambda doc: doc["patients"][0].update(id=5), "patients[0]: id must be a JSON string"),
+    (lambda doc: doc["patients"][0].pop("id"), "patients[0]: missing field 'id'"),
+    (lambda doc: doc["patients"][0].update(labels="x"),
+     "patients[0] 'p00000': labels must be a JSON object"),
     (lambda doc: doc["patients"][1].update(labels={"outcome": [1]}),
-     "labels 'outcome' must be a JSON integer"),
+     "patients[1] 'p00001': labels 'outcome' must be a JSON integer"),
     (lambda doc: doc["patients"][1].update(labels={"outcome": True}),
-     "labels 'outcome' must be a JSON integer"),
-    (lambda doc: doc["patients"][1].update(age=3), "unknown key 'age'"),
+     "patients[1] 'p00001': labels 'outcome' must be a JSON integer"),
+    (lambda doc: doc["patients"][1].update(age=3), "patients[1] 'p00001': unknown key 'age'"),
     (lambda doc: doc["patients"].append(doc["patients"][2]),
      "patient 'p00002': listed twice in the schema"),
     (lambda doc: doc.update(patients={}), "patients must be a JSON list of objects"),
     (lambda doc: doc.update(extra=1), "unknown key 'extra'"),
-    (lambda doc: doc["tables"][0]["columns"][1].update(low=3), "unknown key 'low'"),
+    (lambda doc: doc["tables"][0]["columns"][1].update(low=3),
+     "tables[0] 'lab', columns[1] 'value': unknown key 'low'"),
+    (lambda doc: doc["patients"][3].update(id=None), "patients[3]: id must be a JSON string"),
+    (lambda doc: doc["tables"][1]["columns"][2].update(choices=["oral"]),
+     "tables[1] 'prescription', columns[2] 'route': unknown key 'choices'"),
 ], ids=["id-a-number", "no-id", "labels-a-string", "label-a-list", "label-a-boolean",
         "entry-unknown-key", "patient-twice", "patients-an-object", "document-unknown-key",
-        "column-low"])
+        "column-low", "fourth-id-null", "route-choices"])
 def test_load_checks_the_whole_schema_before_any_table(runner, tmp_path, edit, reason):
     corpus = tmp_path / "corpus"
     runner.invoke(main, ["gen", "--seed", "2", "--n-patients", "6", "--out", str(corpus)])

@@ -259,14 +259,17 @@ _UNIT = {"name": "unit", "type": "text"}
     ([{"name": "lab", "columns": [_UNIT] * 2}],
      "table 'lab', column 'unit': named twice in the schema"),
     ([{"name": " ", "columns": [_UNIT]}], "table ' ': blank name in the schema"),
-    ([{"name": 5, "columns": [_UNIT]}], "name must be a JSON string"),
-    ([{"name": "lab", "columns": "abc"}], "columns must be a JSON list of objects"),
-    ([{"name": "lab"}], "missing field 'columns'"),
-    ([{"name": "lab", "columns": [{"name": "unit"}]}], "missing field 'type'"),
+    ([{"name": 5, "columns": [_UNIT]}], "tables[0]: name must be a JSON string"),
+    ([{"name": "lab", "columns": "abc"}],
+     "tables[0] 'lab': columns must be a JSON list of objects"),
+    ([{"name": "lab"}], "tables[0] 'lab': missing field 'columns'"),
+    ([{"name": "lab", "columns": [{"name": "unit"}]}],
+     "tables[0] 'lab', columns[0] 'unit': missing field 'type'"),
     ([{"name": "lab", "columns": [{**_UNIT, "type": "banana"}]}],
      "column lab.unit: unknown type 'banana'"),
     ("lab", "tables must be a JSON list of objects"),
-])
+], ids=["table-twice", "column-twice", "blank-table", "name-a-number", "columns-a-string",
+        "no-columns", "no-type", "unknown-type", "tables-a-string"])
 def test_load_refuses_a_bad_schema_before_reading_any_table(tmp_path, tables, reason):
     """The directory holds no table file: the schema error comes first, naming the schema."""
     path = tmp_path / "schema.json"
@@ -485,6 +488,45 @@ def test_generator_config_faults_name_the_file(tmp_path, edit, reason):
     with pytest.raises(C.CorpusError, match=reason) as info:
         C.load_generator_config(path)
     assert str(info.value).startswith(f"malformed generator config {path}: ")
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda doc: doc["tables"][1]["columns"][2].update(choices="oral"),
+     "tables[1] 'prescription', columns[2] 'route': choices must be a JSON list of strings"),
+    (lambda doc: doc["tables"][2]["columns"][0].update(kind="numeric"),
+     "tables[2] 'infusion', columns[0] 'item id': unknown key 'kind'"),
+    (lambda doc: doc["tables"][0]["columns"][1].pop("type"),
+     "tables[0] 'lab', columns[1] 'value': missing field 'type'"),
+    (lambda doc: doc["tables"][0]["columns"][1].update(high="9"),
+     "tables[0] 'lab', columns[1] 'value': high must be a JSON number"),
+    # a name that is not a string is not shown
+    (lambda doc: doc["tables"][0]["columns"][2].update(name=5),
+     "tables[0] 'lab', columns[2]: name must be a JSON string"),
+    (lambda doc: doc["tables"][1].update(name=["prescription"]),
+     "tables[1]: name must be a JSON string"),
+    (lambda doc: doc["tables"][1].update(columns={"a": 1}),
+     "tables[1] 'prescription': columns must be a JSON list of objects"),
+    (lambda doc: doc["tables"][2].update(columns=[*doc["tables"][2]["columns"], "rate"]),
+     "tables[2] 'infusion': columns must be a JSON list of objects"),
+    (lambda doc: doc["tables"][1].update(rows=3), "tables[1] 'prescription': unknown key 'rows'"),
+    # faults outside the lists, and checks of the built config, are as before
+    (lambda doc: doc.update(tables=["lab"]), "tables must be a JSON list of objects"),
+    (lambda doc: doc["tables"][1].update(columns=[]), "table 'prescription' has no columns"),
+    (lambda doc: doc["tables"][0]["columns"][1].update(low=9, high=1),
+     "column lab.value: range min > max"),
+], ids=["column-choices", "column-unknown-key", "column-no-type", "column-high", "column-name",
+        "table-name", "table-columns", "table-column-a-string", "table-unknown-key",
+        "tables-of-strings", "table-without-columns", "column-range"])
+def test_generator_config_faults_name_the_entry(tmp_path, edit, reason):
+    """A fault in a table or column entry names its place in its list and,
+    when it is a string, its name."""
+    doc = _config_json(C.default_config())
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(C.CorpusError) as info:
+        C.load_generator_config(path)
+    assert str(info.value) == f"malformed generator config {path}: {reason}"
 
 
 def test_generator_config_malformed_json_names_the_file(tmp_path):

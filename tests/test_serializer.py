@@ -770,3 +770,42 @@ def test_runs_of_equal_ids_are_read_by_their_label():
     a, c = len(RESERVED), len(RESERVED) + 1
     stream = S.dense_stream(np.array([[a, c, a, c]]), np.array([[1, 1, 4, 4]]))
     assert S.detokenize_events(stream, vocab) == [S.ReconstructedEvent(table="ac", timegap="##c")]
+
+
+# texts of units and words hold no \x1c-\x1f, which `str.split` reads as
+# whitespace; most come from a few fixed ones, "##" among them, so that
+# equal and nearly equal keys are common
+KEY_TEXTS = st.one_of(
+    st.sampled_from(["", "a", "##", "a ##b", "None"]),
+    st.text(st.characters(exclude_characters="\x1c\x1d\x1e\x1f"), max_size=3))
+KEY_GAPS = st.one_of(st.none(), st.sampled_from(["", "[tg1]"]), KEY_TEXTS)
+KEY_EVENTS = st.one_of(
+    st.builds(S.ReconstructedEvent, table=st.one_of(st.none(), st.just("raw"), KEY_TEXTS),
+              pairs=st.lists(st.tuples(KEY_TEXTS, KEY_TEXTS), max_size=2), timegap=KEY_GAPS),
+    st.builds(S.ReconstructedEvent, words=st.lists(KEY_TEXTS, max_size=3), timegap=KEY_GAPS),
+)
+
+
+def tuple_key(event):
+    """Reference: the tuple keys of events before a raw event's key was one
+    string, tagged by kind.  Untagged, a raw event without words and a
+    labeled one of table "raw" without pairs had one key."""
+    if event.words is not None:
+        return ("raw", tuple(event.words), event.timegap)
+    return ("labeled", event.table, tuple(event.pairs), event.timegap)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(KEY_EVENTS, min_size=2, max_size=12))
+def test_event_keys_are_equal_iff_the_tuple_keys_are(events):
+    for a in events:
+        for b in events:
+            assert (a.key() == b.key()) == (tuple_key(a) == tuple_key(b))
+
+
+def test_raw_event_keys_are_one_string():
+    raw = [S.ReconstructedEvent(words=w, timegap=g)
+           for w in ([], [""], ["", ""], ["a"], ["a", ""], ["##"]) for g in (None, "", "[tg1]")]
+    keys = [e.key() for e in raw]
+    assert all(type(k) is str for k in keys) and len(set(keys)) == len(raw)
+    assert S.ReconstructedEvent(table="raw", timegap=None).key() not in keys
