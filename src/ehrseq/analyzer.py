@@ -14,8 +14,9 @@ FFN_MULTIPLIER = 4  # transformer feed-forward width, in multiples of d
 
 @dataclass(frozen=True)
 class CostModel:
+    """Cost settings; their defaults are those of `plan` and `analyze` too."""
     kernel: int = 5
-    attention_variant: str = FULL_ATTENTION
+    attention_variant: str = LINEAR_ATTENTION
 
     def __post_init__(self):
         if self.kernel < 1 or self.kernel % 2 == 0:

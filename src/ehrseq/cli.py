@@ -164,7 +164,7 @@ def serialize(in_dir, out_dir, vocab_path, min_count, n_e, n_tpe, n_t):
 def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
     """Emit a layer plan (or a latent-grid sweep) with its analysis report."""
     n, d = _parse_pair(input_shape, "x", "NxD shape")
-    cost = CostModel(kernel=kernel, attention_variant=LINEAR_ATTENTION)  # a CNN has no attention
+    cost = CostModel(kernel=kernel)
     if grid:
         l_min, l_max = _parse_pair(grid, ":", "LMIN:LMAX")
         rows = ["l\tt\tc\tbackbone\trate\tparams\tflops"]
@@ -193,7 +193,7 @@ def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
 @click.option("--plan", "plan_path", type=click.Path(), required=True)
 @click.option("--kernel", type=int, default=CostModel.kernel)
 @click.option("--attention", type=click.Choice([FULL_ATTENTION, LINEAR_ATTENTION]),
-              default=LINEAR_ATTENTION, help="Attention cost; the default is plan's.")
+              default=CostModel.attention_variant, help="Attention cost; plan's by default.")
 @_run
 def analyze(plan_path, kernel, attention):
     """Analyze an existing plan document: shapes and per-layer params and FLOPs."""
@@ -305,8 +305,13 @@ def privacy_cmd(train_path, heldout_path, synthetic_path, n_r, thresholds, seed,
 @_run
 def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
     """Token accuracy between stream files and/or AUROC over scored labels."""
-    printed = False
-    if reference_path and hypothesis_path:
+    if (reference_path is None) != (hypothesis_path is None):
+        raise metrics_mod.MetricError("--reference needs --hypothesis" if hypothesis_path is None
+                                      else "--hypothesis needs --reference")
+    if reference_path is None and not scores_path:
+        raise metrics_mod.MetricError(
+            "nothing to compute: pass --reference/--hypothesis or --scores")
+    if reference_path is not None:
         refs = serializer.load_streams(reference_path)
         hyps = serializer.load_streams(hypothesis_path)
         if len(refs) != len(hyps):
@@ -322,7 +327,6 @@ def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
         defined = [v for v in values if v is not None]
         mean = sum(defined) / len(defined) if defined else None
         click.echo(f"token_accuracy\t{mean}")
-        printed = True
     if scores_path:
         scores, labels = [], []
         with reading(scores_path, metrics_mod.MetricError):
@@ -340,11 +344,8 @@ def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
                     f"{scores_path}:{row}: expected score<TAB>label") from None
             scores.append(score)
             labels.append(label)
-        click.echo(f"auroc\t{metrics_mod.auroc(scores, labels)}")
-        printed = True
-    if not printed:
-        raise metrics_mod.MetricError(
-            "nothing to compute: pass --reference/--hypothesis or --scores")
+        with reading(scores_path, metrics_mod.MetricError):  # a table of one class names it
+            click.echo(f"auroc\t{metrics_mod.auroc(scores, labels)}")
 
 
 if __name__ == "__main__":

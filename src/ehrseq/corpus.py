@@ -160,34 +160,6 @@ class Corpus:
     definitions: dict[str, str]
     schema: list[TableSpec]
 
-    def validate(self) -> None:
-        """Each schema table, and each column within its table, is named once.
-        Patient ids are not empty.  Events come in time order, each with
-        exactly its schema table's columns, of the declared kinds, and with
-        resolvable itemized codes; a breach names patient, table and column."""
-        _check_schema(self.schema)
-        known = {t.name: {c.name: c.kind for c in t.columns} for t in self.schema}
-        for i, p in enumerate(self.patients):
-            if not p.patient_id:
-                raise CorpusError(f"patient at position {i}: empty patient id")
-            prev = -1
-            for e in p.events:
-                if e.timestamp < prev:
-                    raise CorpusError(f"{_at(p, e)}: events out of order")
-                prev = e.timestamp
-                kinds = known.get(e.table_name)
-                if kinds is None:
-                    raise CorpusError(f"{_at(p, e)}: table not in the schema")
-                if len(e.columns) != len(kinds) or dict(e.columns).keys() != kinds.keys():
-                    raise CorpusError(f"{_at(p, e)}, {_column_mismatch(list(kinds), e.columns)}")
-                for col, cell in e.columns:
-                    if cell.kind != kinds[col]:
-                        raise CorpusError(f"{_at(p, e)}, column {col!r}: cell kind {cell.kind} "
-                                          f"does not match declared {kinds[col]}")
-                    if cell.kind == ITEMIZED and cell.value not in self.definitions:
-                        raise CorpusError(f"{_at(p, e)}, column {col!r}: "
-                                          f"unresolvable itemized code {cell.value!r}")
-
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -304,7 +276,7 @@ def generate_corpus(config: GeneratorConfig) -> Corpus:
             cells = tuple((c.name, _generate_cell(rng, c)) for c in table.columns)
             events.append(EventRecord(table.name, cells, ts))
         patients.append(PatientRecord(f"p{i:05d}", events, labels={"outcome": rng.randint(0, 1)}))
-    # valid by construction from a valid config; `corpus_files` validates it on write
+    # valid by construction from a valid config; `corpus_files` checks it on write
     return Corpus(patients, dict(config.definitions), list(config.tables))
 
 
@@ -440,19 +412,42 @@ def _tsv_row(fields: list[str], names: list[str], where: str) -> str:
     return line
 
 
+def _header(table: TableSpec) -> list[str]:  # a table file's first row
+    return ["patient_id", "timestamp_seconds"] + [c.name for c in table.columns]
+
+
 def corpus_files(corpus: Corpus) -> dict[str, str]:
-    """The files of a corpus directory, name -> text.  A corpus that fails
-    `Corpus.validate`, or a value the format cannot hold, is refused."""
-    corpus.validate()
-    headers = {t.name: ["patient_id", "timestamp_seconds"] + [c.name for c in t.columns]
-               for t in corpus.schema}
+    """The files of a corpus directory, name -> text, in one walk that checks
+    each event before writing its row: time order, exactly its schema table's
+    columns, the declared kinds, resolvable itemized codes.  A bad schema, an
+    empty patient id or a value the format cannot hold is refused too."""
+    _check_schema(corpus.schema)
+    headers = {t.name: _header(t) for t in corpus.schema}
+    known = {t.name: {c.name: c.kind for c in t.columns} for t in corpus.schema}
     tables = {name: [_tsv_row(header, header, f"table {name!r}")]
               for name, header in headers.items()}
-    for p in corpus.patients:
+    for i, p in enumerate(corpus.patients):
+        if not p.patient_id:
+            raise CorpusError(f"patient at position {i}: empty patient id")
+        prev = -1
         for e in p.events:
-            header, cells = headers[e.table_name], dict(e.columns)
-            row = [p.patient_id, str(e.timestamp)] + [cells[name].value for name in header[2:]]
-            tables[e.table_name].append(_tsv_row(row, header, _at(p, e)))
+            if e.timestamp < prev:
+                raise CorpusError(f"{_at(p, e)}: events out of order")
+            prev = e.timestamp
+            kinds, cells = known.get(e.table_name), dict(e.columns)
+            if kinds is None:
+                raise CorpusError(f"{_at(p, e)}: table not in the schema")
+            if len(e.columns) != len(kinds) or cells.keys() != kinds.keys():
+                raise CorpusError(f"{_at(p, e)}, {_column_mismatch(list(kinds), e.columns)}")
+            for col, cell in e.columns:
+                if cell.kind != kinds[col]:
+                    raise CorpusError(f"{_at(p, e)}, column {col!r}: cell kind {cell.kind} "
+                                      f"does not match declared {kinds[col]}")
+                if cell.kind == ITEMIZED and cell.value not in corpus.definitions:
+                    raise CorpusError(f"{_at(p, e)}, column {col!r}: "
+                                      f"unresolvable itemized code {cell.value!r}")
+            row = [p.patient_id, str(e.timestamp)] + [cells[name].value for name in kinds]
+            tables[e.table_name].append(_tsv_row(row, headers[e.table_name], _at(p, e)))
     files = {f"{name}.tsv": "\n".join(lines) + "\n" for name, lines in tables.items()}
 
     files["definitions.tsv"] = "".join(
@@ -515,7 +510,7 @@ def _read_table(table_path: Path, table: TableSpec, definitions: dict[str, str],
         raise CorpusError(f"missing table file {table_path}")
     with reading(table_path, CorpusError):
         lines = table_path.read_text().split("\n")
-    expected = ["patient_id", "timestamp_seconds"] + [c.name for c in table.columns]
+    expected = _header(table)
     if lines == [""]:
         return TableColumns(table.name, [], [], [[] for _ in table.columns])
     header = lines[0].split("\t")
@@ -623,7 +618,7 @@ def load_corpus(path: Path | str, events: bool = True) -> Corpus | CorpusColumns
     that is returned when `events` is false; otherwise each kept patient gets
     its events in schema table order, then file row order, then stably sorted
     by timestamp (non-monotone timestamps are sorted, not rejected).  Every
-    invariant of `Corpus.validate` holds by construction."""
+    invariant that `corpus_files` checks holds by construction."""
     read = _read_columns(path)
     if not events:
         return read

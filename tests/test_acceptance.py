@@ -13,7 +13,8 @@ from ehrseq import audit as A
 from ehrseq import corpus as C
 from ehrseq import planner as P
 from ehrseq import serializer as S
-from ehrseq.analyzer import CostModel, analysis_report, validate_plan
+from ehrseq.analyzer import (FULL_ATTENTION, LINEAR_ATTENTION, CostModel, analysis_report,
+                             validate_plan)
 from ehrseq.metrics import auroc
 from ehrseq.privacy import AttackConfig, membership_attack
 from ehrseq.serializer import ReconstructedEvent
@@ -239,12 +240,14 @@ def test_criterion_9_auroc_oracle(capsys):
 
 
 def test_criterion_10_cost_ordering(capsys):
-    cost = CostModel()
-    for _, specs in P.search_grid(256, 4096):
-        for spec in specs:
-            cnn = P.cnn_plan(8192, 256, spec.t, spec.c)
-            trf = P.transformer_plan(8192, 256, spec.t, spec.c, n_l=4)
-            cnn_report, trf_report = analysis_report(cnn, cost), analysis_report(trf, cost)
-            assert cnn_report["params"] < trf_report["params"]
-            assert cnn_report["flops"] < trf_report["flops"]
-    _report(capsys, "PASS criterion 10: CNN < Transformer params and FLOPs on every grid point")
+    for cost in (CostModel(attention_variant=FULL_ATTENTION),
+                 CostModel(attention_variant=LINEAR_ATTENTION)):
+        for _, specs in P.search_grid(256, 4096):
+            for spec in specs:
+                cnn = P.cnn_plan(8192, 256, spec.t, spec.c)
+                trf = P.transformer_plan(8192, 256, spec.t, spec.c, n_l=4)
+                cnn_report, trf_report = analysis_report(cnn, cost), analysis_report(trf, cost)
+                assert cnn_report["params"] < trf_report["params"]
+                assert cnn_report["flops"] < trf_report["flops"]
+    _report(capsys, "PASS criterion 10: CNN < Transformer params and FLOPs on every grid "
+                    "point, full and linear attention")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ehrseq import planner as P
@@ -149,3 +150,41 @@ def test_report_rejects_plan_whose_shapes_do_not_propagate():
                                           r"from \(4, 3\)$"):
         analysis_report(plan)
     assert validate_plan(plan) == ["layer 0: layer Ld produces non-integral shape from (4, 3)"]
+
+
+def _run_conv(x, op, k, rng):
+    """Execute one encoder conv layer on an (n, d) input: kernel k along n,
+    zero padding k // 2, stride 2 along n for Ln and Lnd, d_out channels as
+    `OP_KINDS` says.  Returns the output, the weight and bias arrays, and the
+    multiply-adds executed."""
+    n, d = x.shape
+    d_out = P.OP_KINDS[op.kind].shape(n, d, op)[1]
+    stride = 2 if op.kind in (P.LN, P.LND) else 1
+    weight, bias = rng.standard_normal((k, d, d_out)), rng.standard_normal(d_out)
+    padded = np.pad(x, ((k // 2, k // 2), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)[::stride]
+    out = np.einsum("ndk,kde->ne", windows, weight) + bias
+    return out, (weight, bias), windows.shape[0] * weight.size
+
+
+def _small_cnn_plans():
+    sizes = [2 ** i for i in range(7)]  # 1 to 64
+    return [P.cnn_plan(n, d, n_out, d_out) for n in sizes for d in sizes[:5]
+            for n_out in sizes if n_out <= n for d_out in sizes if d_out <= d]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_executed_conv_layers_match_their_trace_rows(k):
+    rng = np.random.default_rng(k)
+    plans = _small_cnn_plans()
+    assert len(plans) == 28 * 15
+    for plan in plans:
+        x = rng.standard_normal(plan.input_shape)
+        for op, row in zip(plan.ops, analysis_report(plan, CostModel(kernel=k))["trace"],
+                           strict=True):
+            out, arrays, multiply_adds = _run_conv(x, op, k, rng)
+            assert out.shape == P.OP_KINDS[op.kind].shape(*x.shape, op) == tuple(row["shape"])
+            assert sum(a.size for a in arrays) == row["params"]
+            assert 2 * multiply_adds == row["flops"]
+            x = out
+        assert x.shape == plan.output_shape

@@ -17,6 +17,7 @@ from ehrseq import audit as audit_mod
 from ehrseq import cli as cli_mod
 from ehrseq import corpus as corpus_mod
 from ehrseq import planner, serializer
+from ehrseq.analyzer import analysis_report
 from ehrseq.cli import main
 from ehrseq.manifest import json_text
 from ehrseq.serializer import SerializerConfig, dense_stream, load_streams, save_streams
@@ -416,6 +417,7 @@ def test_analyze_reproduces_the_plan_report(runner, tmp_path, backbone, flops):
     assert result.exit_code == 0, result.output
     report = json.loads((tmp_path / "analysis.json").read_text())
     assert json.loads(result.output) == report
+    assert analysis_report(planner.load_plan(tmp_path / "plan.json")) == report
     assert flops is None or report["flops"] == flops
 
 
@@ -587,6 +589,30 @@ def test_metrics_names_row_of_bad_score(runner, tmp_path, row):
 def test_metrics_without_inputs_fails(runner):
     result = CliRunner().invoke(main, ["metrics"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("given, missing", [("reference", "hypothesis"),
+                                             ("hypothesis", "reference")])
+@pytest.mark.parametrize("with_scores", [False, True])
+def test_metrics_refuses_half_a_stream_pair(runner, tmp_path, given, missing, with_scores):
+    streams = write_streams(tmp_path / "streams.jsonl", [[4, 5, 6, 7]])
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("0.1\t0\n0.8\t1\n")
+    args = ["metrics", f"--{given}", streams] + (["--scores", str(scores)] if with_scores else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output == f"error: --{given} needs --{missing}\n"
+
+
+@pytest.mark.parametrize("rows", ["0.1\t1\n0.8\t1\n", "", "\n \n"],
+                         ids=["one class", "no rows", "blank lines"])
+def test_metrics_names_the_score_table_of_an_auroc_fault(runner, tmp_path, rows):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(rows)
+    result = runner.invoke(main, ["metrics", "--scores", str(scores)])
+    assert result.exit_code == 1
+    assert result.output == (f"error: {scores}: AUROC needs at least one example "
+                             f"of each class\n")
 
 
 def test_manifest_contents(runner, tmp_path):

@@ -328,12 +328,19 @@ def test_a_bad_cell_that_repeats_names_its_first_row(tmp_path):
     assert str(info.value) == f"{lab}:3: column 'item': unknown code '50009'"
 
 
-def test_gen_validates_the_corpus_once(tmp_path, monkeypatch):
-    calls = []
-    validate = C.Corpus.validate
-    monkeypatch.setattr(C.Corpus, "validate", lambda self: calls.append(1) or validate(self))
-    C.save_corpus(C.generate_corpus(C.default_config(seed=3, n_patients=4)), tmp_path)
-    assert len(calls) == 1
+def test_corpus_files_walks_each_patients_events_once():
+    class Events(list):  # a list that counts the walks over it
+        walks = 0
+
+        def __iter__(self):
+            Events.walks += 1
+            return super().__iter__()
+
+    corpus = C.generate_corpus(C.default_config(seed=3, n_patients=4))
+    for p in corpus.patients:
+        p.events = Events(p.events)
+    C.corpus_files(corpus)
+    assert Events.walks == len(corpus.patients)
 
 
 def test_table_without_columns_is_refused(tmp_path):
