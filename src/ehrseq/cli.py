@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -247,25 +249,23 @@ def audit_cmd(real_dir, generated_path, vocab_path, out_dir):
     vocab = Vocabulary.load(vocab_path)
     triples = audit_mod.build_triples(real, vocab)
     del real  # freed before the streams load, so the two never share the peak
-    streams = serializer.load_streams(generated_path)
-    # one sample's events at a time: each is scored and dropped before the next
+    streams = serializer.load_streams(generated_path, ("tokens", "type_labels"))
+    # one stream read and one sample's events at a time: each is scored and
+    # dropped before the next
     samples = (serializer.detokenize_events(s, vocab) for s in streams)
     text = json_text(asdict(audit_mod.score(samples, triples, vocab)))
     _save(out_dir, {"audit_report.json": text})
     click.echo(text, nl=False)
 
 
-def _forms_and_tokens(path) -> tuple[list, np.ndarray]:
-    """A stream file's distinct (layout, shape) pairs and its dense token
-    arrays as one matrix (records, *shape), filled one stream at a time; its
-    streams are dropped before the next file is read."""
-    streams = serializer.load_streams(path)
-    forms = sorted({(s.layout, s.shape) for s in streams})
-    # a file of several forms gets no matrix: the caller refuses it, naming each file's forms
-    tokens = np.empty((len(streams), *forms[0][1]) if len(forms) == 1 else 0, np.int32)
-    for row, s in zip(tokens, streams):
-        row[...] = s.tokens
-    return forms, tokens
+def _drawn_tokens(path, drawn: list[int], n: int) -> list:
+    """A set of n stream records read for its drawn ones alone (`drawn` in
+    file order): each drawn record's dense tokens at its position, None at
+    every other."""
+    rows = [None] * n
+    for i, s in zip(drawn, serializer.load_streams(path, ("tokens",), records=set(drawn))):
+        rows[i] = s.tokens
+    return rows
 
 
 @main.command("privacy")
@@ -283,12 +283,24 @@ def privacy_cmd(train_path, heldout_path, synthetic_path, n_r, thresholds, seed,
         cuts = tuple(map(float, thresholds.split(",")))
     config = privacy.AttackConfig(n_r, cuts, seed)
     paths = (train_path, heldout_path, synthetic_path)
-    forms, tokens = zip(*map(_forms_and_tokens, paths))
+    # train and held-out are read for each record's form alone, no value parsed
+    forms = [Counter((s.layout, s.shape) for s in serializer.load_streams(path, ()))
+             for path in paths[:2]]
+    synthetic = list(serializer.load_streams(synthetic_path, ("tokens",)))
+    forms.append(Counter((s.layout, s.shape) for s in synthetic))
     if len(set().union(*forms)) > 1:
         raise privacy.PrivacyError("streams differ in layout or shape: " + "; ".join(
-            f"{path}: " + ", ".join(f"{layout} {shape}" for layout, shape in form)
+            f"{path}: " + ", ".join(f"{layout} {shape}" for layout, shape in sorted(form))
             for path, form in zip(paths, forms)))
-    report = privacy.membership_attack(*tokens, config)
+    # the pool's draw depends on the set sizes alone, so only its records' tokens are read
+    sizes = tuple(form.total() for form in forms)
+    train, heldout = (_drawn_tokens(path, drawn, n) for path, drawn, n
+                      in zip(paths, privacy.draw_pool(sizes, config), sizes))
+    tokens = np.empty((len(synthetic), *synthetic[0].shape), np.int32)
+    for row, s in zip(tokens, synthetic):
+        row[...] = s.tokens
+    del synthetic
+    report = privacy.membership_attack(train, heldout, tokens, config)
     curve = "threshold\tprecision\trecall\n" + "".join(
         f"{t}\t{'' if p is None else p}\t{'' if r is None else r}\n" for t, p, r in report.rows())
     _save(out_dir, {"privacy_curve.tsv": curve, "privacy_report.json": json_text(asdict(report))},
@@ -308,22 +320,32 @@ def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
     if (reference_path is None) != (hypothesis_path is None):
         raise metrics_mod.MetricError("--reference needs --hypothesis" if hypothesis_path is None
                                       else "--hypothesis needs --reference")
+    if include_pads and reference_path is None:
+        raise metrics_mod.MetricError("--include-pads needs --reference and --hypothesis")
     if reference_path is None and not scores_path:
         raise metrics_mod.MetricError(
             "nothing to compute: pass --reference/--hypothesis or --scores")
     if reference_path is not None:
-        refs = serializer.load_streams(reference_path)
-        hyps = serializer.load_streams(hypothesis_path)
-        if len(refs) != len(hyps):
-            raise metrics_mod.MetricError(f"{reference_path} vs {hypothesis_path}: stream "
-                                          f"counts differ: {len(refs)} vs {len(hyps)}")
-        values = []
-        for r, h in zip(refs, hyps):
+        # one stream pair at a time, tokens only; a pair's fault waits until
+        # the stream counts are known to agree
+        pairs = itertools.zip_longest(serializer.load_streams(reference_path, ("tokens",)),
+                                      serializer.load_streams(hypothesis_path, ("tokens",)))
+        values, counts, fault = [], [0, 0], None
+        for r, h in pairs:
+            counts[0] += r is not None
+            counts[1] += h is not None
+            if r is None or h is None or fault is not None:
+                continue
             try:
                 values.append(metrics_mod.token_accuracy(r, h, include_pads))
             except metrics_mod.MetricError as exc:
-                raise metrics_mod.MetricError(f"{reference_path} vs {hypothesis_path}, patient "
-                                              f"{r.patient_id!r}: {exc}") from None
+                fault = metrics_mod.MetricError(f"{reference_path} vs {hypothesis_path}, "
+                                                f"patient {r.patient_id!r}: {exc}")
+        if counts[0] != counts[1]:
+            raise metrics_mod.MetricError(f"{reference_path} vs {hypothesis_path}: stream "
+                                          f"counts differ: {counts[0]} vs {counts[1]}")
+        if fault is not None:
+            raise fault
         defined = [v for v in values if v is not None]
         mean = sum(defined) / len(defined) if defined else None
         click.echo(f"token_accuracy\t{mean}")

@@ -49,38 +49,49 @@ class PrivacyReport:
         return [(r.threshold, r.precision, r.recall) for r in self.results]
 
 
-def _as_matrix(streams: Sequence[np.ndarray], name: str) -> np.ndarray:
-    """One set's streams, which must share one shape, as one matrix (records,
-    *shape): a matrix is used as it is, not copied; a sequence is stacked."""
-    shapes = sorted({np.shape(s) for s in streams})
+def _set_shape(records: Sequence[Optional[np.ndarray]], name: str) -> tuple[int, ...]:
+    """The one shape of a set's records, None items aside."""
+    shapes = sorted({np.shape(r) for r in records if r is not None})
     if len(shapes) > 1:
         raise PrivacyError(f"the {name} streams differ in shape: {shapes}")
-    return np.asarray(streams)
+    return shapes[0]
 
 
-def membership_attack(train: Sequence[np.ndarray], heldout: Sequence[np.ndarray],
-                      synthetic: Sequence[np.ndarray],
-                      config: AttackConfig) -> PrivacyReport:
+def draw_pool(sizes: tuple[int, int, int], config: AttackConfig) -> tuple[list[int], list[int]]:
+    """The pool of an attack on a train, a held-out and a synthetic set of
+    these sizes: n_r seeded, sorted indices into train and n_r into held-out.
+    The draw depends on the sizes alone, so a caller may read those records
+    alone.  An empty set, and a train or held-out set under n_r, is refused."""
+    for name, size in zip(("train", "held-out", "synthetic"), sizes):
+        if size == 0:
+            raise PrivacyError(f"the {name} set is empty")
+    n_train, n_heldout, _ = sizes
+    if n_train < config.n_r or n_heldout < config.n_r:
+        raise PrivacyError(f"need at least n_r={config.n_r} records in train and held-out")
+    rng = random.Random(config.seed)
+    return (sorted(rng.sample(range(n_train), config.n_r)),
+            sorted(rng.sample(range(n_heldout), config.n_r)))
+
+
+def membership_attack(train: Sequence[Optional[np.ndarray]],
+                      heldout: Sequence[Optional[np.ndarray]],
+                      synthetic: Sequence[np.ndarray], config: AttackConfig) -> PrivacyReport:
     """Flag pool records whose nearest synthetic record is within threshold.
 
-    The pool is n_r seeded samples from train plus n_r from held-out; a
-    record counts as an inferred member iff its minimum normalized Hamming
-    distance over all synthetic records is <= the threshold.
+    The pool is n_r seeded samples from train plus n_r from held-out (see
+    `draw_pool`); a record counts as an inferred member iff its minimum
+    normalized Hamming distance over all synthetic records is <= the
+    threshold.  Only pooled train and held-out records are compared, so a
+    caller may hold None for each other one.  A synthetic matrix is used as
+    it is, not copied; a sequence of arrays is stacked.
     """
-    sets = (("train", train), ("held-out", heldout), ("synthetic", synthetic))
-    for name, streams in sets:
-        if len(streams) == 0:
-            raise PrivacyError(f"the {name} set is empty")
-    train_m, heldout_m, synth_m = (_as_matrix(streams, name) for name, streams in sets)
-    if not train_m.shape[1:] == heldout_m.shape[1:] == synth_m.shape[1:]:
+    train_idx, heldout_idx = draw_pool((len(train), len(heldout), len(synthetic)), config)
+    shapes = [_set_shape(records, name) for name, records
+              in (("train", train), ("held-out", heldout), ("synthetic", synthetic))]
+    if not shapes[0] == shapes[1] == shapes[2]:
         raise PrivacyError("train/held-out/synthetic streams must share a shape")
-    if len(train_m) < config.n_r or len(heldout_m) < config.n_r:
-        raise PrivacyError(f"need at least n_r={config.n_r} records in train and held-out")
-
-    rng = random.Random(config.seed)
-    train_idx = sorted(rng.sample(range(len(train_m)), config.n_r))
-    heldout_idx = sorted(rng.sample(range(len(heldout_m)), config.n_r))
-    pool = np.concatenate([train_m[train_idx], heldout_m[heldout_idx]])
+    synth_m = np.asarray(synthetic)
+    pool = np.stack([train[i] for i in train_idx] + [heldout[i] for i in heldout_idx])
     is_member = np.arange(len(pool)) < config.n_r
 
     length = pool[0].size

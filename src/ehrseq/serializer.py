@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import bisect
 import json
+import operator
 import re
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -79,8 +81,9 @@ class SerializerConfig:
                 raise SerializeError(f"{name}={v} must be a power of two")
 
 
-# Stream channels in record order, and the fill value of each.
-_CHANNELS = ("tokens", "type_labels", "dpe_labels")
+# Stream channels in record order, and the fill value of each: every fill
+# is 0, so a channel's cells that differ from its fill are its nonzero cells.
+CHANNELS = ("tokens", "type_labels", "dpe_labels")
 _FILLS = (PAD_ID, TokenType.PAD, DPE_NON_DIGIT)
 
 # Layout names by the rank of the stream's shape: 1-D, then 2-D.
@@ -111,7 +114,7 @@ class TokenStream:
         if lengths.size and not 0 <= lengths.min() <= lengths.max() <= width:
             raise SerializeError(f"row length outside 0..{width}")
         total = int(lengths.sum())
-        for name, payload in zip(_CHANNELS, self.cells):
+        for name, payload in zip(CHANNELS, self.cells):
             if payload is not None and payload.shape != (total,):
                 raise SerializeError(f"{name} payload does not hold sum(lengths) = {total} cells")
         if self.event_boundaries is not None:
@@ -165,15 +168,32 @@ def dense_stream(tokens, type_labels=None, dpe_labels=None,
 
 
 def _checked_bounds(bounds, length: int) -> list[tuple[int, int]]:
-    """Event boundaries as [start, end] integer pairs, 0 <= start <= end <= length."""
+    """Event boundaries as [start, end] integer pairs, 0 <= start <= end <= length.
+    The pairs are checked together, and walked one by one only to name the
+    first bad one."""
     if not isinstance(bounds, list):
         raise SerializeError("event_boundaries must be a list")
-    for b in bounds:
-        if not (isinstance(b, (list, tuple)) and len(b) == 2
-                and all(type(x) is int for x in b) and 0 <= b[0] <= b[1] <= length):
-            raise SerializeError(f"event boundary {b!r} is not [start, end] with "
-                                 f"0 <= start <= end <= {length}")
-    return [tuple(b) for b in bounds]
+    if not _bounds_hold(bounds, length):
+        for b in bounds:
+            if not (isinstance(b, (list, tuple)) and len(b) == 2
+                    and all(type(x) is int for x in b) and 0 <= b[0] <= b[1] <= length):
+                raise SerializeError(f"event boundary {b!r} is not [start, end] with "
+                                     f"0 <= start <= end <= {length}")
+    return list(map(tuple, bounds))
+
+
+def _bounds_hold(bounds: list, length: int) -> bool:
+    """Whether every boundary is a list or tuple of two ints (not bools) in
+    range, checked by passes of C-level builtins over the pairs and their
+    values, with no Python loop."""
+    if not (set(map(type, bounds)) <= {list, tuple} and set(map(len, bounds)) <= {2}):
+        return False
+    values = list(chain.from_iterable(bounds))
+    if not set(map(type, values)) <= {int}:
+        return False
+    starts, ends = values[0::2], values[1::2]
+    return not values or (min(starts) >= 0 and max(ends) <= length
+                          and all(map(operator.le, starts, ends)))
 
 
 def textualize_cell(cell: CellValue, definitions: dict[str, str]) -> str:
@@ -444,8 +464,8 @@ def detokenize_events(stream: TokenStream, vocab: Vocabulary) -> list[Reconstruc
 # A record stores a stream as it is held: its "shape", its row "lengths" with
 # trailing zeros omitted, and each channel's cells as one flat list.  Records
 # without "shape" are dense: every channel is the full nested list, de-padded
-# on reading.  The "layout" name fixes the rank a record's shape or dense
-# lists must have.
+# on reading, where only the values inside the row lengths are parsed.  The
+# "layout" name fixes the rank a record's shape or dense lists must have.
 
 def stream_record(stream: TokenStream) -> str:
     """One stream as its de-padded JSON line, newline included."""
@@ -456,7 +476,7 @@ def stream_record(stream: TokenStream) -> str:
         "shape": list(stream.shape),
         "lengths": stream.lengths[: used[-1] + 1 if used.size else 0].tolist(),
     }
-    for name, cells in zip(_CHANNELS, stream.cells):
+    for name, cells in zip(CHANNELS, stream.cells):
         record[name] = None if cells is None else cells.tolist()
     record["event_boundaries"] = stream.event_boundaries
     return json_text(record)
@@ -474,25 +494,54 @@ def save_streams(streams: Iterable[TokenStream], path: Path | str) -> None:
 _LEXEME = re.compile(rb'("(?:[^"\\]|\\.)*")([ \t\n\r]*:[ \t\n\r]*)?|[{}]', re.DOTALL)
 _JSON_WS = b" \t\n\r"
 _ARRAY_BYTES = b"0123456789-,[]" + _JSON_WS
-_KEYS = {json.dumps(name).encode(): name for name in _CHANNELS}
+_KEYS = {json.dumps(name).encode(): name for name in CHANNELS}
+# A dense record line runs to hundreds of KB: a buffer larger than the line
+# reads it in one piece, where the default 8 KB buffer reads and joins it in
+# many.
+_READ_BUFFER = 1 << 20
 
 
-def load_streams(path: Path | str) -> list[TokenStream]:
-    """Read stream records, de-padded or dense; bad input names file and line."""
-    streams = []
-    with open(path, "rb") as fh:
+def load_streams(path: Path | str, channels: Optional[Iterable[str]] = None,
+                 records: Optional[Container[int]] = None):
+    """Read stream records, de-padded or dense; bad input names file and line.
+
+    With no `channels`, every channel of every record, as a list.  Given
+    `channels` (names of `CHANNELS`), the records come one at a time and only
+    those channels are decoded: each other channel is held as None, yet its
+    text passes every check of the record grammar but the 32-bit range, and
+    it counts toward a dense record's row lengths as a full read counts it.
+    Given `records` too, only the records at those positions (0 for the
+    file's first record) are read; the others are passed over unchecked.
+    The iterator opens the file when its first record is drawn."""
+    asked = CHANNELS if channels is None else tuple(channels)
+    if not set(asked) <= set(CHANNELS):
+        raise SerializeError(f"unknown channels {sorted(set(asked) - set(CHANNELS))}")
+    streams = _read_records(lambda: open(path, "rb", buffering=_READ_BUFFER), path, asked,
+                            records)
+    return list(streams) if channels is None else streams
+
+
+def _read_records(open_file, path, channels: tuple[str, ...],
+                  records: Optional[Container[int]]) -> Iterator[TokenStream]:
+    """A stream file's records, one at a time: the file is opened when the
+    first is drawn, and closed after the last or when the iterator is."""
+    with open_file() as fh:
+        position = -1
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+            if line.isspace():
                 continue
-            with reading(f"{path}, line {lineno}", SerializeError):
-                streams.append(_stream_from_line(line))
-    return streams
+            position += 1
+            if records is None or position in records:
+                with reading(f"{path}, line {lineno}", SerializeError):
+                    stream = _stream_from_line(line, channels)
+                yield stream
 
 
-def _stream_from_line(line: bytes) -> TokenStream:
-    """One record line: each channel's integer array is read from the line's
-    bytes by `_int_array`, the rest of the record by `json_doc`; a float is
-    refused by the check of the field that holds it."""
+def _stream_from_line(line: bytes, channels: tuple[str, ...] = CHANNELS) -> TokenStream:
+    """One record line: each channel's integer array is checked from the
+    line's bytes by `_array_form` and, if it is one of `channels`, parsed by
+    `_parse_values`; the rest of the record is read by `json_doc`.  A float
+    is refused by the check of the field that holds it."""
     rest, arrays = _cut_arrays(line)
     try:
         r = json_doc(rest.decode())
@@ -510,17 +559,35 @@ def _stream_from_line(line: bytes) -> TokenStream:
     shape = _checked_shape(r, rank) if "shape" in r else None
     if shape is not None:
         rank = 1  # a de-padded record holds each channel as one flat list
+    forms = []
+    for name in CHANNELS:
+        forms.append(_array_form(arrays[name], rank) if name in arrays else None)
+        if forms[-1] is None and (name in arrays or r.get(name) is not None):
+            _refuse_channel(json_doc(line.decode())[name], name, layout, rank)
+    dense = shape is None
+    if dense:  # the rows of every channel, read or not, set the row lengths
+        shape = forms[0][1]
+        if any(form is not None and form[1] != shape for form in forms):
+            raise SerializeError("label channel shape does not match token channel")
+        lengths = np.max([_dense_rows(*form) for form in forms if form is not None], axis=0)
+    else:
+        lengths = r["lengths"]
     cells = []
-    for name in _CHANNELS:
-        cells.append(_int_array(arrays[name], rank) if name in arrays else None)
-        if cells[-1] is None and (name in arrays or r.get(name) is not None):
+    for name, form in zip(CHANNELS, forms):
+        if form is None or name not in channels:
+            # an unread de-padded channel stands in by its shape, for the stream's count check
+            cells.append(None if form is None or dense else np.broadcast_to(False, form[1]))
+            continue
+        cells.append(_kept_values(*form, lengths) if dense
+                     else _parse_values(form[0][1:-1], form[1][0]))
+        if cells[-1] is None:
             _refuse_channel(json_doc(line.decode())[name], name, layout, rank)
     bounds, patient_id = r.get("event_boundaries"), r.get("patient_id", "")
     if type(patient_id) is not str:
         raise SerializeError("patient_id must be a JSON string")
-    if shape is not None:
-        return TokenStream(shape, r["lengths"], tuple(cells), bounds, patient_id)
-    return dense_stream(*cells, bounds, patient_id)
+    stream = TokenStream(shape, lengths, tuple(cells), bounds, patient_id)
+    stream.cells = tuple(c if name in channels else None for name, c in zip(CHANNELS, stream.cells))
+    return stream
 
 
 def _cut_arrays(line: bytes) -> tuple[bytes, dict[str, bytes]]:
@@ -540,7 +607,7 @@ def _cut_arrays(line: bytes) -> tuple[bytes, dict[str, bytes]]:
             name = _KEYS.get(m[1]) if b"\\" not in m[1] else json_doc(m[1].decode())
         except ValueError:
             continue  # a bad escape: the decoder names it
-        if name not in _CHANNELS:
+        if name not in CHANNELS:
             continue
         end = line.find(b'"', pos)
         end = len(line) if end < 0 else end
@@ -555,11 +622,13 @@ def _cut_arrays(line: bytes) -> tuple[bytes, dict[str, bytes]]:
     return b"".join(kept) + line[start:], arrays
 
 
-def _int_array(text: bytes, rank: int) -> Optional[np.ndarray]:
-    """A JSON array of integers (rank 1), or of equal-length arrays of them
-    (rank 2), as int32, from its text of array bytes; None if the text is not
-    one.  Each check runs on the whole text at once and one numpy parse reads
-    every value, so no Python object is made per value."""
+def _array_form(text: bytes, rank: int) -> Optional[tuple]:
+    """Every check that the text of array bytes is a JSON array of integers
+    (rank 1), or of equal-length arrays of them (rank 2), but their 32-bit
+    range.  Returns the text's bytes without whitespace, the array's shape,
+    and where in those bytes each comma and each row's "]" stand; None if
+    the text is not such an array.  Each check runs on the whole text at
+    once, so no Python object is made per value."""
     compact = text.translate(None, _JSON_WS)
     c = np.frombuffer(compact, np.uint8)
     opens, closes = np.flatnonzero(c == ord("[")), np.flatnonzero(c == ord("]"))
@@ -571,11 +640,11 @@ def _int_array(text: bytes, rank: int) -> Optional[np.ndarray]:
                           and np.array_equal(opens[2:], closes[:-2] + 2)  # rows split by "],["
                           and (c[closes[:-2] + 1] == ord(",")).all()):
         return None
-    comma = c == ord(",")
-    n_values = np.count_nonzero(comma) + 1
+    commas = np.flatnonzero(c == ord(","))
+    n_values = len(commas) + 1
     num = (c >= ord("-")) & (c <= ord("9"))  # a digit or "-": no array byte lies between
     if not num.any():  # no values: "[]", or rows that are all "[]"
-        return np.zeros((n_rows, 0) if rank == 2 else 0, np.int32) \
+        return (c, (n_rows, 0) if rank == 2 else (0,), commas, closes[:n_rows]) \
             if n_values == max(n_rows, 1) else None
     digit = num & (c != ord("-"))
     minus = np.flatnonzero(c == ord("-"))
@@ -587,19 +656,62 @@ def _int_array(text: bytes, rank: int) -> Optional[np.ndarray]:
             or ((c[1:-1] == ord("0")) & ~digit[:-2] & digit[2:]).any()  # leading zero
             or np.count_nonzero(raw_num[1:] & ~raw_num[:-1]) != n_values  # whitespace in a number
             or width * n_rows != n_values
-            or (rank == 2 and  # each row but the last holds width - 1 commas and the one after it
-                (np.add.reduceat(comma, opens[1:], dtype=np.intp)[:-1] != width).any())):
+            or (rank == 2 and  # row r's "]" follows (r + 1)·width - 1 commas
+                (np.searchsorted(commas, closes[:-2]) != np.arange(1, n_rows) * width - 1).any())):
         return None
-    values = np.fromstring(compact.translate(None, b"[]"), dtype=np.int64, sep=",")
-    if len(values) != n_values or values.min() < -2**31 or values.max() >= 2**31:
+    return c, (n_rows, width) if rank == 2 else (n_values,), commas, closes[:n_rows]
+
+
+def _parse_values(c: np.ndarray, count: int) -> Optional[np.ndarray]:
+    """The `count` comma-separated integers of checked array bytes without
+    brackets, as int32, parsed by numpy in one call; None if one needs more
+    than 32 bits."""
+    if count == 0:
+        return np.zeros(0, np.int32)
+    values = np.fromstring(c.tobytes(), dtype=np.int64, sep=",")
+    if len(values) != count or values.min() < -2**31 or values.max() >= 2**31:
         return None
-    values = values.astype(np.int32)
-    return values.reshape(n_rows, width) if rank == 2 else values
+    return values.astype(np.int32)
+
+
+def _dense_rows(c: np.ndarray, shape: tuple[int, ...], commas: np.ndarray,
+                closes: np.ndarray) -> np.ndarray:
+    """Per row of a dense channel's `_array_form`, one past its last value
+    that is not 0 (every fill is 0), read from the bytes with no value
+    parsed: a value is not 0 iff it holds a digit 1 to 9, and its index is
+    the count of commas before it."""
+    n_rows, width = _rows_shape(shape)
+    ends = np.zeros(n_rows, np.int64)
+    digits = np.flatnonzero((c >= ord("1")) & (c <= ord("9")))
+    if digits.size:
+        rows = np.searchsorted(closes, digits)
+        last = np.flatnonzero(np.diff(rows, append=n_rows))  # each row's last such digit
+        rows = rows[last]
+        ends[rows] = np.searchsorted(commas, digits[last]) - rows * width + 1
+    return ends
+
+
+def _kept_values(c: np.ndarray, shape: tuple[int, ...], commas: np.ndarray,
+                 closes: np.ndarray, lengths: np.ndarray) -> Optional[np.ndarray]:
+    """The first lengths[r] values of each row r of a dense channel's
+    `_array_form`, row after row, as `_parse_values` reads them: only those
+    values' bytes are parsed, the padding past them is not."""
+    width = _rows_shape(shape)[1]
+    rows = np.flatnonzero(lengths)
+    # a row's values start after its "[", which follows the "]," of the row before
+    starts = np.where(rows == 0, len(shape), closes[rows - 1] + 3)
+    last = rows * width + lengths[rows] - 1  # the index of each row's last kept value
+    stops = np.where(lengths[rows] == width, closes[rows], np.append(commas, 0)[last])
+    sizes = stops - starts + 1  # a row's kept bytes and the "," or "]" after them
+    offsets = np.cumsum(sizes) - sizes
+    kept = c[np.repeat(starts - offsets, sizes) + np.arange(sizes.sum())]
+    kept[offsets + sizes - 1] = ord(",")
+    return _parse_values(kept[:-1], int(lengths.sum()))
 
 
 def _refuse_channel(values, name: str, layout: str, rank: int):
-    """Raise the fault of a channel value that `_int_array` refused or could
-    not read, named as its JSON reads."""
+    """Raise the fault of a channel value that `_array_form` or
+    `_parse_values` refused or could not read, named as its JSON reads."""
     rows = values if rank == 2 else [values]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise SerializeError(f"{name}: a {layout} record needs a list of "

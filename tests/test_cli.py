@@ -14,7 +14,6 @@ from click.testing import CliRunner
 
 import ehrseq
 from ehrseq import audit as audit_mod
-from ehrseq import cli as cli_mod
 from ehrseq import corpus as corpus_mod
 from ehrseq import planner, serializer
 from ehrseq.analyzer import analysis_report
@@ -241,32 +240,120 @@ def test_audit_drops_each_samples_events_before_the_next(runner, tmp_path, monke
     assert alive_at_call == [0] * 6
 
 
-def test_privacy_holds_each_set_once(runner, tmp_path):
-    """Each set is one dense matrix, filled a stream at a time: `privacy`
-    makes no list of dense arrays and no stacked copy of one."""
-    n, width = 24, 4096
+def peak_of(runner, args):
+    """The tracemalloc peak of one command run, which must succeed."""
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    return peak
+
+
+def test_privacy_holds_the_synthetic_matrix_and_the_pool_alone(runner, tmp_path):
+    """The synthetic set is one dense matrix, filled a stream at a time; of
+    train and held-out only the pooled records' tokens are held."""
+    n, width = 48, 16384  # a set outweighs the read buffer
     rng = np.random.default_rng(0)
     paths = []
     for name in ("train", "heldout", "synthetic"):
         grids = np.zeros((n, width), np.int32)
         grids[:, :8] = rng.integers(1, 50, (n, 8))
         paths.append(write_streams(tmp_path / f"{name}.jsonl", grids))
-    forms, tokens = cli_mod._forms_and_tokens(paths[0])
-    assert forms == [("flattened", (width,))] and tokens.shape == (n, width)
-    assert np.array_equal(tokens, np.stack([s.tokens for s in load_streams(paths[0])]))
     one_set = n * width * np.dtype(np.int32).itemsize
-    tracemalloc.start()
-    try:
-        result = runner.invoke(main, ["privacy", "--train", paths[0], "--heldout", paths[1],
-                                      "--synthetic", paths[2], "--nr", "2",
-                                      "--out", str(tmp_path / "privacy")])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_of(runner, ["privacy", "--train", paths[0], "--heldout", paths[1],
+                            "--synthetic", paths[2], "--nr", "2",
+                            "--out", str(tmp_path / "privacy")])
+    # the synthetic matrix, the pool, the attack's temporaries and the read
+    # buffer (about 1.5 sets); a dense matrix of train or held-out, or a
+    # second copy of the synthetic one, would be one set more
+    assert peak < 2 * one_set
+
+
+def test_metrics_and_privacy_memory_does_not_grow_with_the_records(runner, tmp_path):
+    """`metrics` holds one stream pair at a time, and `privacy` the synthetic
+    matrix and the 2·n_r pooled rows: four times the reference and hypothesis
+    records, or the train and held-out records, raise their tracemalloc peak
+    by less than half.  The records are wide enough that their cells, if
+    every stream read were held, would outweigh the read buffers."""
+    n, width = 24, 8192
+    rng = np.random.default_rng(3)
+    grids = np.zeros((4 * n, width), np.int32)
+    grids[:, : width - 8] = rng.integers(1, 50, (4 * n, width - 8))
+    files = {k: write_streams(tmp_path / f"{k}.jsonl", grids[:k]) for k in (n, 4 * n)}
+    for k in (n, 4 * n):
+        other = write_streams(tmp_path / f"other{k}.jsonl", grids[:k] % 7 + 1)
+        peaks = {"metrics": peak_of(runner, ["metrics", "--reference", files[k],
+                                             "--hypothesis", other]),
+                 "privacy": peak_of(runner, ["privacy", "--train", files[k],
+                                             "--heldout", other, "--synthetic", files[n],
+                                             "--nr", "2", "--out", str(tmp_path / f"p{k}")])}
+        if k == n:
+            base = peaks
+    for command in peaks:
+        assert peaks[command] < 1.5 * base[command], (command, base, peaks)
+
+
+def test_each_command_parses_only_the_values_it_uses(runner, tmp_path, monkeypatch):
+    """numpy parses the values of a channel only when the command uses it:
+    `audit` the tokens and type labels of each stream, `metrics` the tokens,
+    `privacy` the tokens of the 2·n_r pooled records and of every synthetic
+    one.  Each other channel is checked but not parsed."""
+    corpus_dir, out = serialize_corpus(runner, tmp_path)
+    streams = {layout: str(out / f"streams_{layout}.jsonl") for layout in ("hier", "flat")}
+    for stream in load_streams(streams["flat"]):
+        assert all(cells is not None for cells in stream.cells)  # three channels to parse
+    parsed = []
+    parse_values = serializer._parse_values
+    monkeypatch.setattr(serializer, "_parse_values",
+                        lambda c, count: parsed.append(count) or parse_values(c, count))
+
+    def parses(args):
+        parsed.clear()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        return len(parsed)
+
+    assert parses(["audit", "--real", str(corpus_dir), "--generated", streams["hier"],
+                   "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "audit")]) == 6 * 2
+    assert parses(["metrics", "--reference", streams["flat"],
+                   "--hypothesis", streams["flat"]]) == 6 * 2
+    assert parses(["privacy", "--train", streams["flat"], "--heldout", streams["flat"],
+                   "--synthetic", streams["flat"], "--nr", "2",
+                   "--out", str(tmp_path / "privacy")]) == 2 * 2 + 6
+
+
+def test_audit_report_holds_when_labels_reach_past_the_last_token(runner, tmp_path):
+    """Digit-place labels past the last token of a row widen the row's length
+    in a dense record; `audit`, which does not read them, writes the report
+    that a full read of the file gives."""
+    corpus_dir, out = serialize_corpus(runner, tmp_path)
+    vocab = Vocabulary.load(out / "vocab.txt")
+    lines = []
+    for stream in load_streams(out / "streams_hier.jsonl"):
+        dpes = stream.dpe_labels.copy()
+        ends = (stream.tokens != PAD_ID).sum(axis=1)
+        dpes[np.arange(len(dpes)), np.minimum(ends + 1, dpes.shape[1] - 1)] = 70
+        lines.append(json.dumps({"patient_id": stream.patient_id, "layout": stream.layout,
+                                 "tokens": stream.tokens.tolist(),
+                                 "type_labels": stream.type_labels.tolist(),
+                                 "dpe_labels": dpes.tolist()}) + "\n")
+    generated = tmp_path / "dense.jsonl"
+    generated.write_text("".join(lines))
+    full = load_streams(generated)
+    assert any((s.lengths > (s.tokens != PAD_ID).sum(axis=1)[: len(s.lengths)]).any()
+               for s in full)
+    expected = json_text(asdict(audit_mod.score(
+        [serializer.detokenize_events(s, vocab) for s in full],
+        audit_mod.build_triples(corpus_mod.load_corpus(corpus_dir), vocab), vocab)))
+    result = runner.invoke(main, ["audit", "--real", str(corpus_dir),
+                                  "--generated", str(generated),
+                                  "--vocab", str(out / "vocab.txt"),
+                                  "--out", str(tmp_path / "audit")])
     assert result.exit_code == 0, result.output
-    # the three matrices and the attack's temporaries; a second copy of each
-    # set, as a list of dense arrays or a stack of one, would be three more
-    assert peak < 5 * one_set
+    assert (tmp_path / "audit" / "audit_report.json").read_text() == expected
 
 
 @pytest.mark.parametrize("corrupt, reason", [
@@ -602,6 +689,16 @@ def test_metrics_refuses_half_a_stream_pair(runner, tmp_path, given, missing, wi
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert result.output == f"error: --{given} needs --{missing}\n"
+
+
+@pytest.mark.parametrize("with_scores", [False, True])
+def test_metrics_refuses_include_pads_without_a_stream_pair(runner, tmp_path, with_scores):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("0.1\t0\n0.8\t1\n")
+    args = ["metrics", "--include-pads"] + (["--scores", str(scores)] if with_scores else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output == "error: --include-pads needs --reference and --hypothesis\n"
 
 
 @pytest.mark.parametrize("rows", ["0.1\t1\n0.8\t1\n", "", "\n \n"],

@@ -595,14 +595,11 @@ SPOILS = {
 }
 
 
-@settings(deadline=None)
-@given(records(), st.sampled_from([*SPOILS, "empty value", "trailing comma", "unequal rows"]),
-       st.data())
-def test_record_grammar_refuses_spoilt_payloads(drawn, spoil, data):
-    record, pad = drawn
-    names = [n for n in ("tokens", "type_labels", "dpe_labels") if record[n]]
-    assume(names)
-    name = data.draw(st.sampled_from(names))
+SPOIL_KINDS = [*SPOILS, "empty value", "trailing comma", "unequal rows"]
+
+
+def spoil_channel(record, name, spoil, data) -> None:
+    """Spoil one value, or the row structure, of a record's channel in place."""
     nested = record["layout"] == "hierarchical" and "shape" not in record
     rows = record[name] if nested else [record[name]]
     j = data.draw(st.integers(0, len(rows) - 1))
@@ -619,6 +616,15 @@ def test_record_grammar_refuses_spoilt_payloads(drawn, spoil, data):
             row.append(Raw(""))
         else:
             row[i] = Raw(SPOILS[spoil](row[i]))
+
+
+@settings(deadline=None)
+@given(records(), st.sampled_from(SPOIL_KINDS), st.data())
+def test_record_grammar_refuses_spoilt_payloads(drawn, spoil, data):
+    record, pad = drawn
+    names = [n for n in ("tokens", "type_labels", "dpe_labels") if record[n]]
+    assume(names)
+    spoil_channel(record, data.draw(st.sampled_from(names)), spoil, data)
     text = render(record, pad)
     with pytest.raises((S.SerializeError, json.JSONDecodeError)) as err:
         S._stream_from_line(text.encode())
@@ -626,6 +632,140 @@ def test_record_grammar_refuses_spoilt_payloads(drawn, spoil, data):
         json.loads(text)
     except json.JSONDecodeError as exc:  # a fault of JSON is placed where JSON places it
         assert (err.value.msg, err.value.pos) == (exc.msg, exc.pos)
+
+
+@settings(deadline=None)
+@given(records(), st.sampled_from(SPOIL_KINDS), st.data())
+def test_a_channel_left_unread_is_still_checked(tmp_path_factory, drawn, spoil, data):
+    """A spoilt channel that a read does not ask for is refused as a full read
+    refuses it, with the file and line, unless the spoil is a value outside
+    32 bits: that value is never parsed, so it is read past."""
+    record, pad = drawn
+    name = data.draw(st.sampled_from(S.CHANNELS))
+    assume(record[name])
+    spoil_channel(record, name, spoil, data)
+    path = tmp_path_factory.getbasetemp() / "spoilt.jsonl"
+    path.write_bytes(render(record, pad).replace("\n", " ").encode() + b"\n")  # one line
+    asked = tuple(n for n in S.CHANNELS if n != name and data.draw(st.booleans()))
+    with pytest.raises(S.SerializeError) as full:
+        S.load_streams(path)
+    if spoil in ("2**31", "-2**31-1"):
+        (stream,) = S.load_streams(path, asked)
+        assert stream.cells[S.CHANNELS.index(name)] is None
+    else:
+        with pytest.raises(S.SerializeError) as unread:
+            list(S.load_streams(path, asked))
+        assert str(unread.value) == str(full.value)
+        assert str(unread.value).startswith(f"{path}, line 1: ")
+
+
+def test_a_channel_left_unread_does_not_see_a_value_outside_32_bits(tmp_path):
+    path = tmp_path / "wide.jsonl"
+    path.write_text(json.dumps({"layout": "flattened", "tokens": [4, 5, 0],
+                                "type_labels": [1, 2**31, 0]}) + "\n")
+    with pytest.raises(S.SerializeError, match="line 1: type_labels: .*greater than maximum"):
+        S.load_streams(path)
+    (stream,) = S.load_streams(path, ["tokens"])
+    assert stream.tokens.tolist() == [4, 5, 0] and stream.type_labels is None
+    assert stream.lengths.tolist() == [2]
+
+
+@pytest.mark.parametrize("labels, reason", [
+    ([[1, 2, 3], [4]], "type_labels: rows of inhomogeneous length"),
+    ([[1, 2, 3], [4, 5, 6]], "label channel shape does not match token channel"),
+])
+def test_a_channel_left_unread_keeps_its_row_and_shape_checks(tmp_path, labels, reason):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps({"layout": "hierarchical", "tokens": [[1, 2], [3, 4]],
+                                "type_labels": labels}) + "\n")
+    for channels in (None, ["tokens"], []):
+        with pytest.raises(S.SerializeError, match=f"line 1: {reason}"):
+            list(S.load_streams(path, channels))
+
+
+def dense_record(stream) -> str:
+    """A stream as one dense record line, as external generators write it."""
+    channels = {name: None if dense is None else dense.tolist() for name, dense in
+                zip(S.CHANNELS, (stream.tokens, stream.type_labels, stream.dpe_labels))}
+    return json.dumps({"patient_id": stream.patient_id, "layout": stream.layout, **channels,
+                       "event_boundaries": stream.event_boundaries}) + "\n"
+
+
+@settings(deadline=None)
+@given(st.lists(token_streams(), min_size=1, max_size=4), st.booleans(),
+       st.lists(st.sampled_from(S.CHANNELS), unique=True))
+def test_a_read_of_some_channels_gives_them_as_a_full_read_does(
+        tmp_path_factory, streams, dense, channels):
+    """Over de-padded and dense records, a read of some channels gives those
+    channels, and the lengths, boundaries and patient ids, of a full read; a
+    dense record's row lengths count the cells of its unread channels."""
+    path = tmp_path_factory.getbasetemp() / "channels.jsonl"
+    if dense:
+        path.write_text("".join(map(dense_record, streams)))
+    else:
+        S.save_streams(streams, path)
+    try:
+        full = S.load_streams(path)
+    except S.SerializeError as exc:  # bounds past an empty dense grid's width
+        with pytest.raises(S.SerializeError) as unread:
+            list(S.load_streams(path, channels))
+        assert str(unread.value) == str(exc)
+        return
+    some = list(S.load_streams(path, channels))
+    assert len(some) == len(full)
+    for a, b in zip(full, some):
+        assert (b.shape, b.patient_id, b.event_boundaries) == \
+            (a.shape, a.patient_id, a.event_boundaries)
+        assert b.lengths.tolist() == a.lengths.tolist()
+        for name, x, y in zip(S.CHANNELS, a.cells, b.cells):
+            assert y is None if name not in channels else \
+                (x is None and y is None) or np.array_equal(x, y)
+
+
+def test_a_read_of_some_records_gives_those_in_file_order(tmp_path):
+    path = tmp_path / "some.jsonl"
+    streams = [S.dense_stream(np.array([i + 4, 0], np.int32), patient_id=f"p{i}")
+               for i in range(5)]
+    path.write_text("\n".join(S.stream_record(s) for s in streams))  # blank lines between
+    some = S.load_streams(path, ["tokens"], records={3, 1})
+    assert [(s.patient_id, s.tokens.tolist()) for s in some] == [("p1", [5, 0]), ("p3", [7, 0])]
+
+
+def test_an_unknown_channel_is_refused(tmp_path):
+    with pytest.raises(S.SerializeError, match=r"unknown channels \['labels'\]"):
+        S.load_streams(tmp_path / "any.jsonl", ["tokens", "labels"])
+
+
+def bounds_one_by_one(bounds, length):
+    """The boundary check, one pair at a time."""
+    for b in bounds:
+        if not (isinstance(b, (list, tuple)) and len(b) == 2
+                and all(type(x) is int for x in b) and 0 <= b[0] <= b[1] <= length):
+            raise S.SerializeError(f"event boundary {b!r} is not [start, end] with "
+                                   f"0 <= start <= end <= {length}")
+    return [tuple(b) for b in bounds]
+
+
+BOUND_VALUES = st.one_of(st.integers(-2, 9), st.booleans(), st.floats(0, 4), st.none(),
+                         st.integers(2**62, 2**70), st.text(max_size=1))
+GOOD_PAIR = st.tuples(st.integers(0, 8), st.integers(0, 8)).map(sorted)
+BOUNDS = st.lists(st.one_of(GOOD_PAIR, GOOD_PAIR.map(tuple),
+                            st.tuples(BOUND_VALUES, BOUND_VALUES),
+                            st.lists(st.integers(0, 8) | BOUND_VALUES, max_size=3),
+                            st.dictionaries(st.integers(0, 8), st.integers(0, 8), max_size=2),
+                            BOUND_VALUES), max_size=5)
+
+
+@given(BOUNDS, st.integers(0, 8))
+def test_bounds_are_checked_as_the_pair_by_pair_check_does(bounds, length):
+    try:
+        expected = bounds_one_by_one(bounds, length)
+    except S.SerializeError as exc:
+        with pytest.raises(S.SerializeError) as err:
+            S._checked_bounds(bounds, length)
+        assert str(err.value) == str(exc)
+    else:
+        assert S._checked_bounds(bounds, length) == expected
 
 
 def test_stream_refuses_bounds_it_could_not_read_back():
