@@ -85,30 +85,17 @@ def build_triples(real: Corpus | CorpusColumns, vocab: Vocabulary) -> TripleSet:
     subword units over all observed contents.  Table and column names are
     casefolded, and names equal once casefolded are merged.
     """
-    # (table name, (column, cell) pairs): one group per table column of a
-    # corpus read by columns, one per event of a `Corpus`
+    # (table name, (column, cell) pairs): one group per table column of a corpus
+    # read by columns, whose equal cells share one pair object, and one per event
+    # of a `Corpus`; each group's distinct pair objects are looked at once
     if isinstance(real, CorpusColumns):
         groups = ((t.name, pairs) for t in real.tables for pairs in t.cells)
     else:
         groups = ((e.table_name, e.columns) for p in real.patients for e in p.events)
-    # table name -> its (column, cell) pairs by identity; the reader shares one
-    # pair object among equal cells, so each distinct pair is looked at once
-    walked: dict[str, dict[int, tuple[str, CellValue]]] = {}
+    observed: dict[tuple[str, str], list[CellValue]] = {}  # equal cells may repeat
     for table, pairs in groups:
-        seen = walked.get(table)
-        if seen is None:
-            seen = walked[table] = {}
-        seen.update(zip(map(id, pairs), pairs))
-    # (table, column) -> the cells of its distinct pairs; equal cells may repeat
-    observed: dict[tuple[str, str], list[CellValue]] = {}
-    for table, seen in walked.items():
-        cells_of: dict[str, list[CellValue]] = {}  # column name -> its list in observed
-        for col_name, cell in seen.values():
-            cells = cells_of.get(col_name)
-            if cells is None:
-                cells = cells_of[col_name] = observed.setdefault(
-                    (table.casefold(), col_name.casefold()), [])
-            cells.append(cell)
+        for col_name, cell in {id(p): p for p in pairs}.values():
+            observed.setdefault((table.casefold(), col_name.casefold()), []).append(cell)
     if not observed:
         raise AuditError("cannot build triples from an empty corpus")
 

@@ -81,6 +81,14 @@ def _save(out_dir, files: dict, seed=None) -> None:
                    outputs=[out / name for name in files], seed=seed)
 
 
+def _json_number(text: str) -> int | float:
+    """The command line's one number rule: a finite JSON int or float, not a bool."""
+    value = json_doc(text)
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite JSON number")
+    return value
+
+
 def _parse_pair(text: str, sep: str, form: str) -> tuple[int, int]:
     try:
         a, b = text.lower().split(sep)
@@ -279,8 +287,11 @@ def _drawn_tokens(path, drawn: list[int], n: int) -> list:
 @_run
 def privacy_cmd(train_path, heldout_path, synthetic_path, n_r, thresholds, seed, out_dir):
     """Membership inference attack; writes per-threshold precision/recall."""
-    with reading("--thresholds", privacy.PrivacyError):
-        cuts = tuple(map(float, thresholds.split(",")))
+    texts = thresholds.split(",")
+    for text in texts:
+        with reading(f"--thresholds value {text!r}", privacy.PrivacyError):
+            _json_number(text)
+    cuts = tuple(map(float, texts))  # of the text, not the JSON value: -0 stays -0.0
     config = privacy.AttackConfig(n_r, cuts, seed)
     paths = (train_path, heldout_path, synthetic_path)
     # train and held-out are read for each record's form alone, no value parsed
@@ -358,9 +369,7 @@ def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
                 continue
             try:
                 s, lab = line.split("\t")
-                score, label = json_doc(s), ("0", "1").index(lab)
-                if type(score) not in (int, float) or not math.isfinite(score):
-                    raise ValueError
+                score, label = _json_number(s), ("0", "1").index(lab)
             except (ValueError, OverflowError, RecursionError):  # isfinite of a huge int; deep JSON
                 raise metrics_mod.MetricError(
                     f"{scores_path}:{row}: expected score<TAB>label") from None

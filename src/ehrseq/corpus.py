@@ -499,8 +499,7 @@ class CorpusColumns:
     tables: list[TableColumns]
 
 
-def _read_table(table_path: Path, table: TableSpec, definitions: dict[str, str],
-                interned: dict) -> TableColumns:
+def _read_table(table_path: Path, table: TableSpec, definitions: dict[str, str]) -> TableColumns:
     """A table file's rows, column by column, every row checked.
 
     Each check runs over a whole column; the lowest-numbered bad row is
@@ -538,10 +537,8 @@ def _read_table(table_path: Path, table: TableSpec, definitions: dict[str, str],
         faults.append((bad, 2, f"bad timestamp {stamps[bad]!r}"))
     cells = []
     for order, (spec, values) in enumerate(zip(table.columns, columns[2:]), start=3):
-        pairs = interned.setdefault((spec.name, spec.kind), {})
+        pairs = {}  # value -> its checked (column, cell) pair
         for value in dict.fromkeys(values):  # in order of first row
-            if value in pairs:
-                continue
             try:
                 if spec.kind == ITEMIZED and value not in definitions:
                     raise CorpusError(f"unknown code {value!r}")
@@ -595,8 +592,7 @@ def _read_columns(path: Path | str) -> CorpusColumns:
                 raise CorpusError(f"{defs_path}:{row_no}: code {fields[0]!r} given twice")
             definitions[fields[0]] = fields[1]
 
-    interned: dict = {}  # (column, kind) -> value -> its checked (column, cell) pair
-    tables = [_read_table(root / f"{t.name}.tsv", t, definitions, interned) for t in schema]
+    tables = [_read_table(root / f"{t.name}.tsv", t, definitions) for t in schema]
 
     window = OBSERVATION_WINDOW_HOURS * 3600
     in_window: Counter[str] = Counter()

@@ -9,12 +9,9 @@ for the digits of numeric cells.
 from __future__ import annotations
 
 import bisect
-import json
-import operator
 import re
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Container, Iterable, Iterator, Optional
 
@@ -168,32 +165,15 @@ def dense_stream(tokens, type_labels=None, dpe_labels=None,
 
 
 def _checked_bounds(bounds, length: int) -> list[tuple[int, int]]:
-    """Event boundaries as [start, end] integer pairs, 0 <= start <= end <= length.
-    The pairs are checked together, and walked one by one only to name the
-    first bad one."""
+    """Event boundaries as [start, end] integer pairs, 0 <= start <= end <= length."""
     if not isinstance(bounds, list):
         raise SerializeError("event_boundaries must be a list")
-    if not _bounds_hold(bounds, length):
-        for b in bounds:
-            if not (isinstance(b, (list, tuple)) and len(b) == 2
-                    and all(type(x) is int for x in b) and 0 <= b[0] <= b[1] <= length):
-                raise SerializeError(f"event boundary {b!r} is not [start, end] with "
-                                     f"0 <= start <= end <= {length}")
-    return list(map(tuple, bounds))
-
-
-def _bounds_hold(bounds: list, length: int) -> bool:
-    """Whether every boundary is a list or tuple of two ints (not bools) in
-    range, checked by passes of C-level builtins over the pairs and their
-    values, with no Python loop."""
-    if not (set(map(type, bounds)) <= {list, tuple} and set(map(len, bounds)) <= {2}):
-        return False
-    values = list(chain.from_iterable(bounds))
-    if not set(map(type, values)) <= {int}:
-        return False
-    starts, ends = values[0::2], values[1::2]
-    return not values or (min(starts) >= 0 and max(ends) <= length
-                          and all(map(operator.le, starts, ends)))
+    for b in bounds:
+        if not (isinstance(b, (list, tuple)) and len(b) == 2
+                and all(type(x) is int for x in b) and 0 <= b[0] <= b[1] <= length):
+            raise SerializeError(f"event boundary {b!r} is not [start, end] with "
+                                 f"0 <= start <= end <= {length}")
+    return [tuple(b) for b in bounds]
 
 
 def textualize_cell(cell: CellValue, definitions: dict[str, str]) -> str:
@@ -254,8 +234,6 @@ def serialize_event(event: EventRecord, prev_timestamp: int, vocab: Vocabulary,
                     definitions: dict[str, str]) -> tuple[list[int], list[int], list[int]]:
     """Serialize one event to (token ids, type labels, dpe labels)."""
     delta = event.timestamp - prev_timestamp
-    if delta < 0:
-        raise SerializeError("events not in chronological order")
     segments = [_text_segment(event.table_name, TokenType.TABLE_NAME, vocab)]
     for col_name, cell in event.columns:
         segments.append(_text_segment(col_name, TokenType.COLUMN_NAME, vocab))
@@ -494,7 +472,6 @@ def save_streams(streams: Iterable[TokenStream], path: Path | str) -> None:
 _LEXEME = re.compile(rb'("(?:[^"\\]|\\.)*")([ \t\n\r]*:[ \t\n\r]*)?|[{}]', re.DOTALL)
 _JSON_WS = b" \t\n\r"
 _ARRAY_BYTES = b"0123456789-,[]" + _JSON_WS
-_KEYS = {json.dumps(name).encode(): name for name in CHANNELS}
 # A dense record line runs to hundreds of KB: a buffer larger than the line
 # reads it in one piece, where the default 8 KB buffer reads and joins it in
 # many.
@@ -604,7 +581,7 @@ def _cut_arrays(line: bytes) -> tuple[bytes, dict[str, bytes]]:
         if depth != 1 or m[2] is None:
             continue
         try:
-            name = _KEYS.get(m[1]) if b"\\" not in m[1] else json_doc(m[1].decode())
+            name = json_doc(m[1].decode())
         except ValueError:
             continue  # a bad escape: the decoder names it
         if name not in CHANNELS:

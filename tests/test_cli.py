@@ -1142,9 +1142,20 @@ def test_each_file_read_names_the_file_of_its_fault(runner, tmp_path, monkeypatc
     (["plan", "--backbone", "transformer", "--input", "64x8", "--output", "64x16"],
      "transformer schedule cannot expand channels"),
     (["privacy", "--train", "{corpus}", "--heldout", "{corpus}", "--synthetic", "{corpus}",
-      "--thresholds", "0,a"], "--thresholds: could not convert string to float: 'a'"),
+      "--thresholds", "0,a"],
+     "--thresholds value 'a': malformed JSON (Expecting value at column 1)"),
+    (["privacy", "--train", "{corpus}", "--heldout", "{corpus}", "--synthetic", "{corpus}",
+      "--thresholds", "0,+0.5"],
+     "--thresholds value '+0.5': malformed JSON (Expecting value at column 1)"),
+    (["privacy", "--train", "{corpus}", "--heldout", "{corpus}", "--synthetic", "{corpus}",
+      "--thresholds", "0,0.0_5"],
+     "--thresholds value '0.0_5': malformed JSON (Extra data at column 4)"),
+    (["privacy", "--train", "{corpus}", "--heldout", "{corpus}", "--synthetic", "{corpus}",
+      "--thresholds", "0,\u0660.\u0665"],
+     "--thresholds value '\u0660.\u0665': malformed JSON (Expecting value at column 1)"),
 ], ids=["serialize-n-e", "plan-no-layers", "plan-grid-inverted", "plan-transformer-expands",
-        "privacy-thresholds"])
+        "privacy-thresholds", "privacy-thresholds-plus", "privacy-thresholds-underscore",
+        "privacy-thresholds-arabic-indic"])
 def test_bad_settings_are_refused_by_name(runner, tmp_path, args, reason):
     corpus = tmp_path / "corpus"
     runner.invoke(main, ["gen", "--seed", "1", "--n-patients", "2", "--out", str(corpus)])

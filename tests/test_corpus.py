@@ -198,6 +198,16 @@ def test_save_refuses_events_off_the_schema(tmp_path, columns, table, where):
     assert not (tmp_path / "out").exists()
 
 
+def test_save_refuses_events_out_of_time_order(tmp_path):
+    corpus = C.generate_corpus(C.default_config(seed=3, n_patients=2))
+    events = corpus.patients[1].events
+    events.reverse()  # after construction, which sorts them
+    where = f"patient 'p00001', table {events[1].table_name!r}"
+    with pytest.raises(C.CorpusError, match=f"^{where}: events out of order$"):
+        C.save_corpus(corpus, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_applies_the_cohort_filter(tmp_path):
     def events(timestamps):
         return [C.EventRecord("prescription", (("drug", C.text("aspirin")),), ts)

@@ -114,6 +114,19 @@ def test_dpe_places_below_the_encodable_range_are_refused():
         S._numeric_dpe_labels("1." + "0" * 63)
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda: S.dpe_place_value(S.DPE_DECIMAL_POINT), "label 1 is not a digit place"),
+    (lambda: S.dense_stream(np.ones((2, 3)), type_labels=np.ones((2, 2))),
+     "label channel shape does not match token channel"),
+    (lambda: S.flatten(S.dense_stream(np.ones(4))), "flatten expects a hierarchical stream"),
+    (lambda: S.serialize_event(C.EventRecord("lab", (("value", C.numeric("7.4")),), 60),
+                               120, simple_vocab(), {}), "negative time gap"),
+], ids=["dpe-place-value", "dense-stream-shapes", "flatten-flat", "serialize-event-earlier"])
+def test_library_calls_off_their_domain_are_refused(make, reason):
+    with pytest.raises(S.SerializeError, match=f"^{reason}$"):
+        make()
+
+
 def test_event_without_columns_rejected():
     with pytest.raises(C.CorpusError):
         C.EventRecord("lab", (), timestamp=0)
@@ -471,6 +484,8 @@ FLAT = {**GOOD, "layout": "flattened", "shape": [8], "lengths": [3], "event_boun
     (json.dumps({"layout": "hierarchical", "tokens": [[4, 5], [True, 7]]}),
      "tokens: JSON true and false are not integers"),
     (json.dumps(GOOD).replace('"p"', '"p\udcff"'), "not UTF-8 (invalid start byte at byte 18)"),
+    ('{"layout": "flattened", "tok\\x": [4, 5]}',  # a key the array cutter passes over
+     "malformed JSON (Invalid \\escape at column 29)"),
 ])
 def test_load_rejects_bad_line_naming_file_and_line(tmp_path, line, reason):
     path = tmp_path / "bad.jsonl"
