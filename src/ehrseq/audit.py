@@ -8,6 +8,7 @@ paired, table/column known) and then a semantics check per column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -40,19 +41,18 @@ class SubwordSet:
     units: set[str]
 
 
-def _name_index(names: set[str]) -> dict[str, list[tuple[tuple[str, ...], str]]]:
-    """First word -> (words, name) of each name that starts with it, longest
-    first; among names of equal length the one sorting first comes first, so
-    of two names with the same words the first in sorted order always wins."""
-    index: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-    for name in sorted(names):
-        words = tuple(name.split())
-        if not words:
-            raise AuditError(f"blank table or column name {name!r}")
-        index.setdefault(words[0], []).append((words, name))
-    for entries in index.values():
-        entries.sort(key=lambda entry: -len(entry[0]))  # stable
-    return index
+def name_key(name: str) -> str:
+    """The audit's one name rule: a table or column name is its casefolded
+    words, one space apart, and names with the same key are one name."""
+    return " ".join(name.casefold().split())
+
+
+def _name_pattern(names: set[str]) -> re.Pattern:
+    """Matches a space and the longest of `names` (keys) whose words follow
+    it whole, the name as group 1: names with most words are tried first."""
+    ordered = sorted(names, key=lambda name: (-name.count(" "), name))
+    alternatives = "|".join(map(re.escape, ordered)) or "(?!)"  # no names: never matches
+    return re.compile(r" (%s)(?![^ ])" % alternatives)
 
 
 @dataclass
@@ -64,8 +64,13 @@ class TripleSet:
         for table, column in self.content:
             self.columns.setdefault(table, set()).add(column)
         self.tables = set(self.columns)
-        self._table_index = _name_index(self.tables)
-        self._column_index = {t: _name_index(cols) for t, cols in self.columns.items()}
+        for name in sorted(self.tables.union(*self.columns.values())):
+            if not name.strip():
+                raise AuditError(f"blank table or column name {name!r}")
+            if name != name_key(name):
+                raise AuditError(f"table or column name {name!r} is not its casefolded words")
+        self._table_pattern = _name_pattern(self.tables)
+        self._column_patterns = {t: _name_pattern(cols) for t, cols in self.columns.items()}
         # check_event's memo, (table, column) -> content -> verdict (a defect
         # or None), for one vocabulary; checking under another starts anew
         self._verdict_vocab, self._verdicts = None, {}
@@ -83,7 +88,7 @@ def build_triples(real: Corpus | CorpusColumns, vocab: Vocabulary) -> TripleSet:
     A (table, column) is numeric iff every observed content parses as a
     decimal; numeric columns keep [min, max], text columns the union of
     subword units over all observed contents.  Table and column names are
-    casefolded, and names equal once casefolded are merged.
+    keyed by `name_key`, so names with the same casefolded words are merged.
     """
     # (table name, (column, cell) pairs): one group per table column of a corpus
     # read by columns, whose equal cells share one pair object, and one per event
@@ -94,8 +99,9 @@ def build_triples(real: Corpus | CorpusColumns, vocab: Vocabulary) -> TripleSet:
         groups = ((e.table_name, e.columns) for p in real.patients for e in p.events)
     observed: dict[tuple[str, str], list[CellValue]] = {}  # equal cells may repeat
     for table, pairs in groups:
+        table = name_key(table)
         for col_name, cell in {id(p): p for p in pairs}.values():
-            observed.setdefault((table.casefold(), col_name.casefold()), []).append(cell)
+            observed.setdefault((table, name_key(col_name)), []).append(cell)
     if not observed:
         raise AuditError("cannot build triples from an empty corpus")
 
@@ -119,42 +125,33 @@ def build_triples(real: Corpus | CorpusColumns, vocab: Vocabulary) -> TripleSet:
 def _structure_raw_event(event: ReconstructedEvent, triples: TripleSet) -> ReconstructedEvent:
     """Infer (table, (column, content) pairs) from a raw word list.
 
-    Greedy longest-prefix match against the known table names, then
-    alternating longest column-name matches with contents running to the
-    next recognized column name.
+    The words are casefolded and each is led by a space.  The longest table
+    name they start with is the table; then come alternately the longest
+    column name of that table and the content words, as written, up to the
+    next word that starts a column name.
     """
-    words = tuple(event.words or ())
+    words = event.words or []
+    text = " " + " ".join(words).casefold()
     structured = ReconstructedEvent(timegap=event.timegap)
-
-    def longest_name(pos: int, index: dict) -> Optional[tuple[tuple[str, ...], str]]:
-        for entry in index.get(words[pos], ()):
-            if words[pos:pos + len(entry[0])] == entry[0]:
-                return entry
-        return None
-
-    match = longest_name(0, triples._table_index) if words else None
-    if match is None:
+    table = triples._table_pattern.match(text)
+    if table is None:
         structured.defect = NOT_TABLE_FIRST
         return structured
-    table_words, structured.table = match
-    pos = len(table_words)
-    col_index = triples._column_index.get(structured.table, {})
-    while pos < len(words):
-        match = longest_name(pos, col_index)
-        if match is None:
-            structured.defect = UNKNOWN_TABLE_COLUMN
-            return structured
-        col_words, col = match
-        pos += len(col_words)
-        content_words: list[str] = []
-        while pos < len(words) and (words[pos] not in col_index
-                                    or longest_name(pos, col_index) is None):
-            content_words.append(words[pos])
-            pos += 1
-        if not content_words:
+    structured.table = table[1]
+    # words before the first column name, then each column name and the words after it
+    parts = triples._column_patterns[table[1]].split(text[table.end():])
+    if parts[0]:
+        structured.defect = UNKNOWN_TABLE_COLUMN
+        return structured
+    n = table[1].count(" ") + 1  # words read
+    for name, content in zip(parts[1::2], parts[2::2]):
+        n += name.count(" ") + 1
+        n_content = content.count(" ")
+        if not n_content:
             structured.defect = UNPAIRED_COLUMN
             return structured
-        structured.pairs.append((col, " ".join(content_words)))
+        structured.pairs.append((name, " ".join(words[n:n + n_content])))
+        n += n_content
     return structured
 
 
@@ -164,7 +161,7 @@ _UNCHECKED = object()  # a verdict memo's miss; None is a verdict
 def _pair_defect(table: str, col_name: str, content: str, triples: TripleSet,
                  vocab: Vocabulary) -> Optional[str]:
     """The semantics check of one (column, content) pair of a known table."""
-    admissible = triples.content.get((table, col_name.casefold()))
+    admissible = triples.content.get((table, name_key(col_name)))
     if admissible is None:
         return UNKNOWN_TABLE_COLUMN
     if isinstance(admissible, NumericRange):
@@ -188,7 +185,7 @@ def check_event(event: ReconstructedEvent, triples: TripleSet,
 
     if event.table is None:
         return NOT_TABLE_FIRST
-    table = event.table.casefold()
+    table = name_key(event.table)
     if table not in triples.tables:
         return UNKNOWN_TABLE_COLUMN
     if not event.pairs:

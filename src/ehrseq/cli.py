@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -29,8 +30,9 @@ from .vocab import Vocabulary, build_vocabulary
 
 
 def _run(command):
-    """The one error boundary: library errors (all ValueError) and failed
-    file operations end the run with `error: <message>` and exit 1.
+    """The error boundary of a command's body: library errors (all
+    ValueError) and failed file operations end the run with `error:
+    <message>` and exit 1, as a refused option value (`_Number`) does.
 
     The cyclic garbage collector is paused while the command runs, and its
     state restored however the command ends: the events, cells, streams and
@@ -43,12 +45,17 @@ def _run(command):
         try:
             return command(*args, **kwargs)
         except (ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+            _refuse(exc)
         finally:
             if collecting:
                 gc.enable()
     return run
+
+
+def _refuse(fault) -> NoReturn:
+    """End the run as every refusal does: `error: <fault>`, exit 1."""
+    click.echo(f"error: {fault}", err=True)
+    sys.exit(1)
 
 
 def _save(out_dir, files: dict, seed=None) -> None:
@@ -81,19 +88,44 @@ def _save(out_dir, files: dict, seed=None) -> None:
                    outputs=[out / name for name in files], seed=seed)
 
 
-def _json_number(text: str) -> int | float:
-    """The command line's one number rule: a finite JSON int or float, not a bool."""
+def _json_number(text: str, kind: type = float) -> int | float:
+    """The command line's one number rule: a JSON number, not a bool, with
+    nothing around it.  Where an int is meant it must be a JSON int; a float
+    must be finite, and is `float` of the text (`-0` is -0.0)."""
     value = json_doc(text)
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite JSON number")
-    return value
+    if text == text.strip() and type(value) in (int, kind):
+        if kind is int:
+            return value
+        if math.isfinite(float(text)):
+            return float(text)
+    raise ValueError(f"{text!r} is not a {'JSON int' if kind is int else 'finite JSON number'}")
+
+
+class _Number(click.ParamType):
+    """An int or float option, read by the number rule; a value it refuses
+    ends the run as `error: <option> value '<text>': <why>`."""
+
+    def __init__(self, kind: type):
+        self.kind, self.name = kind, kind.__name__
+
+    def convert(self, value, param, ctx):
+        if not isinstance(value, str):  # a default
+            return value
+        try:
+            with reading(f"{param.opts[0]} value {value!r}", ValueError):
+                return _json_number(value, self.kind)
+        except ValueError as exc:
+            _refuse(exc)
+
+
+_INT, _FLOAT = _Number(int), _Number(float)
 
 
 def _parse_pair(text: str, sep: str, form: str) -> tuple[int, int]:
     try:
         a, b = text.lower().split(sep)
-        return int(a), int(b)
-    except ValueError:
+        return _json_number(a, int), _json_number(b, int)
+    except (ValueError, RecursionError):
         raise ValueError(f"expected {form}, got {text!r}") from None
 
 
@@ -105,8 +137,8 @@ def main():
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Generator config JSON; omitted = built-in default config.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--n-patients", type=int, default=None)
+@click.option("--seed", type=_INT, default=None, help="Override the config seed.")
+@click.option("--n-patients", type=_INT, default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_run
 def gen(config_path, seed, n_patients, out_dir):
@@ -136,10 +168,10 @@ def load(in_dir):
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--vocab", "vocab_path", type=click.Path(), default=None,
               help="Existing vocabulary; built from the corpus when omitted.")
-@click.option("--min-count", type=int, default=1)
-@click.option("--n-e", type=int, default=serializer.SerializerConfig.n_e)
-@click.option("--n-tpe", type=int, default=serializer.SerializerConfig.n_tpe)
-@click.option("--n-t", type=int, default=serializer.SerializerConfig.n_t)
+@click.option("--min-count", type=_INT, default=1)
+@click.option("--n-e", type=_INT, default=serializer.SerializerConfig.n_e)
+@click.option("--n-tpe", type=_INT, default=serializer.SerializerConfig.n_tpe)
+@click.option("--n-t", type=_INT, default=serializer.SerializerConfig.n_t)
 @_run
 def serialize(in_dir, out_dir, vocab_path, min_count, n_e, n_tpe, n_t):
     """Serialize a corpus into hierarchical and flattened token streams."""
@@ -165,10 +197,10 @@ def serialize(in_dir, out_dir, vocab_path, min_count, n_e, n_tpe, n_t):
               default=planner.CNN)
 @click.option("--input", "input_shape", default="8192x256", help="NxD input shape.")
 @click.option("--output", "output_shape", default="64x8", help="NxD output shape.")
-@click.option("--layers", "n_l", type=int, default=4,
+@click.option("--layers", "n_l", type=_INT, default=4,
               help="Transformer layer count (ignored for CNN).")
 @click.option("--grid", default=None, help="LMIN:LMAX latent sweep instead of one plan.")
-@click.option("--kernel", type=int, default=CostModel.kernel)
+@click.option("--kernel", type=_INT, default=CostModel.kernel)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_run
 def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
@@ -201,7 +233,7 @@ def plan(backbone, input_shape, output_shape, n_l, grid, kernel, out_dir):
 
 @main.command()
 @click.option("--plan", "plan_path", type=click.Path(), required=True)
-@click.option("--kernel", type=int, default=CostModel.kernel)
+@click.option("--kernel", type=_INT, default=CostModel.kernel)
 @click.option("--attention", type=click.Choice([FULL_ATTENTION, LINEAR_ATTENTION]),
               default=CostModel.attention_variant, help="Attention cost; plan's by default.")
 @_run
@@ -219,14 +251,14 @@ def analyze(plan_path, kernel, attention):
 @click.option("--latent", "latent_path", type=click.Path(), required=True,
               help="JSON file holding a t x c array.")
 @click.option("--codebook", "codebook_path", type=click.Path(), required=True)
-@click.option("--beta", type=float, default=None,
+@click.option("--beta", type=_FLOAT, default=None,
               help="Commitment weight; when given, the loss terms are reported "
                    "for x = x_tilde = 0.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @_run
 def quantize(latent_path, codebook_path, beta, out_path):
     """Nearest-code quantization of a latent array."""
-    if beta is not None and not (math.isfinite(beta) and beta >= 0):
+    if beta is not None and beta < 0:
         raise ValueError(f"--beta must be a finite weight >= 0, got {beta}")
     codebook = vq.Codebook.load(codebook_path)
     with reading(latent_path, vq.VQError):
@@ -280,19 +312,18 @@ def _drawn_tokens(path, drawn: list[int], n: int) -> list:
 @click.option("--train", "train_path", type=click.Path(), required=True)
 @click.option("--heldout", "heldout_path", type=click.Path(), required=True)
 @click.option("--synthetic", "synthetic_path", type=click.Path(), required=True)
-@click.option("--nr", "n_r", type=int, default=10)
+@click.option("--nr", "n_r", type=_INT, default=10)
 @click.option("--thresholds", default="0,0.05,0.1,0.2,0.5,1.0")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=_INT, default=0)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_run
 def privacy_cmd(train_path, heldout_path, synthetic_path, n_r, thresholds, seed, out_dir):
     """Membership inference attack; writes per-threshold precision/recall."""
-    texts = thresholds.split(",")
-    for text in texts:
+    cuts = []
+    for text in thresholds.split(","):
         with reading(f"--thresholds value {text!r}", privacy.PrivacyError):
-            _json_number(text)
-    cuts = tuple(map(float, texts))  # of the text, not the JSON value: -0 stays -0.0
-    config = privacy.AttackConfig(n_r, cuts, seed)
+            cuts.append(_json_number(text))
+    config = privacy.AttackConfig(n_r, tuple(cuts), seed)
     paths = (train_path, heldout_path, synthetic_path)
     # train and held-out are read for each record's form alone, no value parsed
     forms = [Counter((s.layout, s.shape) for s in serializer.load_streams(path, ()))
@@ -370,7 +401,7 @@ def metrics_cmd(reference_path, hypothesis_path, include_pads, scores_path):
             try:
                 s, lab = line.split("\t")
                 score, label = _json_number(s), ("0", "1").index(lab)
-            except (ValueError, OverflowError, RecursionError):  # isfinite of a huge int; deep JSON
+            except (ValueError, RecursionError):  # RecursionError: deep JSON
                 raise metrics_mod.MetricError(
                     f"{scores_path}:{row}: expected score<TAB>label") from None
             scores.append(score)

@@ -130,6 +130,15 @@ def test_raw_words_multiword_content(triples_fixture):
     assert A.check_event(raw, triples, vocab) is None
 
 
+def test_raw_names_are_matched_casefolded_as_labeled_names_are(triples_fixture):
+    triples, vocab = triples_fixture
+    raw = event(words=["LAB", "Value", "5"])
+    structured = A._structure_raw_event(raw, triples)
+    assert (structured.table, structured.pairs) == ("lab", [("value", "5")])
+    twin = event("LAB", [("Value", "5")])
+    assert A.check_event(raw, triples, vocab) is A.check_event(twin, triples, vocab) is None
+
+
 def test_score_event_and_sample_rates(triples_fixture):
     triples, vocab = triples_fixture
     good = event("lab", [("value", "5 . 0")])
@@ -201,8 +210,8 @@ def build_triples_per_occurrence(real, vocab):
     for p in real.patients:
         for e in p.events:
             for col_name, cell in e.columns:
-                observed.setdefault((e.table_name.casefold(), col_name.casefold()), []).append(
-                    S.textualize_cell(cell, real.definitions))
+                key = tuple(" ".join(name.casefold().split()) for name in (e.table_name, col_name))
+                observed.setdefault(key, []).append(S.textualize_cell(cell, real.definitions))
     content = {}
     for key, texts in observed.items():
         values = [A._parse_decimal(t) for t in texts]
@@ -222,7 +231,7 @@ def test_build_triples_matches_the_per_occurrence_build(tmp_path, small_corpus, 
         assert any(isinstance(c, A.SubwordSet) for c in built.content.values())
 
 
-_NAMES = st.sampled_from(["lab", "Lab", "LAB", "item id", "Item ID", "value"])
+_NAMES = st.sampled_from(["lab", "Lab", "LAB", "item id", "item  id", "Item ID", "value"])
 _CELLS = {C.NUMERIC: st.sampled_from(["1", "-2.5", "10.0", "0.25"]).map(C.numeric),
           C.TEXT: st.sampled_from(["aspirin", "Aspirin", "oral route", "1.5", "7"]).map(C.text),
           C.ITEMIZED: st.sampled_from(["c1", "c2"]).map(C.itemized)}
@@ -231,8 +240,9 @@ _WINDOW = C.OBSERVATION_WINDOW_HOURS * 3600
 
 @st.composite
 def corpora(draw):
-    """Corpora whose table and column names may differ only in case, and
-    whose patients may have too few events inside the observation window."""
+    """Corpora whose table and column names may differ only in case and
+    spacing, and whose patients may have too few events inside the
+    observation window."""
     schema = [C.TableSpec(name, tuple(C.ColumnSpec(col, draw(st.sampled_from(list(_CELLS))))
                                       for col in draw(st.lists(_NAMES, min_size=1, max_size=3,
                                                                unique=True))))
@@ -268,12 +278,12 @@ def test_triples_read_by_columns_match_the_loaded_corpus_and_the_reference(corpu
 
 
 def structure_by_scan(words, triples):
-    """Reference: at each position try every name; the longest match wins and,
-    of names with the same words, the first in sorted order."""
+    """Reference: at each position try every name on the casefolded words;
+    the longest match wins."""
     def match(pos, names):
         best = None
-        for name in sorted(names):
-            if words[pos:pos + len(name.split())] == name.split():
+        for name in names:
+            if [w.casefold() for w in words[pos:pos + len(name.split())]] == name.split():
                 if best is None or len(name.split()) > len(best.split()):
                     best = name
         return best
@@ -316,27 +326,33 @@ def test_a_triple_set_is_its_content():
     assert triples.columns == {"lab": {"value", "unit"}, "drug": {"dose"}}
 
 
-# names of one to three words that often share a first word; a double space
-# makes two names with the same words
-NAMES = st.builds(lambda words, sep: sep.join(words),
-                  st.lists(st.sampled_from("abc"), min_size=1, max_size=3),
-                  st.sampled_from([" ", " ", "  "]))
+# names of one to three words that often share a first word, some of them
+# regular-expression characters; the words may also differ from a name's in case
+_NAME_WORDS = ["a", "b", "c", "a.b", "*", "(", "\\"]
+NAMES = st.lists(st.sampled_from(_NAME_WORDS), min_size=1, max_size=3).map(" ".join)
 
 
 @given(st.sets(NAMES, min_size=1, max_size=5).flatmap(
            lambda tables: st.fixed_dictionaries({t: st.sets(NAMES, max_size=5) for t in tables})),
-       st.lists(st.sampled_from("abcz"), max_size=10))
+       st.lists(st.sampled_from(_NAME_WORDS + ["z", "axb", "A", "A.B"]), max_size=10))
 def test_raw_structuring_matches_a_longest_prefix_scan(columns, words):
     triples = names_only(columns)
     raw = event(words=words, timegap="[tg1]")
     assert A._structure_raw_event(raw, triples) == structure_by_scan(words, triples)
 
 
-def test_same_word_names_resolve_to_the_first_in_sorted_order():
-    for order in (["item id", "item  id"], ["item  id", "item id"]):
-        triples = names_only({"lab": order})
-        raw = event(words=["lab", "item", "id", "5"])
-        assert A._structure_raw_event(raw, triples).pairs == [("item  id", "5")]
+def test_names_with_the_same_casefolded_words_are_one_triple():
+    patients = [C.PatientRecord("p0", [
+        C.EventRecord("lab", ((name, C.numeric(v)),), timestamp=0)
+        for name, v in (("item id", "1"), ("item  id", "3"), ("Item ID", "2"))])]
+    corpus = C.Corpus(patients, {}, [])
+    triples = A.build_triples(corpus, Vocabulary(list(RESERVED)))
+    assert triples.content == {("lab", "item id"): A.NumericRange(1.0, 3.0)}
+
+
+def test_a_name_that_is_not_its_key_is_refused_by_the_triple_set():
+    with pytest.raises(A.AuditError, match="column name 'item  id' is not its casefolded words"):
+        names_only({"lab": ["value", "item  id"]})
 
 
 def test_blank_names_are_refused_by_the_triple_set():

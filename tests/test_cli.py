@@ -446,6 +446,28 @@ def test_text_that_reads_as_reserved_units_keeps_every_time_gap(runner, tmp_path
     assert report["total_events"] == sum(len(s.event_boundaries) for s in streams)
 
 
+def test_audit_keys_a_column_by_its_casefolded_words_with_labels_or_without(runner, tmp_path):
+    """A column named `item  id` is checked as `item id` in labeled streams
+    and in the same streams read as raw words."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_with_column(2, name="item  id")))
+    corpus_dir, out = tmp_path / "corpus", tmp_path / "streams"
+    assert runner.invoke(main, ["gen", "--config", str(config),
+                                "--out", str(corpus_dir)]).exit_code == 0
+    result = runner.invoke(main, ["serialize", "--in", str(corpus_dir), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    labeled, label_less = out / "streams_flat.jsonl", tmp_path / "label_less.jsonl"
+    label_less.write_text("".join(
+        json.dumps({**json.loads(line), "type_labels": None, "dpe_labels": None,
+                    "event_boundaries": None}) + "\n" for line in labeled.read_text().splitlines()))
+    for streams in (labeled, label_less):
+        result = runner.invoke(main, [
+            "audit", "--real", str(corpus_dir), "--generated", str(streams),
+            "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / streams.stem)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["rce"] == 1.0
+
+
 @pytest.mark.parametrize("bad", [5000, -1])
 def test_audit_refuses_token_ids_outside_the_vocabulary(runner, tmp_path, bad):
     corpus_dir, out = serialize_corpus(runner, tmp_path)
@@ -664,7 +686,7 @@ def test_metrics_accuracy_and_auroc(runner, tmp_path):
     "0.5", "abc\t1", "0.5\tyes", "0.5\t1\t0", "nan\t1",
     "0.5\t0_0", "0.5\t+1", "0.5\t\u0660", "0.5\t 1", "0.5\t1.0", "1_5\t1", "NaN\t1",
     "Infinity\t1", "1e400\t1", "1" + "0" * 400 + "\t1", "true\t1", '"1"\t1', "[1]\t1",
-    "[" * 100000 + "\t1"])
+    "[" * 100000 + "\t1", " 0.5\t1", "0.5 \t1", "\t1", "0.5\x0c\t1"])
 def test_metrics_names_row_of_bad_score(runner, tmp_path, row):
     scores = tmp_path / "scores.tsv"
     scores.write_text(f"0.1\t0\n{row}\n0.8\t1\n")
@@ -894,8 +916,14 @@ def test_quantize_refuses_a_codebook_holding_nan(runner, tmp_path):
     assert not (tmp_path / "q.json").exists()
 
 
-@pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
-def test_quantize_refuses_a_bad_beta(runner, tmp_path, beta):
+@pytest.mark.parametrize("beta, reason", [
+    ("nan", "--beta value 'nan': malformed JSON (Expecting value at column 1)"),
+    ("inf", "--beta value 'inf': malformed JSON (Expecting value at column 1)"),
+    ("-1", "--beta must be a finite weight >= 0, got -1.0"),
+    ("1e400", "--beta value '1e400': '1e400' is not a finite JSON number"),
+    ("0.5 ", "--beta value '0.5 ': '0.5 ' is not a finite JSON number"),
+], ids=["nan", "inf", "-1", "1e400", "space"])
+def test_quantize_refuses_a_bad_beta(runner, tmp_path, beta, reason):
     Codebook.new(np.zeros((2, 2))).save(tmp_path / "codebook.json")
     latent = _a_file(tmp_path, "[[0, 0, 0, 0]]")
     out = tmp_path / "q" / "q.json"
@@ -903,7 +931,7 @@ def test_quantize_refuses_a_bad_beta(runner, tmp_path, beta):
                                   str(tmp_path / "codebook.json"), "--beta", beta,
                                   "--out", str(out)])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    assert result.output == f"error: --beta must be a finite weight >= 0, got {float(beta)}\n"
+    assert result.output == f"error: {reason}\n"
     assert not out.parent.exists()
 
 
@@ -1153,9 +1181,32 @@ def test_each_file_read_names_the_file_of_its_fault(runner, tmp_path, monkeypatc
     (["privacy", "--train", "{corpus}", "--heldout", "{corpus}", "--synthetic", "{corpus}",
       "--thresholds", "0,\u0660.\u0665"],
      "--thresholds value '\u0660.\u0665': malformed JSON (Expecting value at column 1)"),
+    (["privacy", "--train", "{corpus}", "--heldout", "{corpus}", "--synthetic", "{corpus}",
+      "--thresholds", "0, 0.5"],
+     "--thresholds value ' 0.5': ' 0.5' is not a finite JSON number"),
+    (["privacy", "--train", "{corpus}", "--heldout", "{corpus}", "--synthetic", "{corpus}",
+      "--thresholds", "0,0.5\n"],
+     "--thresholds value '0.5\\n': '0.5\\n' is not a finite JSON number"),
+    (["plan", "--input", "\u0668\u0661\u0669\u0662x256"],
+     "expected NxD shape, got '\u0668\u0661\u0669\u0662x256'"),
+    (["plan", "--input", " 8_192 x 256"], "expected NxD shape, got ' 8_192 x 256'"),
+    (["plan", "--input", "8192x256.0"], "expected NxD shape, got '8192x256.0'"),
+    (["plan", "--grid", "256:" + "[" * 100000], f"expected LMIN:LMAX, got '256:{'[' * 100000}'"),
+    (["plan", "--backbone", "transformer", "--layers", "\u0664"],
+     "--layers value '\u0664': malformed JSON (Expecting value at column 1)"),
+    (["plan", "--kernel", " 3"], "--kernel value ' 3': ' 3' is not a JSON int"),
+    (["plan", "--kernel", "3.0"], "--kernel value '3.0': '3.0' is not a JSON int"),
+    (["gen", "--n-patients", "true"], "--n-patients value 'true': 'true' is not a JSON int"),
+    (["serialize", "--in", "{corpus}", "--n-e", "1_6"],
+     "--n-e value '1_6': malformed JSON (Extra data at column 2)"),
+    (["privacy", "--train", "{corpus}", "--heldout", "{corpus}", "--synthetic", "{corpus}",
+      "--nr", "1e1"], "--nr value '1e1': '1e1' is not a JSON int"),
 ], ids=["serialize-n-e", "plan-no-layers", "plan-grid-inverted", "plan-transformer-expands",
         "privacy-thresholds", "privacy-thresholds-plus", "privacy-thresholds-underscore",
-        "privacy-thresholds-arabic-indic"])
+        "privacy-thresholds-arabic-indic", "privacy-thresholds-space", "privacy-thresholds-newline",
+        "plan-input-arabic-indic", "plan-input-spaced", "plan-input-float", "plan-grid-deep",
+        "plan-layers-arabic-indic", "plan-kernel-space", "plan-kernel-float", "gen-n-patients-bool",
+        "serialize-n-e-underscore", "privacy-nr-exponent"])
 def test_bad_settings_are_refused_by_name(runner, tmp_path, args, reason):
     corpus = tmp_path / "corpus"
     runner.invoke(main, ["gen", "--seed", "1", "--n-patients", "2", "--out", str(corpus)])
