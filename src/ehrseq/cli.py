@@ -25,7 +25,7 @@ from . import metrics as metrics_mod
 from . import planner, privacy, serializer, vq
 from .analyzer import (FULL_ATTENTION, LINEAR_ATTENTION, CostModel, analysis_report,
                        validate_plan)
-from .manifest import json_doc, json_text, reading, write_manifest
+from .manifest import json_doc, json_numbers, json_text, reading, write_manifest
 from .vocab import Vocabulary, build_vocabulary
 
 
@@ -262,7 +262,7 @@ def quantize(latent_path, codebook_path, beta, out_path):
         raise ValueError(f"--beta must be a finite weight >= 0, got {beta}")
     codebook = vq.Codebook.load(codebook_path)
     with reading(latent_path, vq.VQError):
-        z = vq.numeric_array(json_doc(Path(latent_path).read_text()), "latent")
+        z = json_numbers("latent", json_doc(Path(latent_path).read_text()))
         result = vq.quantize(z, codebook)
     doc = {
         "indices": result.indices.tolist(),

@@ -12,12 +12,13 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import and_
 from pathlib import Path
 
-from .manifest import json_doc, json_text, reading
+from .manifest import (INTEGER, NUMBER, OBJECT, STRING, STRINGS, json_doc, json_entries,
+                       json_fields, json_list, json_text, reading)
 
 NUMERIC = "numeric"
 TEXT = "text"
@@ -98,7 +99,7 @@ class PatientRecord:
 @dataclass(frozen=True)
 class ColumnSpec:
     name: str
-    kind: str
+    kind: str = field(metadata={"json": "type"})
     # numeric columns
     low: float = 0.0
     high: float = 1.0
@@ -280,92 +281,22 @@ def generate_corpus(config: GeneratorConfig) -> Corpus:
     return Corpus(patients, dict(config.definitions), list(config.tables))
 
 
-def _json_fields(cls, raw, keys: dict | None = None) -> dict:
-    """`cls`'s fields from a JSON object, each value converted by
-    `keys[key](key, value)`, `keys` being `_JSON_KEYS[cls]` unless given; an
-    absent key takes the field's default, a field without one is missing, and
-    any other key is an error.  The JSON key "type" is the field `kind`."""
-    if not isinstance(raw, dict):
-        raise CorpusError(f"expected a JSON object, got {raw!r}")
-    keys = keys or _JSON_KEYS[cls]
-    unknown = [key for key in raw if key not in keys]
-    if unknown:
-        raise CorpusError(f"unknown key {unknown[0]!r}")
-    for f in fields(cls):
-        key = "type" if f.name == "kind" else f.name
-        if key not in raw and f.default is MISSING and f.default_factory is MISSING:
-            raise CorpusError(f"missing field {key!r}")
-    return {"kind" if key == "type" else key: keys[key](key, value) for key, value in raw.items()}
-
-
-class _EntryFault(CorpusError):
-    """A fault in an entry of a JSON list, led by the entry's place."""
-
-
-def _entries(cls, keys: dict | None = None):
-    """Converter of a JSON list of objects to a tuple of `cls`.  A fault in an
-    entry's JSON is led by its place and, when a string, its name or id, as
-    in `tables[1] 'lab', columns[2] 'unit': unknown key 'low'`; `cls`'s own
-    checks name what they check."""
-    def convert(key, entries):
-        out = []
-        for i, raw in enumerate(_OBJECTS(key, entries)):
-            name = raw.get("name", raw.get("id"))
-            where = f"{key}[{i}]" + (f" {name!r}" if isinstance(name, str) else "")
-            try:
-                values = _json_fields(cls, raw, keys)
-            except CorpusError as exc:  # an entry within this one adds its own place
-                sep = ", " if isinstance(exc, _EntryFault) else ": "
-                raise _EntryFault(f"{where}{sep}{exc}") from None
-            out.append(cls(**values))
-        return tuple(out)
-    return convert
-
-
-def _json_value(what: str, *kinds: type):
-    """Converter of a JSON value of one of `kinds` (a bool is no int) to the first."""
-    def convert(key, value):
-        if type(value) not in kinds:
-            raise CorpusError(f"{key} must be a JSON {what}")
-        try:
-            return kinds[0](value)
-        except OverflowError as exc:  # an integer past the float range
-            raise CorpusError(f"{key}: {exc}") from None
-    return convert
-
-
-def _json_list(what: str, kind: type, length: int | None = None):
-    """Converter of a JSON list of `kind` values (exactly `length` of them) to a tuple."""
-    def convert(key, value):
-        if (not isinstance(value, list) or any(type(v) is not kind for v in value)
-                or length not in (None, len(value))):
-            raise CorpusError(f"{key} must be a JSON list of {what}")
-        return tuple(value)
-    return convert
-
-
-_STRING, _INTEGER, _NUMBER, _OBJECT = (
-    _json_value("string", str), _json_value("integer", int), _json_value("number", float, int),
-    _json_value("object", dict))
-_STRINGS, _OBJECTS = _json_list("strings", str), _json_list("objects", dict)
-_JSON_KEYS = {
-    ColumnSpec: {"name": _STRING, "type": _STRING, "low": _NUMBER, "high": _NUMBER,
-                 "decimals": _INTEGER, "choices": _STRINGS, "codes": _STRINGS},
-    TableSpec: {"name": _STRING, "columns": _entries(ColumnSpec)},
-    GeneratorConfig: {"seed": _INTEGER, "n_patients": _INTEGER,
-                      "events_per_patient": _json_list("two integers", int, 2),
-                      "tables": _entries(TableSpec),
-                      "definitions": lambda key, defs: {
-                          code: _STRING(f"{key} {code!r}", text)
-                          for code, text in _OBJECT(key, defs).items()}},
-}
+# A generator config's JSON keys, each with its converter (`manifest.json_fields`).
+_COLUMN_KEYS = {"name": STRING, "type": STRING, "low": NUMBER, "high": NUMBER,
+                "decimals": INTEGER, "choices": STRINGS, "codes": STRINGS}
+_TABLE_KEYS = {"name": STRING, "columns": json_entries(ColumnSpec, _COLUMN_KEYS)}
+_CONFIG_KEYS = {"seed": INTEGER, "n_patients": INTEGER,
+                "events_per_patient": json_list("two integers", int, 2),
+                "tables": json_entries(TableSpec, _TABLE_KEYS),
+                "definitions": lambda key, defs: {code: STRING(f"{key} {code!r}", text)
+                                                  for code, text in OBJECT(key, defs).items()}}
 
 
 def load_generator_config(path: Path | str) -> GeneratorConfig:
     """Read and validate a generator config; any fault in it names the file."""
     with reading(f"malformed generator config {path}", CorpusError):
-        config = GeneratorConfig(**_json_fields(GeneratorConfig,
-                                                json_doc(Path(path).read_text())))
+        config = GeneratorConfig(**json_fields(GeneratorConfig, json_doc(Path(path).read_text()),
+                                               _CONFIG_KEYS))
         config.validate()
     return config
 
@@ -391,12 +322,11 @@ class _Schema:
     patients: tuple[_Patient, ...] = ()
 
 
-_SCHEMA_TABLE = {"name": _STRING,
-                 "columns": _entries(ColumnSpec, {"name": _STRING, "type": _STRING})}
-_JSON_KEYS[_Patient] = {"id": _STRING, "labels": lambda key, labels: {
-    name: _INTEGER(f"{key} {name!r}", value) for name, value in _OBJECT(key, labels).items()}}
-_JSON_KEYS[_Schema] = {
-    "tables": _entries(TableSpec, _SCHEMA_TABLE), "patients": _entries(_Patient)}
+_SCHEMA_KEYS = {
+    "tables": json_entries(TableSpec, {
+        "name": STRING, "columns": json_entries(ColumnSpec, {"name": STRING, "type": STRING})}),
+    "patients": json_entries(_Patient, {"id": STRING, "labels": lambda key, labels: {
+        name: INTEGER(f"{key} {name!r}", value) for name, value in OBJECT(key, labels).items()}})}
 _TSV_UNSAFE = re.compile(r"[\t\n\r]")
 _TIMESTAMP = re.compile(r"\d{1,4300}", re.ASCII)  # whole seconds: ASCII digits that `int` reads
 _TIMESTAMPS = re.compile(r"\d{1,4300}(?:\t\d{1,4300})*", re.ASCII)  # a column of them, tab-joined
@@ -569,7 +499,7 @@ def _read_columns(path: Path | str) -> CorpusColumns:
     if not schema_path.exists():
         raise CorpusError(f"missing schema sidecar {schema_path}")
     with reading(schema_path, CorpusError):
-        doc = _Schema(**_json_fields(_Schema, json_doc(schema_path.read_text())))
+        doc = _Schema(**json_fields(_Schema, json_doc(schema_path.read_text()), _SCHEMA_KEYS))
         _check_schema(doc.tables)
         labels = {p.id: p.labels for p in doc.patients}
         if len(labels) < len(doc.patients):

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .manifest import json_doc, json_text, reading
+from .manifest import (INTEGER, STRING, json_doc, json_entries, json_fields, json_list,
+                       json_text, reading)
 
 # layer op kinds
 LN = "Ln"
@@ -86,8 +87,6 @@ class LayerOp:
     def __post_init__(self):
         if self.kind not in OP_KINDS:
             raise PlanError(f"unknown layer kind {self.kind!r}")
-        if not (type(self.factor) is int and type(self.target) is int):
-            raise PlanError("layer factor and target must be integers")
         if self.factor < 1 or not _is_pow2(self.factor):
             raise PlanError(f"layer factor {self.factor} must be a power of two >= 1")
 
@@ -105,6 +104,9 @@ class LayerPlan:
             raise PlanError(f"unknown backbone {self.backbone!r}")
         if self.direction not in (ENCODE, DECODE):
             raise PlanError(f"unknown direction {self.direction!r}")
+        for shape in (self.input_shape, self.output_shape):
+            if min(shape) < 1:
+                raise PlanError(f"shape {list(shape)} is not two positive integers")
 
 
 @dataclass(frozen=True)
@@ -303,23 +305,14 @@ def plan_to_dict(plan: LayerPlan) -> dict:
     }
 
 
-def _shape(value) -> tuple[int, int]:
-    if not (isinstance(value, list) and len(value) == 2
-            and all(type(x) is int and x > 0 for x in value)):
-        raise PlanError(f"shape {value!r} is not two positive integers")
-    return tuple(value)
+# A plan document's JSON keys, each with its converter (`manifest.json_fields`).
+_OPS = json_entries(LayerOp, {"kind": STRING, "factor": INTEGER, "target": INTEGER})
+_SHAPE = json_list("two positive integers", int, 2)
+_PLAN_KEYS = {"backbone": STRING, "direction": STRING, "input_shape": _SHAPE,
+              "output_shape": _SHAPE, "ops": lambda key, ops: list(_OPS(key, ops))}
 
 
 def load_plan(path: Path | str) -> LayerPlan:
     """Read a plan document; malformed content fails naming the file."""
     with reading(path, PlanError):
-        raw = json_doc(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise PlanError("plan document is not a JSON object")
-        return LayerPlan(
-            backbone=raw["backbone"],
-            direction=raw["direction"],
-            ops=[LayerOp(**op) for op in raw["ops"]],
-            input_shape=_shape(raw["input_shape"]),
-            output_shape=_shape(raw["output_shape"]),
-        )
+        return LayerPlan(**json_fields(LayerPlan, json_doc(Path(path).read_text()), _PLAN_KEYS))

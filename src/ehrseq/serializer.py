@@ -18,7 +18,7 @@ from typing import Container, Iterable, Iterator, Optional
 import numpy as np
 
 from .corpus import NUMERIC, CellValue, Corpus, EventRecord, PatientRecord, is_decimal
-from .manifest import json_doc, json_text, reading
+from .manifest import STRING, json_doc, json_list, json_text, reading
 from .vocab import (
     PAD_ID,
     TIMEGAP_BOUNDARIES_MIN,
@@ -559,10 +559,8 @@ def _stream_from_line(line: bytes, channels: tuple[str, ...] = CHANNELS) -> Toke
                      else _parse_values(form[0][1:-1], form[1][0]))
         if cells[-1] is None:
             _refuse_channel(json_doc(line.decode())[name], name, layout, rank)
-    bounds, patient_id = r.get("event_boundaries"), r.get("patient_id", "")
-    if type(patient_id) is not str:
-        raise SerializeError("patient_id must be a JSON string")
-    stream = TokenStream(shape, lengths, tuple(cells), bounds, patient_id)
+    stream = TokenStream(shape, lengths, tuple(cells), r.get("event_boundaries"),
+                         STRING("patient_id", r.get("patient_id", "")))
     stream.cells = tuple(c if name in channels else None for name, c in zip(CHANNELS, stream.cells))
     return stream
 
@@ -707,7 +705,5 @@ def _checked_shape(r: dict, rank: int) -> tuple[int, ...]:
     if (not isinstance(shape, list) or len(shape) != rank
             or not all(type(n) is int and n >= 0 for n in shape)):
         raise SerializeError(f"bad shape {shape!r} for layout {r['layout']!r}")
-    lengths = r["lengths"]
-    if not isinstance(lengths, list) or not all(type(n) is int for n in lengths):
-        raise SerializeError("lengths must be a list of integers")
+    json_list("integers", int)("lengths", r["lengths"])
     return tuple(shape)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifest import json_doc, json_text, reading
+from .manifest import INTEGER, NUMBER, json_doc, json_fields, json_numbers, json_text, reading
 
 
 # Bytes of float64 one step of the nearest-code search may spend: a chunk's
@@ -18,15 +18,6 @@ ASSIGN_BUDGET_BYTES = 32 * 2**20
 
 class VQError(ValueError):
     pass
-
-
-def numeric_array(value, what: str) -> np.ndarray:
-    """A parsed JSON value as an array of numbers.  Strings, nulls and arrays of
-    booleans alone are refused, never parsed; booleans among numbers read as 0 and 1."""
-    array = np.asarray(value)
-    if array.dtype.kind not in "iuf":
-        raise VQError(f"{what} must be an array of JSON numbers")
-    return array
 
 
 @dataclass
@@ -86,16 +77,18 @@ class Codebook:
     def load(cls, path: Path | str) -> "Codebook":
         """Read a saved codebook; malformed content fails naming the file."""
         with reading(path, VQError):
-            doc = json_doc(Path(path).read_text())
-            arrays = [numeric_array(doc[key], key) for key in ("entries", "ema_counts", "ema_sums")]
-            if type(doc["decay"]) not in (int, float):
-                raise VQError("decay must be a JSON number")
-            book = cls(*arrays, doc["decay"])
-            for key in ("size", "width"):
-                if key in doc and (type(doc[key]) is not int or doc[key] != getattr(book, key)):
-                    raise VQError(f"{key} {doc[key]!r} does not match entries of shape "
+            doc = json_fields(cls, json_doc(Path(path).read_text()), _CODEBOOK_KEYS)
+            # every field is popped, so a file without `decay` is refused too
+            book = cls(*map(doc.pop, ("entries", "ema_counts", "ema_sums", "decay")))
+            for key, value in doc.items():  # `size` and `width`, when given
+                if value != getattr(book, key):
+                    raise VQError(f"{key} {value!r} does not match entries of shape "
                                   f"{book.entries.shape}")
             return book
+
+
+_CODEBOOK_KEYS = {"size": INTEGER, "width": INTEGER, "decay": NUMBER, "entries": json_numbers,
+                  "ema_counts": json_numbers, "ema_sums": json_numbers}
 
 
 @dataclass

@@ -847,9 +847,10 @@ def test_bad_vocab_names_its_file(runner, tmp_path, command):
 @pytest.mark.parametrize("latent", ["[[0, 0", "[[0, 0, 0, 0], [0]]", '[["a", 0, 0, 0]]',
                                     "[0, 0, 0, 0]", '{"z": 1}', "[[0, NaN, 0, 0]]",
                                     '[["0.1", true, 2, "3"]]', "[[0, null, 0, 0]]",
-                                    "[[true, false, true, false]]"],
+                                    "[[true, false, true, false]]", "[[true, 0, false, 1]]"],
                          ids=["malformed", "ragged", "non-number", "1-d", "object",
-                              "non-finite", "number-strings", "null", "booleans"])
+                              "non-finite", "number-strings", "null", "booleans",
+                              "booleans-among-numbers"])
 def test_bad_latent_names_its_file(runner, tmp_path, latent):
     path = _a_file(tmp_path, latent)
     Codebook.new(np.zeros((2, 1))).save(tmp_path / "codebook.json")
@@ -858,15 +859,6 @@ def test_bad_latent_names_its_file(runner, tmp_path, latent):
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output.startswith(f"error: {path}: ") and result.output.count("\n") == 1
     assert not (tmp_path / "q.json").exists()
-
-
-def test_quantize_reads_booleans_among_numbers_as_0_and_1(runner, tmp_path):
-    Codebook.new([[0.0], [1.0]]).save(tmp_path / "codebook.json")
-    latent = _a_file(tmp_path, "[[true, 0, false, 1]]")
-    result = runner.invoke(main, ["quantize", "--latent", str(latent), "--codebook",
-                                  str(tmp_path / "codebook.json"), "--out", str(tmp_path / "q.json")])
-    assert result.exit_code == 0, result.output
-    assert json.loads((tmp_path / "q.json").read_text())["indices"] == [[1, 0, 0, 1]]
 
 
 @pytest.mark.parametrize("edit, reason", [
@@ -878,8 +870,11 @@ def test_quantize_reads_booleans_among_numbers_as_0_and_1(runner, tmp_path):
     (lambda doc: doc.update(decay=True), "decay must be a JSON number"),
     (lambda doc: doc.update(ema_counts=[1.0]), "EMA accumulator shapes do not match entries"),
     (lambda doc: doc.update(size=3), "size 3 does not match entries of shape (2, 1)"),
-    (lambda doc: doc.update(width=1.0), "width 1.0 does not match entries of shape (2, 1)"),
-    (lambda doc: doc.update(width=True), "width True does not match entries of shape (2, 1)"),
+    (lambda doc: doc.update(width=1.0), "width must be a JSON integer"),
+    (lambda doc: doc.update(width=True), "width must be a JSON integer"),
+    (lambda doc: doc.update(extra=1), "unknown key 'extra'"),
+    (lambda doc: doc.pop("decay"), "missing field 'decay'"),
+    (lambda doc: doc.update(ema_counts=[True, 1]), "ema_counts must be an array of JSON numbers"),
     (lambda doc: doc.update(ema_counts=[0, 1]), "ema_counts must all be > 0"),
     (lambda doc: doc.update(ema_counts=[-1, 1]), "ema_counts must all be > 0"),
     (lambda doc: doc.update(entries=[[5.0], [0.0]]), "entries are not ema_sums / ema_counts"),
@@ -888,8 +883,8 @@ def test_quantize_reads_booleans_among_numbers_as_0_and_1(runner, tmp_path):
     (lambda doc: doc.update(entries=[[1e300], [0.0]], ema_sums=[[1e300], [0.0]],
                             ema_counts=[1e-300, 1]), "entries are not ema_sums / ema_counts"),
 ], ids=["number-strings", "null", "booleans", "decay-string", "decay-bool", "ema-counts-length",
-        "size", "width-float", "width-bool", "zero-count", "negative-count", "entry-off",
-        "sums-off", "quotient-overflows"])
+        "size", "width-float", "width-bool", "unknown-key", "no-decay", "booleans-among-numbers",
+        "zero-count", "negative-count", "entry-off", "sums-off", "quotient-overflows"])
 def test_bad_codebook_names_its_file(runner, tmp_path, edit, reason):
     path = tmp_path / "codebook.json"
     Codebook.new(np.zeros((2, 1))).save(path)
@@ -963,8 +958,8 @@ def test_analyze_names_plan_file_missing_a_field(runner, tmp_path):
     ([{"kind": "Ln"}], [1, 4], "terminal shape (2, 4) != declared (1, 4)"),
     ([{"kind": "Ln"}] * 3, [1, 4], "layer 2: layer Ln produces non-integral shape from (1, 4)"),
     ([{"kind": "Ld", "factor": 3}], [4, 2], "layer factor 3 must be a power of two >= 1"),
-    ([{"kind": "Ln", "target": True}], [2, 4], "layer factor and target must be integers"),
-    ([{"kind": "Ln"}], [True, 4], "shape [True, 4] is not two positive integers"),
+    ([{"kind": "Ln", "target": True}], [2, 4], "ops[0]: target must be a JSON integer"),
+    ([{"kind": "Ln"}], [True, 4], "output_shape must be a JSON list of two positive integers"),
 ], ids=["terminal-mismatch", "non-integral-shape", "factor-not-a-power-of-two", "boolean-target",
         "boolean-shape"])
 def test_analyze_refuses_a_plan_whose_ops_miss_its_output(runner, tmp_path, ops, output_shape,

@@ -206,7 +206,12 @@ def test_layer_op_rejects_unknown_kind():
 
 @pytest.mark.parametrize("doc, reason", [
     ({}, "missing field 'backbone'"),
-    ([1, 2], "not a JSON object"),
+    ([1, 2], r"expected a JSON object, got \[1, 2\]"),
+    ({"backbone": "cnn", "direction": "encode", "input_shape": [8, 4],
+      "output_shape": [4, 4], "ops": [], "extra": 1}, "unknown key 'extra'"),
+    ({"backbone": "cnn", "direction": "encode", "input_shape": [8, 4],
+      "output_shape": [4, 4], "ops": [{"kind": "Ln"}, {"kind": "Ln", "stride": 2}]},
+     r"ops\[1\]: unknown key 'stride'"),
     ({"backbone": "cnn", "direction": "encode", "input_shape": [8, 4],
       "output_shape": [4, 4], "ops": [{"kind": "Ln", "stride": 2}]}, "stride"),
     ({"backbone": "cnn", "direction": "encode", "input_shape": [8, 4],
@@ -214,7 +219,10 @@ def test_layer_op_rejects_unknown_kind():
     ({"backbone": "cnn", "direction": "encode", "input_shape": [8, "4"],
       "output_shape": [4, 4], "ops": []}, "two positive integers"),
     ({"backbone": "cnn", "direction": "encode", "input_shape": [8, 4],
-      "output_shape": [4, 4], "ops": [{"kind": "pool", "target": "4"}]}, "integers"),
+      "output_shape": [0, 4], "ops": []}, r"shape \[0, 4\] is not two positive integers"),
+    ({"backbone": "cnn", "direction": "encode", "input_shape": [8, 4],
+      "output_shape": [4, 4], "ops": [{"kind": "pool", "target": "4"}]},
+     r"ops\[0\]: target must be a JSON integer"),
     ({"backbone": "banana", "direction": "encode", "input_shape": [8, 4],
       "output_shape": [4, 4], "ops": []}, "unknown backbone 'banana'"),
     ({"backbone": "cnn", "direction": "sideways", "input_shape": [8, 4],

@@ -2,7 +2,9 @@
 boundary that names the file in a read fault.  A read call that a module under
 src/ehrseq makes outside a `with reading(...)` block must fail here, in the
 tier-1 suite, and not only when some bad input reaches it.  JSON is decoded by
-`manifest.json_doc` alone: no other module reaches for a decoder of its own."""
+`manifest.json_doc` alone: no other module reaches for a decoder of its own.
+And a decoded document is read by the one document rule, `manifest.json_fields`
+or `manifest.json_numbers`, unless its reader is exempt below."""
 
 import ast
 from pathlib import Path
@@ -104,3 +106,68 @@ def test_the_decoder_walk_sees_each_spelling():
               "c = json.load\n"
               "d = json.dumps(a)\n")
     assert _json_decoders(source) == [2, 3, 4, 5]
+
+
+# module.function -> why its `json_doc` result may skip the document rule
+RULE_EXEMPT = {
+    "serializer._stream_from_line": "a stream record: channels are read from its bytes, "
+                                    "and its header keys one by one, since other "
+                                    "generators add keys of their own",
+    "serializer._cut_arrays": "decodes one key of a record line, not a document",
+    "cli._save": "only asks whether a manifest already in --out is this command's",
+    "cli._json_number": "a command-line value: a number, not a document",
+}
+
+_RULE = {"json_fields", "json_numbers"}
+
+
+def _name(func) -> str | None:
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _json_docs(sources: dict[str, str]) -> list[tuple[str, int, bool]]:
+    """(module.function, line, read by the rule) of each `json_doc(...)` call
+    in `sources` (module name -> source text); methods are named
+    `Class.method`.  A call is read by the rule when it is an argument of a
+    `json_fields` or `json_numbers` call."""
+    found = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call) and _name(node.func) == "json_doc":
+            found.append((".".join((module,) + (scope or ("<module>",))), node.lineno,
+                          id(node) in ruled))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        ruled = {id(arg) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and _name(node.func) in _RULE for arg in node.args}
+        visit(tree, module, ())
+    return found
+
+
+def test_every_document_is_read_by_the_one_rule():
+    docs = _json_docs({path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
+                       if path.stem != "manifest"})
+    unruled = {where for where, _, ruled in docs if not ruled}
+    assert unruled - set(RULE_EXEMPT) == set()
+    assert unruled == set(RULE_EXEMPT)  # no exemption is stale
+    # plans, codebooks, latents, generator configs and schema.json
+    assert {where for where, _, ruled in docs if ruled} == {
+        "planner.load_plan", "vq.Codebook.load", "cli.quantize",
+        "corpus.load_generator_config", "corpus._read_columns"}
+
+
+def test_the_rule_walk_tells_a_ruled_document_from_a_bare_one():
+    source = ("class C:\n"
+              "    def load(p):\n"
+              "        a = json_fields(C, json_doc(p.read_text()), KEYS)\n"
+              "        b = json_doc(p.read_text())['k']\n"
+              "        return json_numbers('z', manifest.json_doc(a))\n"
+              "def f(t):\n"
+              "    return STRING('k', json_doc(t))\n")
+    assert _json_docs({"m": source}) == [("m.C.load", 3, True), ("m.C.load", 4, False),
+                                         ("m.C.load", 5, True), ("m.f", 7, False)]

@@ -434,8 +434,8 @@ FLAT = {**GOOD, "layout": "flattened", "shape": [8], "lengths": [3], "event_boun
     (json.dumps({**GOOD, "lengths": [0, 3], "shape": [2, 2]}), "row length outside 0..2"),
     (json.dumps({**GOOD, "lengths": [-1, 4]}), "row length outside"),
     (json.dumps({**GOOD, "lengths": [1, 1, 1]}), "3 row lengths for 2 rows"),
-    (json.dumps({**GOOD, "lengths": [True]}), "lengths must be a list of integers"),
-    (json.dumps({**GOOD, "lengths": "x"}), "lengths must be a list of integers"),
+    (json.dumps({**GOOD, "lengths": [True]}), "lengths must be a JSON list of integers"),
+    (json.dumps({**GOOD, "lengths": "x"}), "lengths must be a JSON list of integers"),
     (json.dumps({"layout": "hierarchical", "tokens": [[4, 5], [6, 7]],
                  "type_labels": [[1, 2, 3], [1, 2, 3]]}),
      "label channel shape does not match token channel"),

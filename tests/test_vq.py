@@ -256,7 +256,7 @@ def test_ema_rejects_code_outside_codebook(code):
 
 @pytest.mark.parametrize("doc, reason", [
     ({}, "missing field 'entries'"),
-    ([], "list indices"),
+    ([], r"expected a JSON object, got \[\]"),
     ({"entries": [[0.0]], "ema_counts": [1.0], "ema_sums": [[0.0]], "decay": 2.0}, "decay"),
     ({"entries": [[np.nan]], "ema_counts": [1.0], "ema_sums": [[0.0]], "decay": 0.9},
      "non-finite"),
