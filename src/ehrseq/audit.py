@@ -97,11 +97,13 @@ def build_triples(real: Corpus | CorpusColumns, vocab: Vocabulary) -> TripleSet:
         groups = ((t.name, pairs) for t in real.tables for pairs in t.cells)
     else:
         groups = ((e.table_name, e.columns) for p in real.patients for e in p.events)
-    observed: dict[tuple[str, str], list[CellValue]] = {}  # equal cells may repeat
+    by_name: dict[tuple[str, str], list[CellValue]] = {}  # equal cells may repeat
     for table, pairs in groups:
-        table = name_key(table)
         for col_name, cell in {id(p): p for p in pairs}.values():
-            observed.setdefault((table, name_key(col_name)), []).append(cell)
+            by_name.setdefault((table, col_name), []).append(cell)
+    observed: dict[tuple[str, str], list[CellValue]] = {}  # each distinct name keyed once
+    for (table, col_name), cells in by_name.items():
+        observed.setdefault((name_key(table), name_key(col_name)), []).extend(cells)
     if not observed:
         raise AuditError("cannot build triples from an empty corpus")
 
@@ -125,13 +127,12 @@ def build_triples(real: Corpus | CorpusColumns, vocab: Vocabulary) -> TripleSet:
 def _structure_raw_event(event: ReconstructedEvent, triples: TripleSet) -> ReconstructedEvent:
     """Infer (table, (column, content) pairs) from a raw word list.
 
-    The words are casefolded and each is led by a space.  The longest table
-    name they start with is the table; then come alternately the longest
-    column name of that table and the content words, as written, up to the
-    next word that starts a column name.
+    Each word is led by a space; a stream's words are casefolded, as its
+    vocabulary's units are.  The longest table name they start with is the
+    table; then come alternately the longest column name of that table and
+    the content words up to the next word that starts a column name.
     """
-    words = event.words or []
-    text = " " + " ".join(words).casefold()
+    text = " " + " ".join(event.words or [])
     structured = ReconstructedEvent(timegap=event.timegap)
     table = triples._table_pattern.match(text)
     if table is None:
@@ -143,15 +144,11 @@ def _structure_raw_event(event: ReconstructedEvent, triples: TripleSet) -> Recon
     if parts[0]:
         structured.defect = UNKNOWN_TABLE_COLUMN
         return structured
-    n = table[1].count(" ") + 1  # words read
-    for name, content in zip(parts[1::2], parts[2::2]):
-        n += name.count(" ") + 1
-        n_content = content.count(" ")
-        if not n_content:
+    for name, content in zip(parts[1::2], parts[2::2]):  # each content is led by a space
+        if not content:
             structured.defect = UNPAIRED_COLUMN
             return structured
-        structured.pairs.append((name, " ".join(words[n:n + n_content])))
-        n += n_content
+        structured.pairs.append((name, content[1:]))
     return structured
 
 
@@ -161,7 +158,7 @@ _UNCHECKED = object()  # a verdict memo's miss; None is a verdict
 def _pair_defect(table: str, col_name: str, content: str, triples: TripleSet,
                  vocab: Vocabulary) -> Optional[str]:
     """The semantics check of one (column, content) pair of a known table."""
-    admissible = triples.content.get((table, name_key(col_name)))
+    admissible = triples.content.get((table, col_name))
     if admissible is None:
         return UNKNOWN_TABLE_COLUMN
     if isinstance(admissible, NumericRange):
@@ -183,9 +180,9 @@ def check_event(event: ReconstructedEvent, triples: TripleSet,
     if event.defect is not None:
         return event.defect
 
-    if event.table is None:
+    table = event.table
+    if table is None:
         return NOT_TABLE_FIRST
-    table = name_key(event.table)
     if table not in triples.tables:
         return UNKNOWN_TABLE_COLUMN
     if not event.pairs:

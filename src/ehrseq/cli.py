@@ -157,10 +157,9 @@ def gen(config_path, seed, n_patients, out_dir):
 @_run
 def load(in_dir):
     """Load and validate a corpus directory, printing a summary."""
-    corpus = corpus_mod.load_corpus(in_dir)
-    n_events = sum(len(p.events) for p in corpus.patients)
-    click.echo(f"{len(corpus.patients)} patients, {n_events} events, "
-               f"{len(corpus.schema)} tables")
+    read = corpus_mod.load_corpus(in_dir, events=False)  # by columns: no event is built
+    n_events = sum(len(t.patient_ids) for t in read.tables)  # each table's kept rows
+    click.echo(f"{len(read.patient_ids)} patients, {n_events} events, {len(read.schema)} tables")
 
 
 @main.command()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import reprlib
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from itertools import chain
@@ -53,7 +54,9 @@ def json_fields(cls, raw, keys: dict) -> dict:
     key is its `json` metadata or its name.  An absent key takes the field's default, a
     field without one is missing, a known key that is no field keeps its own name."""
     if not isinstance(raw, dict):
-        raise ValueError(f"expected a JSON object, got {raw!r}")
+        quote = reprlib.Repr()  # bounded: the document's top level, six entries at most
+        quote.maxlevel = 1
+        raise ValueError(f"expected a JSON object, got {quote.repr(raw)}")
     unknown = [key for key in raw if key not in keys]
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}")

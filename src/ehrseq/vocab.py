@@ -48,20 +48,20 @@ class VocabError(ValueError):
 
 @dataclass
 class Vocabulary:
-    """Immutable after construction; unit strings are unique."""
+    """Immutable after construction; units are unique, each one casefolded word."""
 
     units: list[str]
 
     def __post_init__(self):
+        bad = next((u for u in self.units if u.casefold().split() != [u]), None)
+        if bad is not None:  # tokenize emits no other unit; detokenize and the audit rely on it
+            raise VocabError(f"vocabulary unit {bad!r} is not one casefolded word")
         if self.units[: len(RESERVED)] != RESERVED:
             raise VocabError("reserved entries must occupy the lowest indices")
         self._index = {u: i for i, u in enumerate(self.units)}
         if len(self._index) != len(self.units):  # a repeated unit maps to its last index
             repeated = next(u for i, u in enumerate(self.units) if self._index[u] != i)
             raise VocabError(f"duplicate vocabulary unit {repeated!r}")
-        blank = next((u for u in self.units if u.split() != [u]), None)
-        if blank is not None:  # tokenize never emits such a unit; detokenize relies on it
-            raise VocabError(f"vocabulary unit {blank!r} is empty or holds whitespace")
         self._max_len = max((len(u.removeprefix(CONTINUATION)) for u in self.units), default=1)
         self._word_units: dict[str, list[str]] = {}  # tokenize's memo of tokenize_word
         self._segments: dict = {}  # the serializer's memo of per-text event segments
@@ -81,9 +81,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: Path | str) -> "Vocabulary":
-        """Read a saved vocabulary; a malformed one fails naming the file."""
-        with reading(path, VocabError):
-            return cls([line for line in Path(path).read_text().splitlines() if line])
+        """Read a saved vocabulary, one unit per line (only LF ends one) and none
+        dropped, so a unit's id is its line number less one; a bad one fails naming the file."""
+        with reading(path, VocabError), open(path, newline="") as fh:
+            return cls(fh.read().removesuffix("\n").split("\n"))
 
 
 def build_vocabulary(texts: Iterable[str], min_count: int = 1) -> Vocabulary:

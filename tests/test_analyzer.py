@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ehrseq import planner as P
-from ehrseq.analyzer import CostModel, analysis_report, validate_plan
+from ehrseq.analyzer import FFN_MULTIPLIER, CostModel, analysis_report, validate_plan
 
 
 def test_trace_matches_paper_plan():
@@ -186,5 +186,70 @@ def test_executed_conv_layers_match_their_trace_rows(k):
             assert out.shape == P.OP_KINDS[op.kind].shape(*x.shape, op) == tuple(row["shape"])
             assert sum(a.size for a in arrays) == row["params"]
             assert 2 * multiply_adds == row["flops"]
+            x = out
+        assert x.shape == plan.output_shape
+
+
+def _run_attention(x, op, variant, rng):
+    """Execute one attention layer on an (n, d) input: qkv and out
+    projections, then mixing, (QKᵀ)V under full attention and Q(KᵀV) under
+    linear, then a 4·d FFN and the channel projection to d_out, all with
+    biases.  Returns the output, the weight and bias arrays, the
+    multiply-adds executed, and those of the channel projection alone."""
+    n, d = x.shape
+    d_out = P.OP_KINDS[op.kind].shape(n, d, op)[1]
+    arrays, multiply_adds = [], [0]
+
+    def product(a, b):
+        multiply_adds[0] += a.shape[0] * a.shape[1] * b.shape[1]
+        return a @ b
+
+    def dense(h, width):  # weights scaled by fan-in, so values stay near unit size
+        weight = rng.standard_normal((h.shape[1], width)) / np.sqrt(h.shape[1])
+        bias = rng.standard_normal(width)
+        arrays.extend((weight, bias))
+        return product(h, weight) + bias
+
+    q, k, v = dense(x, d), dense(x, d), dense(x, d)
+    mixed = product(product(q, k.T), v) if variant == "full" else product(q, product(k.T, v))
+    h = dense(mixed, d)
+    h = dense(np.maximum(dense(h, FFN_MULTIPLIER * d), 0), d)
+    return dense(h, d_out), arrays, multiply_adds[0], n * d * d_out
+
+
+def _run_pool(x, op):
+    """Adaptive average pooling of an (n, d) input to op.target rows: row i
+    averages input rows floor(i·n/target) up to ceil((i+1)·n/target).  It
+    holds no arrays and executes no matrix product."""
+    n, target = x.shape[0], op.target
+    rows = [x[i * n // target: -(-(i + 1) * n // target)].mean(axis=0) for i in range(target)]
+    return np.stack(rows), (), 0, 0
+
+
+def _small_transformer_plans():
+    sizes = [2 ** i for i in range(7)]  # 1 to 64
+    return [P.transformer_plan(n, d, n_out, d_out, n_l) for n_l in (1, 2, 3) for n in sizes
+            for d in sizes[:5] for n_out in sizes if n_out <= n for d_out in sizes if d_out <= d]
+
+
+@pytest.mark.parametrize("variant", ["full", "linear"])
+def test_executed_attention_and_pool_layers_match_their_trace_rows(variant):
+    """Each row's FLOPs are 2 × the multiply-adds executed less the channel
+    projection's 2·n·d·d_out, which the cost model leaves out (see
+    `analyzer._layer_rows`' docstring)."""
+    rng = np.random.default_rng(len(variant))
+    plans = _small_transformer_plans()
+    assert len(plans) == 3 * 28 * 15
+    for plan in plans:
+        x = rng.standard_normal(plan.input_shape)
+        report = analysis_report(plan, CostModel(attention_variant=variant))
+        for op, row in zip(plan.ops, report["trace"], strict=True):
+            if op.kind == P.POOL:
+                out, arrays, multiply_adds, projection = _run_pool(x, op)
+            else:
+                out, arrays, multiply_adds, projection = _run_attention(x, op, variant, rng)
+            assert out.shape == P.OP_KINDS[op.kind].shape(*x.shape, op) == tuple(row["shape"])
+            assert sum(a.size for a in arrays) == row["params"]
+            assert 2 * multiply_adds - 2 * projection == row["flops"]
             x = out
         assert x.shape == plan.output_shape

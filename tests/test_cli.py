@@ -468,6 +468,42 @@ def test_audit_keys_a_column_by_its_casefolded_words_with_labels_or_without(runn
         assert json.loads(result.output)["rce"] == 1.0
 
 
+def test_audit_keys_only_the_corpus_names_whatever_the_number_of_events(runner, tmp_path,
+                                                                        monkeypatch):
+    """A stream's names are casefolded words already, so one `audit` keys
+    each schema column's table and column name once, and the triple set
+    checks each of its names once: no event's name is keyed."""
+    real_dir, out = serialize_corpus(runner, tmp_path, "real", seed="5")
+    vocab_path = out / "vocab.txt"
+    real = corpus_mod.load_corpus(real_dir, events=False)
+    triples = audit_mod.build_triples(real, Vocabulary.load(vocab_path))
+    bound = (2 * sum(len(t.columns) for t in real.schema)
+             + len(triples.tables.union(*triples.columns.values())))
+    generated = []
+    for n_patients in ("3", "24"):
+        corpus_dir, streams = tmp_path / f"gen_{n_patients}", tmp_path / f"streams_{n_patients}"
+        runner.invoke(main, ["gen", "--seed", "6", "--n-patients", n_patients,
+                             "--out", str(corpus_dir)])
+        assert runner.invoke(main, ["serialize", "--in", str(corpus_dir), "--out", str(streams),
+                                    "--vocab", str(vocab_path)]).exit_code == 0
+        labeled, label_less = streams / "streams_flat.jsonl", streams / "label_less.jsonl"
+        label_less.write_text("".join(
+            json.dumps({**json.loads(line), "type_labels": None, "dpe_labels": None,
+                        "event_boundaries": None}) + "\n"
+            for line in labeled.read_text().splitlines()))
+        generated += [labeled, label_less]
+    name_key, calls, events = audit_mod.name_key, [], []
+    monkeypatch.setattr(audit_mod, "name_key", lambda name: calls.append(name) or name_key(name))
+    for path in generated:
+        calls.clear()
+        result = runner.invoke(main, ["audit", "--real", str(real_dir), "--generated", str(path),
+                                      "--vocab", str(vocab_path), "--out", str(tmp_path / "audit")])
+        assert result.exit_code == 0, result.output
+        events.append(json.loads(result.output)["total_events"])
+        assert 0 < len(calls) <= bound
+    assert events[0] * 4 < events[2]
+
+
 @pytest.mark.parametrize("bad", [5000, -1])
 def test_audit_refuses_token_ids_outside_the_vocabulary(runner, tmp_path, bad):
     corpus_dir, out = serialize_corpus(runner, tmp_path)
@@ -828,6 +864,17 @@ def test_bad_input_is_one_error_line(runner, tmp_path, make_args):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("error: ") and result.output.count("\n") == 1
+
+
+def test_a_document_that_is_no_object_is_quoted_short(runner, tmp_path):
+    """A plan file holding a 1024x64 array is refused in one line of 85
+    bytes besides the file name; the whole array's repr is 329,728."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(np.ones((1024, 64)).tolist()))
+    result = runner.invoke(main, ["analyze", "--plan", str(plan)])
+    assert result.exit_code == 1
+    assert result.output == f"error: {plan}: expected a JSON object, got [[...], [...], " \
+                            "[...], [...], [...], [...], ...]\n"
 
 
 @pytest.mark.parametrize("command", ["serialize", "audit"])
@@ -1389,11 +1436,11 @@ def test_commands_restore_the_collectors_state(runner, tmp_path, monkeypatch, en
     during = []
     load_corpus = corpus_mod.load_corpus
 
-    def watched(path):
+    def watched(path, **options):
         during.append(gc.isenabled())
         if Path(path).name == "raises":
             raise RuntimeError("not a ValueError")
-        return load_corpus(path)
+        return load_corpus(path, **options)
 
     monkeypatch.setattr(corpus_mod, "load_corpus", watched)
     corpus_dir = tmp_path / "corpus"

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 from ehrseq import vocab as vocab_mod
@@ -156,10 +157,26 @@ def test_detokenize_matches_the_unit_loop(units):
     assert detokenize(units) == detokenize_by_loop(units)
 
 
-@pytest.mark.parametrize("unit", ["", "a b", "##a b", " a", "a\t", "a\u00a0"])
-def test_units_holding_whitespace_are_refused(unit):
-    with pytest.raises(VocabError, match="empty or holds whitespace"):
+# "\u00df" casefolds to "ss"
+@pytest.mark.parametrize("unit", ["", "a b", "##a b", " a", "a\t", "a\u00a0",
+                                  "LAB", "Stra\u00dfe", "##A"])
+def test_units_that_are_not_one_casefolded_word_are_refused(unit):
+    with pytest.raises(VocabError, match=f"^vocabulary unit {re.escape(repr(unit))} "
+                                         "is not one casefolded word$"):
         fixture_vocab(["a", unit])
+
+
+# a line holding one of these was split in two by `str.splitlines`, an empty
+# line was dropped, and a CRLF line end was read as LF: in the first two cases
+# each later unit's id moved by one
+@pytest.mark.parametrize("line", ["x" + sep + "y" for sep in
+                                  "\x1c\x1d\x1e\x0b\x0c\x85\u2028\u2029"] + ["", "lab\r"])
+def test_load_refuses_a_line_that_is_not_one_unit(tmp_path, line):
+    path = tmp_path / "vocab.txt"
+    path.write_text("".join(u + "\n" for u in RESERVED + ["a", line, "b"]), newline="")
+    with pytest.raises(VocabError, match=f"^{re.escape(str(path))}: vocabulary unit "
+                                         f"{re.escape(repr(line))} is not one casefolded word$"):
+        Vocabulary.load(path)
 
 
 @pytest.mark.parametrize("word", RESERVED)
